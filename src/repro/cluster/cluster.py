@@ -37,7 +37,7 @@ from repro.cluster.placement import PlacementMap
 from repro.core.mapping import REPLICATED
 from repro.core.metrics import ClusterMetrics
 from repro.core.path_eval import JoinPathEvaluator
-from repro.core.solution import DatabasePartitioning, TableSolution
+from repro.core.solution import DatabasePartitioning, PathEffect, TableSolution
 from repro.engine.executor import Executor
 from repro.errors import ClusterError, ClusterUnavailable
 from repro.procedures.procedure import ProcedureCatalog
@@ -300,16 +300,16 @@ class Cluster:
         return inserted, removed, updated
 
     def _build_dependents(self) -> dict[str, set[str]]:
-        """table -> partitioned tables whose join paths read that table."""
+        """table -> partitioned tables whose join paths hop into that table.
+
+        A self-referencing path that lands back on its source table makes
+        that table its own dependent.
+        """
         out: dict[str, set[str]] = {}
         for table_schema in self.schema.tables:
             name = table_schema.name
-            solution = self.partitioning.solution_for(name)
-            if solution.replicated:
-                continue
-            for dep in solution.dependency_tables:
-                if dep != name:
-                    out.setdefault(dep, set()).add(name)
+            for dep in self.partitioning.solution_for(name).hop_targets:
+                out.setdefault(dep, set()).add(name)
         return out
 
     # ------------------------------------------------------------------
@@ -576,7 +576,7 @@ class Cluster:
                 resolution.participants.add(home)
         self._apply_planned(planned, resolution)
         self._commit(resolution, procedure.name)
-        self._repair_cascades({op[0] for op in ops})
+        self._repair_cascades(ops)
 
     def _record_access(self, table: str, key: KeyValue, write: bool) -> None:
         self._txn_access.append(TupleAccess(table, tuple(key), write))
@@ -632,6 +632,8 @@ class Cluster:
                 source_table = self.source.table(table)
                 if op == "insert":
                     source_table.delete(key)
+                    # *old* is the tombstone the insert replaced.
+                    source_table.restore_tombstone(key, old)
                 elif op == "delete":
                     assert old is not None
                     source_table.insert(old)
@@ -689,7 +691,7 @@ class Cluster:
             else:
                 disposition, home = "home", self.node_of(pid)
             self._settle_row(table, key, new, disposition, home)
-        self._repair_cascades({table})
+        self._repair_cascades([(table, op, key, old, new)])
 
     def _apply_replicated(
         self, table: str, op: str, key: KeyValue, new: Row | None
@@ -792,26 +794,49 @@ class Cluster:
         if node_table.get(key) is not None:
             node_table.delete(key)
 
-    def _repair_cascades(self, mutated_tables: set[str]) -> None:
-        """Re-place rows whose join paths read a just-mutated table.
+    def _repair_cascades(self, ops: Iterable[_Op]) -> None:
+        """Re-place rows whose join paths read a just-mutated row.
 
-        Updating a row that other tables' join paths walk through can
-        silently change *their* partition values (the router handles this
-        with lookup-table invalidation; the cluster must physically move
-        the rows). Workloads whose paths stay inside their own table —
-        TPC-C's warehouse-id paths, for instance — never trigger this.
+        A write to a row that other rows' join paths walk through can
+        change *their* partition values; the cluster must then physically
+        move them (the router applies the same rule to its lookup tables).
+        TPC-C's customer-rooted paths read CUSTOMER and ORDERS on the way,
+        so most writes land on a dependency table — but few can move a
+        row. :meth:`TableSolution.mutation_effect` decides per write and
+        dependent: ``NONE`` is skipped, ``UNPLACED`` re-places only the
+        dependent's unroutable rows, and ``ALL`` re-places the whole table.
         """
-        affected: set[str] = set()
-        for table in mutated_tables:
-            affected |= self._dependents.get(table, set())
-        for table in sorted(affected):
-            self._replace_table_placement(table)
+        effects: dict[str, PathEffect] = {}
+        for table, op, _, old, new in ops:
+            dependents = self._dependents.get(table)
+            if not dependents:
+                continue
+            table_schema = self.schema.table(table)
+            for dependent in dependents:
+                if effects.get(dependent) is PathEffect.ALL:
+                    continue
+                effect = self.partitioning.solution_for(
+                    dependent
+                ).mutation_effect(table_schema, op, old, new)
+                if effect > effects.get(dependent, PathEffect.NONE):
+                    effects[dependent] = effect
+        for dependent in sorted(effects):
+            if effects[dependent] is PathEffect.ALL:
+                self._replace_table_placement(dependent)
+            else:
+                unroutable = self.placement.unroutable.get(dependent, ())
+                self._replace_table_placement(dependent, list(unroutable))
 
-    def _replace_table_placement(self, table: str) -> None:
+    def _replace_table_placement(
+        self, table: str, keys: Iterable[KeyValue] | None = None
+    ) -> None:
+        """Move *table*'s rows (just *keys*, when given) to their homes."""
         solution = self.partitioning.solution_for(table)
         source_table = self.source.table(table)
-        for row in list(source_table.scan()):
-            key = source_table.primary_key_of(row)
+        for key in list(source_table.keys()) if keys is None else keys:
+            row = source_table.get(key)
+            if row is None:
+                continue
             pid = solution.partition_of(key, self._evaluator)
             if pid is None:
                 disposition, home = "unroutable", None

@@ -9,11 +9,17 @@
   replication).
 * :class:`DatabasePartitioning` — Definition 11: one table solution per
   table; tables without one are replicated.
+
+:meth:`TableSolution.mutation_effect` is the one rule the router and the
+cluster share to decide what a write to a join-path table can do to the
+placements that read it (:class:`PathEffect`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import enum
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from repro.errors import PartitioningError
@@ -22,6 +28,7 @@ from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
 from repro.core.mapping import REPLICATED, HashMapping, MappingFunction
 from repro.core.path_eval import JoinPathEvaluator
+from repro.schema.table import TableSchema
 
 TOTAL = "total"
 PARTIAL = "partial"
@@ -44,6 +51,20 @@ class ClassSolution:
     def __str__(self) -> str:
         tag = "MI" if self.mapping_independent else "stat"
         return f"{self.class_name}[{self.kind},{tag}] root={self.root}"
+
+
+class PathEffect(enum.IntEnum):
+    """What one source write can do to the placements a join path yields.
+
+    Ordered by reach, so ``max`` combines the effects of several writes.
+    """
+
+    #: no walk can change
+    NONE = 0
+    #: only walks that found no root value (``None``) can change
+    UNPLACED = 1
+    #: any walk may change: every row must be placed again
+    ALL = 2
 
 
 @dataclass(frozen=True)
@@ -79,7 +100,7 @@ class TableSolution:
     def attribute(self) -> Attr | None:
         return None if self.path is None else self.path.destination
 
-    @property
+    @cached_property
     def dependency_tables(self) -> tuple[str, ...]:
         """Tables whose rows influence :meth:`partition_of`, in path order.
 
@@ -95,6 +116,74 @@ class TableSolution:
             seen.setdefault(table, None)
         return tuple(seen)
 
+    @cached_property
+    def read_sets(self) -> dict[str, frozenset[str]]:
+        """Columns the join-path walk reads, per visited table.
+
+        The union of the path's node attributes in each table: primary
+        keys, foreign keys, intra-table targets and the destination —
+        exactly the values :meth:`JoinPathEvaluator.evaluate` consults.
+        Empty for a replicated table.
+        """
+        columns: dict[str, set[str]] = {}
+        if self.path is not None:
+            for node in self.path.nodes:
+                for attr in node:
+                    columns.setdefault(attr.table, set()).add(attr.column)
+        return {table: frozenset(cols) for table, cols in columns.items()}
+
+    @cached_property
+    def hop_targets(self) -> dict[str, frozenset[tuple[str, ...]]]:
+        """Tables a foreign-key hop of the path lands in.
+
+        Each maps to the referenced columns of those hops. These are the
+        tables where a walk reads rows other than its own, so only writes
+        to them can move other rows (:meth:`mutation_effect`).
+        """
+        hops: dict[str, set[tuple[str, ...]]] = {}
+        if self.path is not None:
+            for step in self.path.steps:
+                if step.fk is not None:
+                    hops.setdefault(step.fk.ref_table, set()).add(
+                        tuple(step.fk.ref_columns)
+                    )
+        return {table: frozenset(refs) for table, refs in hops.items()}
+
+    def mutation_effect(
+        self,
+        table: TableSchema,
+        op: str,
+        old: Mapping[str, Any] | None,
+        new: Mapping[str, Any] | None,
+    ) -> PathEffect:
+        """What one write to *table* can do to the placement of other rows.
+
+        *op*, *old* and *new* follow the :class:`~repro.storage.table.Table`
+        listener contract (an insert's *old* is the tombstone it replaced).
+        Only walks that hop into *table* through a foreign key read rows
+        other than their own, so the written row's own placement is left to
+        its writer. Deletes are free on tables every hop enters by the
+        exact primary key: the walk falls back to the tombstone, which
+        holds the deleted values. For the same reason an insert there can
+        only complete walks that found nothing before — unless it replaces
+        a tombstone whose read-set values differ.
+        """
+        hops = self.hop_targets.get(table.name)
+        if hops is None:
+            return PathEffect.NONE
+        read = self.read_sets[table.name]
+        if op == "update":
+            assert old is not None and new is not None
+            return _same_columns(read, old, new)
+        if any(columns != table.primary_key for columns in hops):
+            return PathEffect.ALL
+        if op == "delete":
+            return PathEffect.NONE
+        if old is None:
+            return PathEffect.UNPLACED
+        assert new is not None
+        return _same_columns(read, old, new)
+
     def partition_of(self, key: tuple, evaluator: JoinPathEvaluator) -> int | None:
         """Partition id for the tuple *key*: 0 replicated, None unroutable."""
         if self.path is None:
@@ -109,6 +198,16 @@ class TableSolution:
         if self.replicated:
             return f"{self.table}: replicated"
         return f"{self.table}: {self.path} via {self.mapping!r}"
+
+
+def _same_columns(
+    columns: frozenset[str], old: Mapping[str, Any], new: Mapping[str, Any]
+) -> PathEffect:
+    """NONE when *old* and *new* agree on every column, else ALL."""
+    for column in columns:
+        if old.get(column) != new.get(column):
+            return PathEffect.ALL
+    return PathEffect.NONE
 
 
 class DatabasePartitioning:

@@ -9,9 +9,12 @@ This implementation is *live*: entries are refcounted per contributing row,
 so the table can be maintained incrementally under inserts, deletes, and
 updates of the attribute's own table (``apply_insert`` & co.), and a
 version snapshot of every dependency table makes staleness a handful of
-integer compares (``is_stale``). Mutations the incremental path cannot
-absorb precisely — updates that touch the attribute or its join path, or
-any change to another table along the path — are answered with a full
+integer compares (``is_stale``). Writes to the tables along the join path
+go through ``apply_dependency``, which asks the solution's shared rule
+(:meth:`TableSolution.mutation_effect`) what the write can change: nothing
+(the version is synced), only the rows whose walk found no root value
+(those are kept aside and re-evaluated), or anything. Only the last case,
+and own-table updates of a column the path reads, are answered with a full
 rebuild by the caller (the router).
 """
 
@@ -21,35 +24,10 @@ from typing import Any, Iterator, Mapping
 
 from repro.core.mapping import REPLICATED
 from repro.core.path_eval import JoinPathEvaluator
-from repro.core.solution import DatabasePartitioning, TableSolution
+from repro.core.solution import DatabasePartitioning, PathEffect, TableSolution
 from repro.schema.attribute import Attr
 from repro.storage.database import Database
 from repro.storage.table import KeyValue, Table
-
-
-def _sensitive_columns(attribute: Attr, solution: TableSolution) -> frozenset[str]:
-    """Source-table columns whose change can move a row's partition or key.
-
-    The attribute column itself, plus every column of ``attribute.table``
-    the solution's join path reads (first-hop foreign keys, intra-table
-    destinations, and — for self-referencing schemas — any later node or
-    foreign key that lands back on the source table).
-    """
-    columns = {attribute.column}
-    path = solution.path
-    if path is not None:
-        for node in path.nodes:
-            for attr in node:
-                if attr.table == attribute.table:
-                    columns.add(attr.column)
-        for step in path.steps:
-            if step.fk is None:
-                continue
-            if step.fk.table == attribute.table:
-                columns.update(step.fk.columns)
-            if step.fk.ref_table == attribute.table:
-                columns.update(step.fk.ref_columns)
-    return frozenset(columns)
 
 
 class LookupTable:
@@ -79,9 +57,17 @@ class LookupTable:
         self._pid_counts: dict[Any, dict[int, int]] = {}
         # value -> memoized frozenset; invalidated per value on mutation.
         self._frozen: dict[Any, frozenset[int]] = {}
+        # primary key -> value of rows whose join path found no root value.
+        self._unplaced: dict[KeyValue, Any] = {}
         # dependency table name -> version at build / last applied write.
         self._versions: dict[str, int] = {}
-        self._sensitive: frozenset[str] = frozenset({attribute.column})
+        # Source-table columns whose change can move a row's entry: the
+        # attribute itself and every column the join path reads there.
+        self._sensitive = frozenset({attribute.column})
+        if solution is not None:
+            self._sensitive |= solution.read_sets.get(
+                attribute.table, frozenset()
+            )
 
     # ------------------------------------------------------------------
     # construction
@@ -103,7 +89,6 @@ class LookupTable:
         table = database.table(attribute.table)
         solution = partitioning.solution_for(attribute.table)
         out = cls(attribute, solution, table, evaluator)
-        out._sensitive = _sensitive_columns(attribute, solution)
         for row in table.scan():
             out._absorb(row)
         for name in solution.dependency_tables:
@@ -116,6 +101,13 @@ class LookupTable:
         if self._solution is None:
             return (self.attribute.table,)
         return self._solution.dependency_tables
+
+    @property
+    def hop_targets(self) -> Mapping[str, frozenset[tuple[str, ...]]]:
+        """Tables whose writes can move rows other than the written one."""
+        if self._solution is None:
+            return {}
+        return self._solution.hop_targets
 
     # ------------------------------------------------------------------
     # queries
@@ -186,19 +178,56 @@ class LookupTable:
         self._versions[self.attribute.table] = self._table.version
         return True
 
-    def _partition_of(self, row: Mapping[str, Any]) -> int | None:
-        assert self._table is not None and self._solution is not None
-        assert self._evaluator is not None
-        key: KeyValue = self._table.primary_key_of(row)
-        return self._solution.partition_of(key, self._evaluator)
+    def apply_dependency(
+        self,
+        table: Table,
+        op: str,
+        old: Mapping[str, Any] | None,
+        new: Mapping[str, Any] | None,
+    ) -> bool:
+        """Absorb a write to *table* as the other rows' join paths see it.
+
+        Called with the table's listener arguments for every table in
+        :attr:`hop_targets`, which holds the attribute's own table only
+        when the path lands back on it (after its ``apply_*`` has handled
+        the written row itself). Returns False when the write may have
+        moved any row and the caller must rebuild.
+        """
+        if self._solution is None:
+            return False
+        effect = self._solution.mutation_effect(table.schema, op, old, new)
+        if effect is PathEffect.ALL:
+            return False
+        if effect is PathEffect.UNPLACED:
+            self._place_unplaced()
+        self._versions[table.schema.name] = table.version
+        return True
+
+    def _place_unplaced(self) -> None:
+        """Re-evaluate the rows whose join path found no root value."""
+        assert self._solution is not None and self._evaluator is not None
+        for key, value in list(self._unplaced.items()):
+            pid = self._solution.partition_of(key, self._evaluator)
+            if pid is None:
+                continue
+            del self._unplaced[key]
+            if pid != REPLICATED:
+                bucket = self._pid_counts.setdefault(value, {})
+                bucket[pid] = bucket.get(pid, 0) + 1
+                self._frozen.pop(value, None)
 
     def _absorb(self, row: Mapping[str, Any]) -> None:
         value = row.get(self.attribute.column)
         if value is None:
             return
-        pid = self._partition_of(row)
+        assert self._table is not None and self._solution is not None
+        assert self._evaluator is not None
+        key = self._table.primary_key_of(row)
+        pid = self._solution.partition_of(key, self._evaluator)
         self._row_counts[value] = self._row_counts.get(value, 0) + 1
-        if pid is not None and pid != REPLICATED:
+        if pid is None:
+            self._unplaced[key] = value
+        elif pid != REPLICATED:
             bucket = self._pid_counts.setdefault(value, {})
             bucket[pid] = bucket.get(pid, 0) + 1
         self._frozen.pop(value, None)
@@ -211,8 +240,15 @@ class LookupTable:
         if count is None:
             # Never saw this value: the table and the lookup disagree.
             return False
-        pid = self._partition_of(row)
-        if pid is not None and pid != REPLICATED:
+        assert self._table is not None and self._solution is not None
+        assert self._evaluator is not None
+        key = self._table.primary_key_of(row)
+        pid = self._solution.partition_of(key, self._evaluator)
+        if pid is None:
+            if key not in self._unplaced:
+                return False
+            del self._unplaced[key]
+        elif pid != REPLICATED:
             bucket = self._pid_counts.get(value)
             if bucket is None or pid not in bucket:
                 return False

@@ -2,11 +2,13 @@
 
 The routing tier is live: the router subscribes to every table's mutation
 feed, applies write-through maintenance to the lookup tables it has built
-(inserts/deletes on the routed attribute's own table), and invalidates
-lookups whose join-path dependencies changed — so a routing decision is
-never served from a stale snapshot. A version check on every lookup access
-backstops the hooks, and :meth:`Router.route_batch` amortizes plan
-resolution and decision computation across many calls of one batch.
+(inserts/deletes on the routed attribute's own table), absorbs writes to
+the other tables on their join paths that cannot move a row (or can only
+place a row that had no root value), and invalidates the rest — so a
+routing decision is never served from a stale snapshot. A version check
+on every lookup access backstops the hooks, and :meth:`Router.route_batch`
+amortizes plan resolution and decision computation across many calls of
+one batch.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.routing.lookup_table import LookupTable
 from repro.schema.attribute import Attr
 from repro.sql.dataflow import analyze_dataflow
 from repro.storage.database import Database
+from repro.storage.table import Table
 
 #: Broadcast causes recorded in :class:`RoutingMetrics.broadcast_causes`.
 NO_BINDINGS = "no_bindings"
@@ -122,16 +125,15 @@ class Router:
     # ------------------------------------------------------------------
     def _attach_hooks(self) -> None:
         for table in self.database:
-            name = table.schema.name
 
             def hook(
                 op: str,
                 key: tuple,
                 old: Mapping[str, Any] | None,
                 new: Mapping[str, Any] | None,
-                _name: str = name,
+                _table: Table = table,
             ) -> None:
-                self._on_mutation(_name, op, old, new)
+                self._on_mutation(_table, op, old, new)
 
             table.add_listener(hook)
             self._hooks.append((table, hook))
@@ -145,7 +147,7 @@ class Router:
 
     def _on_mutation(
         self,
-        table_name: str,
+        table: Table,
         op: str,
         old: Mapping[str, Any] | None,
         new: Mapping[str, Any] | None,
@@ -154,26 +156,42 @@ class Router:
         # (e.g. a foreign-key retarget); drop them before re-evaluating.
         self._evaluator.clear_cache()
         metrics = self.metrics
+        table_name = table.schema.name
         for attribute, lookup in list(self._lookups.items()):
-            if attribute.table == table_name:
-                if op == "insert" and new is not None:
-                    if lookup.apply_insert(new):
-                        metrics.write_through_inserts += 1
-                        continue
-                elif op == "delete" and old is not None:
-                    if lookup.apply_delete(old):
-                        metrics.write_through_deletes += 1
-                        continue
-                elif op == "update" and old is not None and new is not None:
-                    if lookup.apply_update(old, new):
-                        metrics.write_through_updates += 1
-                        continue
+            if attribute.table == table_name and not self._write_through(
+                lookup, op, old, new
+            ):
                 metrics.write_through_fallbacks += 1
                 metrics.staleness_detections += 1
                 del self._lookups[attribute]
-            elif table_name in lookup.dependencies:
+            elif table_name in lookup.hop_targets and not (
+                lookup.apply_dependency(table, op, old, new)
+            ):
                 metrics.staleness_detections += 1
                 del self._lookups[attribute]
+
+    def _write_through(
+        self,
+        lookup: LookupTable,
+        op: str,
+        old: Mapping[str, Any] | None,
+        new: Mapping[str, Any] | None,
+    ) -> bool:
+        """Apply a write of the lookup's own table to its written row."""
+        metrics = self.metrics
+        if op == "insert" and new is not None:
+            if lookup.apply_insert(new):
+                metrics.write_through_inserts += 1
+                return True
+        elif op == "delete" and old is not None:
+            if lookup.apply_delete(old):
+                metrics.write_through_deletes += 1
+                return True
+        elif op == "update" and old is not None and new is not None:
+            if lookup.apply_update(old, new):
+                metrics.write_through_updates += 1
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # lookup-table cache

@@ -11,9 +11,11 @@ Row = dict[str, Any]
 KeyValue = tuple[Any, ...]
 
 #: Mutation listener: ``(op, key, old_row, new_row)`` where *op* is one of
-#: ``"insert"`` / ``"update"`` / ``"delete"``. ``old_row`` is ``None`` for
-#: inserts, ``new_row`` is ``None`` for deletes; both are defensive copies,
-#: so listeners may keep them without seeing later in-place edits.
+#: ``"insert"`` / ``"update"`` / ``"delete"``. ``new_row`` is ``None`` for
+#: deletes. An insert's ``old_row`` is the tombstone it replaced — the last
+#: version of a deleted row with the same key — or ``None`` when the key
+#: has no tombstone. Both rows are the listener's to keep: the table holds
+#: no reference to them, so later in-place edits never show through.
 MutationListener = Callable[[str, KeyValue, Row | None, Row | None], None]
 
 
@@ -71,11 +73,11 @@ class Table:
             )
         self._version += 1
         self._rows[key] = stored
-        self._graveyard.pop(key, None)
+        tombstone = self._graveyard.pop(key, None)
         for columns, index in self._indexes.items():
             index.setdefault(tuple(stored[c] for c in columns), []).append(key)
         if self._listeners:
-            self._notify("insert", key, None, dict(stored))
+            self._notify("insert", key, tombstone, dict(stored))
         return key
 
     def update(self, key: KeyValue, changes: Mapping[str, Any]) -> Row:
@@ -128,6 +130,29 @@ class Table:
         if self._listeners:
             self._notify("delete", key, dict(row), None)
         return row
+
+    def restore_tombstone(
+        self, key: KeyValue, row: Mapping[str, Any] | None
+    ) -> None:
+        """Make *row* the tombstone of the deleted key *key* again.
+
+        ``None`` leaves the key with no tombstone. Undoing an insert is a
+        delete followed by this call, so the key ends with the tombstone the
+        insert replaced, not the aborted row. Listeners are not called (no
+        live row changes); the version bump makes every version-checked
+        view over the table rebuild.
+        """
+        key = tuple(key)
+        if key in self._rows:
+            raise StorageError(
+                f"cannot set a tombstone for live row {key} in table "
+                f"{self.schema.name}"
+            )
+        self._version += 1
+        if row is None:
+            self._graveyard.pop(key, None)
+        else:
+            self._graveyard[key] = dict(row)
 
     # ------------------------------------------------------------------
     # mutation listeners

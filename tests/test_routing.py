@@ -528,10 +528,72 @@ _STORM = st.lists(
         st.tuples(
             st.just("touch_qty"), st.integers(1, 120), st.integers(1, 99)
         ),
+        # Re-insert a deleted account (the a-th tombstone): with its old
+        # owner the swap is invisible to every walk, with a new owner it
+        # moves the account's trades.
+        st.tuples(
+            st.just("reinsert_ca"), st.integers(0, 9), st.integers(1, 5)
+        ),
     ),
     min_size=1,
     max_size=15,
 )
+
+
+def _apply_storm(database, storm, between=lambda: None):
+    """Apply one ``_STORM`` draw to *database* (a Figure-1 load).
+
+    *between* runs after every mutation, e.g. to keep a router's lookup
+    cache warm so each write meets a maintained lookup.
+    """
+    next_ca, next_trade = 20, 100
+    for kind, a, b in storm:
+        if kind == "insert_ca":
+            database.insert(
+                "CUSTOMER_ACCOUNT", {"CA_ID": next_ca, "CA_C_ID": a}
+            )
+            next_ca += 1
+        elif kind == "insert_trade":
+            database.insert(
+                "TRADE",
+                {"T_ID": next_trade, "T_CA_ID": a, "T_QTY": 1},
+            )
+            next_trade += 1
+        elif kind == "delete_ca":
+            if database.get("CUSTOMER_ACCOUNT", (a,)) is not None:
+                database.delete("CUSTOMER_ACCOUNT", (a,))
+        elif kind == "delete_trade":
+            if database.get("TRADE", (a,)) is not None:
+                database.delete("TRADE", (a,))
+        elif kind == "retarget_ca":
+            if database.get("CUSTOMER_ACCOUNT", (a,)) is not None:
+                database.update("CUSTOMER_ACCOUNT", (a,), {"CA_C_ID": b})
+        elif kind == "retarget_trade":
+            if database.get("TRADE", (a,)) is not None:
+                database.update("TRADE", (a,), {"T_CA_ID": b})
+        elif kind == "reinsert_ca":
+            table = database.table("CUSTOMER_ACCOUNT")
+            dead = sorted(set(table.snapshot_items()) - set(table.keys()))
+            if dead:
+                (ca_id,) = dead[a % len(dead)]
+                database.insert(
+                    "CUSTOMER_ACCOUNT", {"CA_ID": ca_id, "CA_C_ID": b}
+                )
+        else:  # touch_qty: routing-insensitive update
+            if database.get("TRADE", (a,)) is not None:
+                database.update("TRADE", (a,), {"T_QTY": b})
+        between()
+
+
+def assert_lookups_match_rebuild(router, database, partitioning):
+    """Every cached lookup equals one built from scratch."""
+    for attribute, cached in router.cached_lookups().items():
+        rebuilt = LookupTable.build(attribute, database, partitioning)
+        assert len(cached) == len(rebuilt)
+        for value in set(cached) | set(rebuilt):
+            assert cached.partitions_for(value) == (
+                rebuilt.partitions_for(value)
+            ), (attribute, value)
 
 
 class TestMetamorphicWriteThrough:
@@ -549,52 +611,14 @@ class TestMetamorphicWriteThrough:
         partitioning = _build_custinfo_partitioning(schema)
         router = Router(database, catalog, partitioning)
         try:
-            _decisions(router)  # warm the lookup cache
-            next_ca, next_trade = 20, 100
-            for kind, a, b in storm:
-                if kind == "insert_ca":
-                    database.insert(
-                        "CUSTOMER_ACCOUNT", {"CA_ID": next_ca, "CA_C_ID": a}
-                    )
-                    next_ca += 1
-                elif kind == "insert_trade":
-                    database.insert(
-                        "TRADE",
-                        {"T_ID": next_trade, "T_CA_ID": a, "T_QTY": 1},
-                    )
-                    next_trade += 1
-                elif kind == "delete_ca":
-                    if database.get("CUSTOMER_ACCOUNT", (a,)) is not None:
-                        database.delete("CUSTOMER_ACCOUNT", (a,))
-                elif kind == "delete_trade":
-                    if database.get("TRADE", (a,)) is not None:
-                        database.delete("TRADE", (a,))
-                elif kind == "retarget_ca":
-                    if database.get("CUSTOMER_ACCOUNT", (a,)) is not None:
-                        database.update(
-                            "CUSTOMER_ACCOUNT", (a,), {"CA_C_ID": b}
-                        )
-                elif kind == "retarget_trade":
-                    if database.get("TRADE", (a,)) is not None:
-                        database.update("TRADE", (a,), {"T_CA_ID": b})
-                else:  # touch_qty: routing-insensitive update
-                    if database.get("TRADE", (a,)) is not None:
-                        database.update("TRADE", (a,), {"T_QTY": b})
+            # route after every write, so each one meets warm lookups
+            _decisions(router)
+            _apply_storm(database, storm, between=lambda: _decisions(router))
 
             live = _decisions(router)
             fresh = _fresh_decisions(database, catalog, partitioning)
             assert live == fresh
-
-            # every surviving cached lookup equals one rebuilt from scratch
-            for attribute, cached in router.cached_lookups().items():
-                rebuilt = LookupTable.build(
-                    attribute, database, partitioning
-                )
-                assert len(cached) == len(rebuilt)
-                for value in set(cached) | set(rebuilt):
-                    assert cached.partitions_for(value) == (
-                        rebuilt.partitions_for(value)
-                    ), (attribute, value)
+            assert_lookups_match_rebuild(router, database, partitioning)
         finally:
             router.close()
 
