@@ -11,5 +11,6 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    install_requires=["numpy"],
     python_requires=">=3.10",
 )

@@ -13,7 +13,7 @@ Quickstart::
     from repro.workloads.tpcc import TpccBenchmark
 
     bundle = TpccBenchmark().generate(num_transactions=2000, seed=7)
-    result = repro.partition(bundle, num_partitions=8, workers="auto")
+    result = repro.partition(bundle, num_partitions=8)
     print(result.partitioning.describe())
     print(result.metrics.summary())
 

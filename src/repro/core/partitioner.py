@@ -7,64 +7,34 @@ the transaction classes, and the desired number of partitions. Output: a
 Table 4, search-space statistics for Example 10, and a
 :class:`~repro.core.metrics.SearchMetrics` block for the run itself).
 
-By default the search runs on the **columnar engine**: the trace is
-interned once into a :class:`~repro.trace.columnar.ColumnarTrace` and both
-the mapping-independence and cost hot paths operate on flat integer
-columns (``JECBConfig(engine="object")`` restores the pure object path;
-results are bit-identical either way).
-
-Phase 2 treats every transaction class as an independent search problem —
-own SQL analysis, own trace stream, own tree search — so
-``JECBConfig(workers=N)`` fans the classes out over a
-:class:`concurrent.futures.ProcessPoolExecutor`. Columnar work units ship
-**only class names + chunk coordinates**: the interned columns reach
-workers zero-copy through fork inheritance (or one
-``multiprocessing.shared_memory`` segment on spawn platforms), never by
-pickling per-transaction objects. When one class dominates the stream its
-candidate trees are additionally chunked across workers; the parent
-merges the chunk verdicts back through ``partition_class(...,
-mi_verdicts=...)`` so any worker count produces bit-identical results and
-identical per-class search counters.
+Between Phase 1 and Phase 2 the trace is interned once into a
+:class:`~repro.trace.columnar.ColumnarTrace`. Phase 2 then searches each
+transaction class in turn on its
+:class:`~repro.trace.columnar.ColumnarClassTrace` view, and one shared
+:class:`~repro.core.path_eval.ColumnarEngine` serves both the
+mapping-independence tests and Phase 3's cost evaluation.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.procedures.procedure import ProcedureCatalog
-from repro.schema.database import DatabaseSchema
 from repro.storage.database import Database
-from repro.trace.columnar import (
-    ColumnarTrace,
-    SharedColumnarTrace,
-    columnar_available,
-)
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import Trace
-from repro.trace.splitter import split_by_class
 from repro.trace.stats import TableUsage, classify_tables
 from repro.core.metrics import SearchMetrics, Stopwatch
-from repro.core.path_eval import ColumnarEngine, SnapshotIndex
+from repro.core.path_eval import ColumnarEngine
 from repro.core.phase2 import (
     ClassResult,
-    MIChunk,
     Phase2Config,
     _config_from_dict,
-    mi_chunk_verdicts,
     partition_class,
 )
 from repro.core.phase3 import Phase3Config, Phase3Result, combine
 from repro.core.solution import DatabasePartitioning
 from repro.evaluation.resources import ResourceMeter, ResourceUsage
-
-
-#: a class is tree-chunked across workers when its share of the access
-#: stream exceeds this multiple of a fair per-worker share
-_CHUNK_SHARE_FACTOR = 1.5
-#: upper bound on chunk tasks for one class (diminishing returns beyond)
-_MAX_CHUNKS = 8
 
 
 @dataclass
@@ -76,14 +46,6 @@ class JECBConfig:
     phase2: Phase2Config = field(default_factory=Phase2Config)
     phase3: Phase3Config = field(default_factory=Phase3Config)
     meter_resources: bool = False
-    #: Phase-2 parallelism: ``1`` keeps the deterministic serial path,
-    #: ``N > 1`` uses N process workers, ``"auto"`` uses the CPU count.
-    #: Any value yields a bit-identical partitioning.
-    workers: int | str = 1
-    #: Path-evaluation engine: ``"columnar"`` (interned, vectorized;
-    #: falls back to the object path when numpy is unavailable) or
-    #: ``"object"``. Both produce bit-identical partitionings.
-    engine: str = "columnar"
 
     def to_dict(self) -> dict:
         """Plain-JSON form (nested phase configs become dicts)."""
@@ -93,8 +55,6 @@ class JECBConfig:
             "phase2": self.phase2.to_dict(),
             "phase3": self.phase3.to_dict(),
             "meter_resources": self.meter_resources,
-            "workers": self.workers,
-            "engine": self.engine,
         }
 
     @classmethod
@@ -115,25 +75,6 @@ class JECBConfig:
         config.phase2 = phase2
         config.phase3 = phase3
         return config
-
-    def resolved_workers(self) -> int:
-        """The effective worker count (``"auto"`` -> CPU count)."""
-        workers = self.workers
-        if workers == "auto":
-            return max(os.cpu_count() or 1, 1)
-        if isinstance(workers, str):
-            workers = int(workers)
-        return max(int(workers), 1)
-
-    def resolved_engine(self) -> str:
-        """The effective engine (columnar requires numpy)."""
-        if self.engine == "object":
-            return "object"
-        if self.engine != "columnar":
-            raise ValueError(
-                f"unknown engine {self.engine!r} (expected 'columnar' or 'object')"
-            )
-        return "columnar" if columnar_available() else "object"
 
 
 @dataclass
@@ -167,115 +108,6 @@ class JECBResult:
         return self.partitioning.describe()
 
 
-# ----------------------------------------------------------------------
-# Phase-2 process workers
-# ----------------------------------------------------------------------
-@dataclass
-class _Phase2Context:
-    """Everything a worker needs beyond the per-class work unit.
-
-    Picklable as a whole; under ``fork`` it is inherited through the
-    module global instead and never serialized. In columnar mode the
-    interned trace travels zero-copy: fork workers share the parent's
-    arrays, spawn workers map one shared-memory segment.
-    """
-
-    schema: DatabaseSchema
-    catalog: ProcedureCatalog
-    database: Database
-    replicated: set[str]
-    num_partitions: int
-    config: Phase2Config
-    columnar: ColumnarTrace | None = None
-    columnar_shared: SharedColumnarTrace | None = None
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        if state.get("columnar_shared") is not None:
-            # The shm handle replaces the arrays on the wire.
-            state["columnar"] = None
-        return state
-
-
-_PHASE2_CONTEXT: _Phase2Context | None = None
-_WORKER_SNAPSHOTS: SnapshotIndex | None = None
-_WORKER_ENGINE: ColumnarEngine | None = None
-
-
-def _set_phase2_context(context: _Phase2Context) -> None:
-    global _PHASE2_CONTEXT, _WORKER_SNAPSHOTS, _WORKER_ENGINE
-    _PHASE2_CONTEXT = context
-    _WORKER_SNAPSHOTS = None
-    _WORKER_ENGINE = None
-
-
-def _worker_engine(context: _Phase2Context) -> ColumnarEngine:
-    """The process-local columnar engine (built once per worker)."""
-    global _WORKER_ENGINE
-    if _WORKER_ENGINE is None:
-        ctrace = context.columnar
-        if ctrace is None:  # pragma: no cover - spawn platforms
-            assert context.columnar_shared is not None
-            ctrace = context.columnar_shared.load()
-            context.columnar = ctrace
-        _WORKER_ENGINE = ColumnarEngine(context.database, ctrace)
-    return _WORKER_ENGINE
-
-
-def _phase2_worker(task: tuple) -> ClassResult | MIChunk:
-    """Process-pool entry point.
-
-    Tasks are ``("object", name, stream)`` (legacy object engine, the
-    stream is pickled), ``("class", name)`` (columnar: search one whole
-    class), or ``("chunk", name, index, count)`` (columnar: one share of a
-    dominant class's main-loop MI tests).
-    """
-    global _WORKER_SNAPSHOTS
-    context = _PHASE2_CONTEXT
-    assert context is not None, "phase-2 worker context not initialized"
-    kind = task[0]
-    if kind == "object":
-        _, name, stream = task
-        if _WORKER_SNAPSHOTS is None:
-            _WORKER_SNAPSHOTS = SnapshotIndex(context.database)
-        return partition_class(
-            context.schema,
-            context.catalog.get(name),
-            stream,
-            context.replicated,
-            context.database,
-            context.num_partitions,
-            context.config,
-            snapshots=_WORKER_SNAPSHOTS,
-        )
-    engine = _worker_engine(context)
-    assert context.columnar is not None
-    if kind == "class":
-        _, name = task
-        return partition_class(
-            context.schema,
-            context.catalog.get(name),
-            context.columnar.class_view(name),
-            context.replicated,
-            context.database,
-            context.num_partitions,
-            context.config,
-            engine=engine,
-        )
-    _, name, index, count = task
-    return mi_chunk_verdicts(
-        context.schema,
-        context.catalog.get(name),
-        context.columnar.class_view(name),
-        context.replicated,
-        context.database,
-        context.config,
-        index,
-        count,
-        engine=engine,
-    )
-
-
 class JECBPartitioner:
     """Join-Extension, Code-Based automatic OLTP partitioner."""
 
@@ -301,10 +133,9 @@ class JECBPartitioner:
 
     def _run(self, training_trace: Trace) -> JECBResult:
         config = self.config
-        engine_mode = config.resolved_engine()
-        metrics = SearchMetrics(engine=engine_mode)
+        metrics = SearchMetrics()
         with Stopwatch() as total_clock:
-            # Phase 1: classify tables and split the trace per class.
+            # Phase 1: classify tables.
             with Stopwatch() as clock:
                 usage = classify_tables(
                     training_trace, self.schema, config.read_mostly_threshold
@@ -315,33 +146,29 @@ class JECBPartitioner:
                 ]
             metrics.phase1_seconds = clock.seconds
 
-            # Intern the trace and build the engine (columnar mode). The
-            # per-class streams are views over the interned columns.
-            engine: ColumnarEngine | None = None
-            ctrace: ColumnarTrace | None = None
-            if engine_mode == "columnar":
-                ctrace = ColumnarTrace.from_trace(training_trace)
-                engine = ColumnarEngine(self.database, ctrace)
-                metrics.trace_build_seconds = ctrace.build_seconds
-                metrics.intern_seconds = ctrace.intern_seconds
-                names = [n for n in sorted(ctrace.views) if n in self.catalog]
-            else:
-                streams = split_by_class(training_trace)
-                names = [n for n in sorted(streams) if n in self.catalog]
+            # Intern the trace once; the per-class streams are views over
+            # its columns and one engine serves Phases 2 and 3.
+            ctrace = ColumnarTrace.from_trace(training_trace)
+            engine = ColumnarEngine(self.database, ctrace)
+            metrics.trace_build_seconds = ctrace.build_seconds
+            metrics.intern_seconds = ctrace.intern_seconds
 
             # Phase 2: per-class total and partial solutions.
             with Stopwatch() as clock:
-                if engine_mode == "columnar":
-                    assert ctrace is not None and engine is not None
-                    class_results = self._run_phase2_columnar(
-                        names, ctrace, engine, replicated, metrics
-                    )
-                else:
-                    class_results = self._run_phase2_object(
-                        [(name, streams[name]) for name in names],
+                class_results = [
+                    partition_class(
+                        self.schema,
+                        self.catalog.get(name),
+                        ctrace.class_view(name),
                         replicated,
-                        metrics,
+                        self.database,
+                        config.num_partitions,
+                        config.phase2,
+                        engine=engine,
                     )
+                    for name in sorted(ctrace.views)
+                    if name in self.catalog
+                ]
             metrics.phase2_seconds = clock.seconds
             for result in class_results:
                 if result.metrics is not None:
@@ -372,219 +199,3 @@ class JECBPartitioner:
             phase3=phase3,
             metrics=metrics,
         )
-
-    # ------------------------------------------------------------------
-    # Phase-2 drivers
-    # ------------------------------------------------------------------
-    def _run_phase2_object(
-        self,
-        tasks: list[tuple[str, Trace]],
-        replicated: set[str],
-        metrics: SearchMetrics,
-    ) -> list[ClassResult]:
-        """Object-engine search (legacy path): streams ship to workers."""
-        config = self.config
-        workers = min(config.resolved_workers(), max(len(tasks), 1))
-        metrics.workers = workers
-
-        if workers <= 1 or len(tasks) <= 1:
-            snapshots = SnapshotIndex(self.database)
-            return [
-                partition_class(
-                    self.schema,
-                    self.catalog.get(name),
-                    stream,
-                    replicated,
-                    self.database,
-                    config.num_partitions,
-                    config.phase2,
-                    snapshots=snapshots,
-                )
-                for name, stream in tasks
-            ]
-
-        metrics.parallel = True
-        context = self._context(replicated)
-        wire_tasks = [("object", name, stream) for name, stream in tasks]
-        with self._pool(context, workers) as pool:
-            return list(pool.map(_phase2_worker, wire_tasks))
-
-    def _run_phase2_columnar(
-        self,
-        names: list[str],
-        ctrace: ColumnarTrace,
-        engine: ColumnarEngine,
-        replicated: set[str],
-        metrics: SearchMetrics,
-    ) -> list[ClassResult]:
-        """Columnar search: workers receive class names + chunk indexes.
-
-        Both the serial and parallel paths visit classes in the same
-        (sorted) order, and chunked mapping-independence verdicts are
-        keyed by the deterministic tree enumeration index — so any worker
-        count produces a bit-identical partitioning and identical
-        per-class counters.
-        """
-        config = self.config
-        requested = config.resolved_workers()
-
-        if requested <= 1 or len(names) == 0:
-            metrics.workers = 1
-            return [
-                partition_class(
-                    self.schema,
-                    self.catalog.get(name),
-                    ctrace.class_view(name),
-                    replicated,
-                    self.database,
-                    config.num_partitions,
-                    config.phase2,
-                    engine=engine,
-                )
-                for name in names
-            ]
-
-        chunk_counts = _plan_chunks(names, ctrace, requested)
-        wire_tasks: list[tuple] = []
-        for name in names:
-            count = chunk_counts.get(name, 0)
-            if count > 1:
-                wire_tasks.extend(
-                    ("chunk", name, index, count) for index in range(count)
-                )
-            else:
-                wire_tasks.append(("class", name))
-        workers = min(requested, len(wire_tasks))
-        metrics.workers = workers
-        if workers <= 1 or len(wire_tasks) <= 1:
-            # One class, no chunking opportunity: serial is strictly better.
-            metrics.workers = 1
-            return [
-                partition_class(
-                    self.schema,
-                    self.catalog.get(name),
-                    ctrace.class_view(name),
-                    replicated,
-                    self.database,
-                    config.num_partitions,
-                    config.phase2,
-                    engine=engine,
-                )
-                for name in names
-            ]
-
-        metrics.parallel = True
-        context = self._context(replicated, columnar=ctrace)
-        shared = context.columnar_shared
-        try:
-            with self._pool(context, workers) as pool:
-                outcomes = list(pool.map(_phase2_worker, wire_tasks))
-        finally:
-            if shared is not None:  # pragma: no cover - spawn platforms
-                shared.close()
-                shared.unlink()
-
-        by_name: dict[str, ClassResult] = {}
-        chunks: dict[str, list[MIChunk]] = {}
-        for outcome in outcomes:
-            if isinstance(outcome, MIChunk):
-                chunks.setdefault(outcome.class_name, []).append(outcome)
-            else:
-                by_name[outcome.class_name] = outcome
-
-        results: list[ClassResult] = []
-        for name in names:
-            if name in by_name:
-                results.append(by_name[name])
-                continue
-            # Chunked class: consume the precomputed verdicts, then fold
-            # the chunk counters back so metrics match a serial run.
-            verdicts: dict[int, bool] = {}
-            for chunk in chunks.get(name, []):
-                verdicts.update(chunk.verdicts)
-            result = partition_class(
-                self.schema,
-                self.catalog.get(name),
-                ctrace.class_view(name),
-                replicated,
-                self.database,
-                config.num_partitions,
-                config.phase2,
-                engine=engine,
-                mi_verdicts=verdicts,
-            )
-            class_metrics = result.metrics
-            if class_metrics is not None:
-                for chunk in chunks.get(name, []):
-                    class_metrics.mi_tests += chunk.mi_tests
-                    class_metrics.mi_refuted += chunk.mi_refuted
-                    class_metrics.path_evaluations += chunk.path_evaluations
-                    class_metrics.mi_seconds += chunk.mi_seconds
-                    class_metrics.cache.merge(chunk.cache)
-            results.append(result)
-        return results
-
-    # ------------------------------------------------------------------
-    # pool plumbing
-    # ------------------------------------------------------------------
-    def _context(
-        self, replicated: set[str], columnar: ColumnarTrace | None = None
-    ) -> _Phase2Context:
-        context = _Phase2Context(
-            schema=self.schema,
-            catalog=self.catalog,
-            database=self.database,
-            replicated=replicated,
-            num_partitions=self.config.num_partitions,
-            config=self.config.phase2,
-            columnar=columnar,
-        )
-        if (
-            columnar is not None
-            and "fork" not in multiprocessing.get_all_start_methods()
-        ):  # pragma: no cover - spawn platforms
-            context.columnar_shared = SharedColumnarTrace.pack(columnar)
-        return context
-
-    def _pool(self, context: _Phase2Context, workers: int) -> ProcessPoolExecutor:
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Fork inherits the parent's memory: publish the context as a
-            # module global so neither the database nor the interned
-            # columns are ever pickled.
-            mp_context = multiprocessing.get_context("fork")
-            _set_phase2_context(context)
-            pool_kwargs: dict = {}
-        else:  # pragma: no cover - non-fork platforms (Windows/macOS spawn)
-            mp_context = multiprocessing.get_context()
-            pool_kwargs = {
-                "initializer": _set_phase2_context,
-                "initargs": (context,),
-            }
-        return ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp_context, **pool_kwargs
-        )
-
-
-def _plan_chunks(
-    names: list[str], ctrace: ColumnarTrace, workers: int
-) -> dict[str, int]:
-    """Tree-chunk count for the dominant class (empty when balanced).
-
-    A class whose access stream exceeds ``_CHUNK_SHARE_FACTOR`` fair
-    shares would serialize the pool behind it; splitting its candidate
-    trees into up to ``_MAX_CHUNKS`` verdict tasks lets idle workers
-    help. Only the single heaviest class is chunked — it is the one the
-    pool waits on — so the task count stays bounded by
-    ``len(names) + _MAX_CHUNKS - 1``. Deterministic in the trace alone,
-    and the verdict merge keeps results independent of the chunk count.
-    """
-    if workers <= 1 or len(names) <= 1:
-        return {}
-    weights = {
-        name: max(len(ctrace.class_view(name).tuple_ids), 1) for name in names
-    }
-    total = sum(weights.values())
-    heaviest = max(names, key=lambda name: (weights[name], name))
-    if weights[heaviest] / total * workers > _CHUNK_SHARE_FACTOR:
-        return {heaviest: min(workers, _MAX_CHUNKS)}
-    return {}

@@ -27,12 +27,11 @@ from repro.trace.events import Trace
 from repro.trace.splitter import train_test_split
 from repro.core.join_graph import JoinGraph
 from repro.core.join_tree import JoinTree, prune_compatible_trees
-from repro.core.metrics import CacheStats, ClassMetrics
+from repro.core.metrics import ClassMetrics
 from repro.core.path_eval import (
     ColumnarEngine,
     ColumnarPathEvaluator,
     JoinPathEvaluator,
-    SnapshotIndex,
     value_luts_for,
 )
 from repro.core.solution import PARTIAL, TOTAL, ClassSolution
@@ -57,10 +56,6 @@ class Phase2Config:
     mine_partial_solutions: bool = True
     statistics_fallback: bool = True
     fallback_seed: int = 7
-    #: Bound on the join-path evaluator's (path, key) memo table; ``None``
-    #: disables eviction. The default comfortably holds every tuple of the
-    #: scaled-down benchmark bundles while keeping worst-case memory flat.
-    evaluator_cache_size: int | None = 1 << 20
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -138,9 +133,7 @@ def class_join_graph(
 ) -> tuple[StatementAnalysis, JoinGraph]:
     """Step 1: the class's analysis and join graph, deterministically.
 
-    Used by both :func:`partition_class` and :func:`mi_chunk_verdicts` so
-    parallel tree-chunk workers replay exactly the graph the main loop
-    builds. With ``config.dataflow_joins`` the implicit-join pool is the
+    With ``config.dataflow_joins`` the implicit-join pool is the
     witnessed def-use edge set of :func:`repro.sql.dataflow.analyze_dataflow`
     rather than the accessed-attribute cross product.
     """
@@ -319,19 +312,15 @@ def partition_class(
     database: Database,
     num_partitions: int,
     config: Phase2Config | None = None,
-    snapshots: SnapshotIndex | None = None,
     engine: ColumnarEngine | None = None,
-    mi_verdicts: dict[int, bool] | None = None,
 ) -> ClassResult:
     """Find total and partial solutions for one transaction class.
 
-    *snapshots* optionally shares one materialized per-table snapshot index
-    across classes (the serial partitioner passes one for the whole run; a
-    process worker builds one per process). When *engine* is given and
-    *class_trace* is a columnar view of the engine's trace, path
-    evaluation runs on the interned columns instead. *mi_verdicts* feeds
-    back precomputed main-loop mapping-independence verdicts (keyed by
-    enumeration index) from tree-chunk workers.
+    When *engine* is given and *class_trace* is a columnar view of the
+    engine's trace, path evaluation runs on the interned columns (the
+    partitioner's path). Otherwise *class_trace* is scanned object by
+    object through a :class:`JoinPathEvaluator` — the reference the
+    columnar differentials compare against.
     """
     started = time.perf_counter()
     config = config or Phase2Config()
@@ -343,14 +332,11 @@ def partition_class(
         metrics.wall_seconds = time.perf_counter() - started
         return result
 
-    evaluator = _class_evaluator(
-        class_trace, database, config, snapshots, engine
-    )
+    evaluator = _class_evaluator(class_trace, database, engine)
     try:
         return _search_class(
             schema, procedure, class_trace, database,
             num_partitions, config, result, evaluator,
-            mi_verdicts=mi_verdicts,
         )
     finally:
         metrics.wall_seconds = time.perf_counter() - started
@@ -365,8 +351,6 @@ def partition_class(
 def _class_evaluator(
     class_trace: Trace,
     database: Database,
-    config: Phase2Config,
-    snapshots: SnapshotIndex | None,
     engine: ColumnarEngine | None,
 ):
     """Columnar adapter when the trace is a view of the engine's columns."""
@@ -376,11 +360,7 @@ def _class_evaluator(
         and class_trace.parent is engine.ctrace
     ):
         return ColumnarPathEvaluator(engine)
-    return JoinPathEvaluator(
-        database,
-        cache_size=config.evaluator_cache_size,
-        snapshots=snapshots,
-    )
+    return JoinPathEvaluator(database)
 
 
 def _pruned(metrics: ClassMetrics, trees: list[JoinTree]) -> list[JoinTree]:
@@ -399,7 +379,6 @@ def _search_class(
     config: Phase2Config,
     result: ClassResult,
     evaluator: JoinPathEvaluator,
-    mi_verdicts: dict[int, bool] | None = None,
 ) -> ClassResult:
     graph = result.graph
     metrics = result.metrics
@@ -410,22 +389,13 @@ def _search_class(
         mi_trees: list[JoinTree] = []
         examined: list[JoinTree] = []
         first_per_root: list[JoinTree] = []
-        tree_index = 0
         for root in roots:
             trees = enumerate_trees(graph, root, config)
             if trees:
                 first_per_root.append(trees[0])
             for tree in trees:
                 examined.append(tree)
-                if mi_verdicts is not None and tree_index in mi_verdicts:
-                    # Chunk workers already ran (and counted) this test.
-                    independent = mi_verdicts[tree_index]
-                else:
-                    independent = tree.is_mapping_independent(
-                        class_trace, evaluator
-                    )
-                tree_index += 1
-                if independent:
+                if tree.is_mapping_independent(class_trace, evaluator):
                     mi_trees.append(tree)
         result.trees_examined = len(examined)
         mi_trees = list(dict.fromkeys(mi_trees))  # drop exact duplicates
@@ -510,7 +480,8 @@ def _statistics_solutions(
         return []
     if isinstance(class_trace, ColumnarClassTrace):
         # Columnar views split into sub-views (same accumulator walk as
-        # train_test_split, so both engines pick the same transactions).
+        # train_test_split, so the object reference picks the same
+        # transactions).
         train, validation = class_trace.split(0.5)
     else:
         train, validation = train_test_split(class_trace, 0.5)
@@ -532,74 +503,3 @@ def _statistics_solutions(
                 class_name, tree, TOTAL, outcome.mapping, False
             )
     return [best] if best is not None else []
-
-
-# ----------------------------------------------------------------------
-# tree-chunked mapping-independence testing (parallel Phase 2)
-# ----------------------------------------------------------------------
-@dataclass
-class MIChunk:
-    """One worker's share of a dominant class's main-loop MI tests.
-
-    ``verdicts`` maps the tree's deterministic enumeration index (roots in
-    ``find_roots`` order, trees in ``enumerate_trees`` order) to its
-    Definition-7 verdict; the parent consumes them through
-    ``partition_class(..., mi_verdicts=...)`` and folds the counters back
-    so per-class metrics match a serial run exactly.
-    """
-
-    class_name: str
-    chunk_index: int
-    chunk_count: int
-    verdicts: dict[int, bool] = field(default_factory=dict)
-    mi_tests: int = 0
-    mi_refuted: int = 0
-    path_evaluations: int = 0
-    mi_seconds: float = 0.0
-    wall_seconds: float = 0.0
-    cache: CacheStats = field(default_factory=CacheStats)
-
-
-def mi_chunk_verdicts(
-    schema: DatabaseSchema,
-    procedure: StoredProcedure,
-    class_trace: Trace,
-    replicated: set[str],
-    database: Database,
-    config: Phase2Config,
-    chunk_index: int,
-    chunk_count: int,
-    snapshots: SnapshotIndex | None = None,
-    engine: ColumnarEngine | None = None,
-) -> MIChunk:
-    """Test every ``enumeration_index % chunk_count == chunk_index`` tree.
-
-    Re-derives the class's join graph (deterministic from schema + SQL +
-    replicated set) and replays the main loop's enumeration, testing only
-    this chunk's share.
-    """
-    started = time.perf_counter()
-    chunk = MIChunk(procedure.name, chunk_index, chunk_count)
-    config = config or Phase2Config()
-    _, graph = class_join_graph(schema, procedure, replicated, config)
-    if not graph.partitioned_tables:
-        chunk.wall_seconds = time.perf_counter() - started
-        return chunk
-    evaluator = _class_evaluator(
-        class_trace, database, config, snapshots, engine
-    )
-    tree_index = 0
-    for root in graph.find_roots():
-        for tree in enumerate_trees(graph, root, config):
-            if tree_index % chunk_count == chunk_index:
-                chunk.verdicts[tree_index] = tree.is_mapping_independent(
-                    class_trace, evaluator
-                )
-            tree_index += 1
-    chunk.mi_tests = evaluator.mi_tests
-    chunk.mi_refuted = evaluator.mi_refuted
-    chunk.path_evaluations = evaluator.evaluations
-    chunk.mi_seconds = evaluator.mi_seconds
-    chunk.cache = evaluator.cache_stats
-    chunk.wall_seconds = time.perf_counter() - started
-    return chunk

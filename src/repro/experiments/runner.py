@@ -5,8 +5,8 @@ plain data; the CLI in :mod:`repro.experiments.__main__` renders them.
 ``scale`` multiplies the default transaction counts, so ``scale=0.25``
 gives a fast smoke run and ``scale=2.0`` a higher-fidelity one.
 
-All runners accept ``workers`` (Phase-2 parallelism) and ``jecb_config``
-(a partial :meth:`JECBConfig.from_dict` dict applied under each
+All runners accept ``jecb_config`` (a partial
+:meth:`JECBConfig.from_dict` dict applied under each
 experiment's own partition count), and with ``show_metrics=True`` print
 every JECB run's :class:`~repro.core.metrics.SearchMetrics` summary.
 ``show_routing=True`` additionally replays the testing trace's call log
@@ -51,13 +51,10 @@ def _count(base: int, scale: float) -> int:
     return max(int(base * scale), 100)
 
 
-def _jecb_config(
-    k: int, workers: int | str = 1, overrides: dict | None = None
-) -> JECBConfig:
+def _jecb_config(k: int, overrides: dict | None = None) -> JECBConfig:
     """Experiment JECB config: CLI overrides under the experiment's k."""
     data = dict(overrides or {})
     data["num_partitions"] = k
-    data.setdefault("workers", workers)
     return JECBConfig.from_dict(data)
 
 
@@ -128,7 +125,6 @@ def _report_cluster(
 def figure5(
     scale: float = 1.0,
     seed: int = 11,
-    workers: int | str = 1,
     jecb_config: dict | None = None,
     show_metrics: bool = False,
     show_routing: bool = False,
@@ -156,7 +152,7 @@ def figure5(
         result = JECBPartitioner(
             bundle.database,
             bundle.catalog,
-            _jecb_config(k, workers, jecb_config),
+            _jecb_config(k, jecb_config),
         ).run(train)
         _report_metrics(f"jecb k={k}", result, show_metrics)
         if k == partition_counts[-1]:
@@ -175,7 +171,6 @@ def figure5(
 def figure7(
     scale: float = 1.0,
     seed: int = 17,
-    workers: int | str = 1,
     jecb_config: dict | None = None,
     show_metrics: bool = False,
     show_routing: bool = False,
@@ -208,7 +203,7 @@ def figure7(
         jecb = JECBPartitioner(
             bundle.database,
             bundle.catalog,
-            _jecb_config(k, workers, jecb_config),
+            _jecb_config(k, jecb_config),
         ).run(train)
         _report_metrics(f"jecb {name}", jecb, show_metrics)
         _report_routing(
@@ -238,7 +233,6 @@ def figure7(
 def tpce_case_study(
     scale: float = 1.0,
     seed: int = 3,
-    workers: int | str = 1,
     jecb_config: dict | None = None,
     show_metrics: bool = False,
     show_routing: bool = False,
@@ -259,7 +253,7 @@ def tpce_case_study(
     result = JECBPartitioner(
         bundle.database,
         bundle.catalog,
-        _jecb_config(8, workers, jecb_config),
+        _jecb_config(8, jecb_config),
     ).run(train)
     _report_metrics("jecb tpce", result, show_metrics)
     _report_routing(
@@ -302,7 +296,6 @@ def tpce_case_study(
 def section76(
     scale: float = 1.0,
     seed: int = 9,
-    workers: int | str = 1,
     jecb_config: dict | None = None,
     show_metrics: bool = False,
     show_routing: bool = False,
@@ -320,7 +313,7 @@ def section76(
         result = JECBPartitioner(
             bundle.database,
             bundle.catalog,
-            _jecb_config(k, workers, jecb_config),
+            _jecb_config(k, jecb_config),
         ).run(train)
         _report_metrics(
             f"jecb {fraction:.0%} schema-respecting", result, show_metrics

@@ -13,8 +13,6 @@ from repro.trace.columnar import (
     ColumnarClassTrace,
     ColumnarSnapshot,
     ColumnarTrace,
-    SharedColumnarTrace,
-    columnar_available,
 )
 from repro.trace.stats import TableUsage, classify_tables
 from repro.trace.splitter import split_by_class, subsample, train_test_split
@@ -27,8 +25,6 @@ __all__ = [
     "ColumnarTrace",
     "ColumnarClassTrace",
     "ColumnarSnapshot",
-    "SharedColumnarTrace",
-    "columnar_available",
     "TableUsage",
     "classify_tables",
     "split_by_class",

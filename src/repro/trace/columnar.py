@@ -2,10 +2,9 @@
 
 The object trace (:class:`~repro.trace.events.Trace`) is convenient to
 collect but expensive to search: every mapping-independence test re-walks
-lists of :class:`TupleAccess` objects and every process worker re-pickles
-them. This module interns each distinct ``(table, key)`` pair into a dense
-integer *tuple id* once, and stores each transaction class's stream as
-flat numpy int columns:
+lists of :class:`TupleAccess` objects. This module interns each distinct
+``(table, key)`` pair into a dense integer *tuple id* once, and stores
+each transaction class's stream as flat numpy int columns:
 
 ``offsets``
     CSR-style transaction boundaries into the access stream
@@ -17,24 +16,23 @@ flat numpy int columns:
     order — exactly the ``txn.tuples`` set the mapping-independence
     definition quantifies over.
 
-A :class:`ColumnarTrace` is built once from a :class:`Trace` and shared
-zero-copy with ``fork`` workers (module-global inheritance); on spawn
-platforms :class:`SharedColumnarTrace` moves the int columns through
-``multiprocessing.shared_memory`` instead of pickling them.
+A :class:`ColumnarTrace` is built once from a :class:`Trace` at the start
+of Phase 2; every class search and Phase 3's cost evaluation read it.
 
 :class:`ColumnarClassTrace` views stay interchangeable with ``Trace``
 where Phase 2 needs object semantics (greedy table elimination and the
 statistics fallback iterate ``txn.tuples`` on the *original* transaction
-objects), so those code paths stay bit-identical to the object engine by
+objects), so those code paths stay bit-identical to the object scan by
 construction.
 """
 
 from __future__ import annotations
 
-import pickle
 import sys
 import time
 from typing import TYPE_CHECKING, Any, Iterator
+
+import numpy as np
 
 from repro.errors import WorkloadError
 from repro.trace.events import KeyValue, Trace, TransactionTrace, TupleAccess
@@ -42,35 +40,13 @@ from repro.trace.events import KeyValue, Trace, TransactionTrace, TupleAccess
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is in the base image
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-
-def columnar_available() -> bool:
-    """Whether the columnar engine can run (numpy importable)."""
-    return HAVE_NUMPY
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:  # pragma: no cover - numpy is in the base image
-        raise RuntimeError(
-            "the columnar trace engine requires numpy; "
-            "use JECBConfig(engine='object') without it"
-        )
-
 
 class ColumnarClassTrace:
     """One transaction class's stream as flat integer columns.
 
-    Iterable like a :class:`Trace` (yielding :class:`TransactionTrace`
-    objects) so object-semantics code paths keep working; the original
-    transaction objects are kept when the view was built in-process and
-    reconstructed from the columns after an unpickle.
+    Iterable like a :class:`Trace` (yielding the original
+    :class:`TransactionTrace` objects) so object-semantics code paths keep
+    working.
     """
 
     def __init__(
@@ -83,7 +59,7 @@ class ColumnarClassTrace:
         write_bits,
         uoffsets,
         utuple_ids,
-        txns: list[TransactionTrace] | None = None,
+        txns: list[TransactionTrace],
     ) -> None:
         self.parent = parent
         self.class_name = class_name
@@ -103,8 +79,6 @@ class ColumnarClassTrace:
 
     @property
     def transactions(self) -> list[TransactionTrace]:
-        if self._txns is None:
-            self._txns = self._materialize()
         return self._txns
 
     def __iter__(self) -> Iterator[TransactionTrace]:
@@ -117,27 +91,6 @@ class ColumnarClassTrace:
     def is_homogeneous(self) -> bool:
         return True
 
-    def _materialize(self) -> list[TransactionTrace]:
-        """Rebuild transaction objects from the columns (post-unpickle)."""
-        parent = self.parent
-        offsets = self.offsets
-        tuple_ids = self.tuple_ids
-        write_bits = self.write_bits
-        txns: list[TransactionTrace] = []
-        for i in range(len(self)):
-            accesses = [
-                TupleAccess(
-                    parent.table_of(int(tuple_ids[j])),
-                    parent.key_of(int(tuple_ids[j])),
-                    bool(write_bits[j]),
-                )
-                for j in range(int(offsets[i]), int(offsets[i + 1]))
-            ]
-            txns.append(
-                TransactionTrace(int(self.txn_ids[i]), self.class_name, accesses)
-            )
-        return txns
-
     # ------------------------------------------------------------------
     # splitting (train/test halves for the statistics fallback)
     # ------------------------------------------------------------------
@@ -147,7 +100,8 @@ class ColumnarClassTrace:
         """Deterministic train/test halves.
 
         Mirrors :func:`repro.trace.splitter.train_test_split` accumulator
-        for accumulator, so both engines select the same transactions.
+        for accumulator, so both representations select the same
+        transactions.
         """
         if not 0.0 < train_fraction < 1.0:
             raise WorkloadError("train_fraction must be strictly between 0 and 1")
@@ -164,7 +118,6 @@ class ColumnarClassTrace:
         return self._subset(train_idx), self._subset(test_idx)
 
     def _subset(self, indices: list[int]) -> "ColumnarClassTrace":
-        _require_numpy()
         offsets = self.offsets
         uoffsets = self.uoffsets
 
@@ -185,9 +138,7 @@ class ColumnarClassTrace:
             offsets, self.tuple_ids, self.write_bits
         )
         new_uoffsets, new_uids, _ = gather(uoffsets, self.utuple_ids)
-        txns = (
-            [self._txns[i] for i in indices] if self._txns is not None else None
-        )
+        txns = [self._txns[i] for i in indices]
         txn_ids = self.txn_ids[np.asarray(indices, dtype=np.int64)] if indices else (
             self.txn_ids[:0]
         )
@@ -202,13 +153,6 @@ class ColumnarClassTrace:
             new_uids,
             txns=txns,
         )
-
-    def __getstate__(self) -> dict:
-        # Workers rebuild transaction objects lazily from the columns; the
-        # originals never cross the process boundary.
-        state = dict(self.__dict__)
-        state["_txns"] = None
-        return state
 
     def __repr__(self) -> str:
         return (
@@ -254,16 +198,15 @@ class ColumnarTrace:
         self.build_seconds = 0.0
         self.intern_seconds = 0.0
         #: the object trace this was built from (identity is used to route
-        #: cost evaluation through the columnar kernel); not pickled.
+        #: cost evaluation through the columnar kernel).
         self.source: Trace | None = None
-        self._key_gids: list[dict[KeyValue, int] | None] = []
+        self._key_gids: list[dict[KeyValue, int]] = []
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
     def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        _require_numpy()
         started = time.perf_counter()
         self = cls()
         self.source = trace
@@ -293,7 +236,6 @@ class ColumnarTrace:
                     key_gids.append({})
                     gids_by_table.append([])
                 interned = key_gids[tid]
-                assert interned is not None
                 gid = interned.get(access.key)
                 if gid is None:
                     gid = len(tuple_table)
@@ -357,29 +299,14 @@ class ColumnarTrace:
         ]
 
     def key_gids(self, tid: int) -> dict[KeyValue, int]:
-        """``key -> global tuple id`` for one table (rebuilt after unpickle)."""
-        interned = self._key_gids[tid]
-        if interned is None:
-            interned = dict(
-                zip(self.keys_of[tid], (int(g) for g in self.ids_by_table[tid]))
-            )
-            self._key_gids[tid] = interned
-        return interned
+        """``key -> global tuple id`` for one table."""
+        return self._key_gids[tid]
 
     def gid_for(self, table: str, key: KeyValue) -> int | None:
         tid = self.table_ids.get(table)
         if tid is None:
             return None
         return self.key_gids(tid).get(tuple(key))
-
-    def __getstate__(self) -> dict:
-        # The interning dicts and the source trace are cheap to rebuild /
-        # irrelevant in workers; only the columns and key lists travel.
-        state = dict(self.__dict__)
-        state["source"] = None
-        state["_key_gids"] = [None] * len(self.tables)
-        state.pop("_shm", None)  # shm mappings never travel by pickle
-        return state
 
     def __repr__(self) -> str:
         return (
@@ -430,110 +357,6 @@ class ColumnarSnapshot:
             ]
             self._columns[name] = values
         return values
-
-
-# ----------------------------------------------------------------------
-# shared-memory transport (spawn platforms)
-# ----------------------------------------------------------------------
-class SharedColumnarTrace:
-    """A picklable handle moving a :class:`ColumnarTrace` through shm.
-
-    ``pack`` copies every int column into one ``multiprocessing.shared_memory``
-    block; the handle pickles as (segment name + layout + key-list bytes),
-    and ``load`` reconstructs a trace whose arrays view the shared block
-    zero-copy. The packer must outlive the workers and call ``unlink``.
-    """
-
-    def __init__(self, shm_name: str, layout: list, meta: bytes) -> None:
-        self.shm_name = shm_name
-        self.layout = layout
-        self.meta = meta
-        self._shm = None
-
-    @classmethod
-    def pack(cls, ctrace: ColumnarTrace) -> "SharedColumnarTrace":
-        _require_numpy()
-        from multiprocessing import shared_memory
-
-        arrays: list[tuple[str, Any]] = [
-            ("tuple_table", ctrace.tuple_table),
-            ("tuple_local", ctrace.tuple_local),
-        ]
-        for tid, gids in enumerate(ctrace.ids_by_table):
-            arrays.append((f"ids_by_table:{tid}", gids))
-        for name, view in ctrace.views.items():
-            for part in (
-                "txn_ids", "offsets", "tuple_ids",
-                "write_bits", "uoffsets", "utuple_ids",
-            ):
-                arrays.append((f"view:{name}:{part}", getattr(view, part)))
-
-        total = sum(arr.nbytes for _, arr in arrays)
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        layout = []
-        cursor = 0
-        for label, arr in arrays:
-            span = arr.nbytes
-            shm.buf[cursor : cursor + span] = arr.tobytes()
-            layout.append((label, str(arr.dtype), len(arr), cursor))
-            cursor += span
-        meta = pickle.dumps(
-            {
-                "tables": ctrace.tables,
-                "keys_of": ctrace.keys_of,
-                "class_names": list(ctrace.views),
-            }
-        )
-        handle = cls(shm.name, layout, meta)
-        handle._shm = shm
-        return handle
-
-    def load(self) -> ColumnarTrace:
-        _require_numpy()
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=self.shm_name)
-        arrays: dict[str, Any] = {}
-        for label, dtype, length, cursor in self.layout:
-            arrays[label] = np.frombuffer(
-                shm.buf, dtype=np.dtype(dtype), count=length, offset=cursor
-            )
-        meta = pickle.loads(self.meta)
-        ctrace = ColumnarTrace()
-        ctrace.tables = meta["tables"]
-        ctrace.table_ids = {name: i for i, name in enumerate(ctrace.tables)}
-        ctrace.keys_of = meta["keys_of"]
-        ctrace._key_gids = [None] * len(ctrace.tables)
-        ctrace.tuple_table = arrays["tuple_table"]
-        ctrace.tuple_local = arrays["tuple_local"]
-        ctrace.ids_by_table = [
-            arrays[f"ids_by_table:{tid}"] for tid in range(len(ctrace.tables))
-        ]
-        for name in meta["class_names"]:
-            view = ColumnarClassTrace(
-                ctrace,
-                name,
-                arrays[f"view:{name}:txn_ids"],
-                arrays[f"view:{name}:offsets"],
-                arrays[f"view:{name}:tuple_ids"],
-                arrays[f"view:{name}:write_bits"],
-                arrays[f"view:{name}:uoffsets"],
-                arrays[f"view:{name}:utuple_ids"],
-            )
-            ctrace.views[name] = view
-            ctrace.n_transactions += len(view)
-            ctrace.n_accesses += len(view.tuple_ids)
-        ctrace._shm = shm  # keep the mapping alive with the trace
-        return ctrace
-
-    def close(self) -> None:
-        if self._shm is not None:
-            self._shm.close()
-
-    def unlink(self) -> None:
-        if self._shm is not None:
-            self._shm.unlink()
-            self._shm = None
 
 
 def intern_table_names(trace: Trace) -> Trace:

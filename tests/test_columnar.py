@@ -4,39 +4,36 @@ Everything here pins one contract: interning a trace into flat integer
 columns and routing the hot paths (mapping independence, scalar path
 evaluation, Definition 5/6 cost) through :class:`ColumnarEngine` must be
 invisible — same transactions back out, same values, same verdicts, same
-cost — with the object engine as the oracle on real benchmarks (TPC-C,
-TATP) and a generated workload.
+cost. The oracle is a test-only object reference: ``partition_class`` on
+each per-class :class:`Trace` from ``split_by_class`` (object scans
+through a :class:`JoinPathEvaluator`), then ``combine`` without an
+engine, checked on the five bundled benchmarks and a generated workload.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
-from repro.core import JECBConfig, JECBPartitioner
+from repro.core import JECBConfig, JECBPartitioner, JECBResult
 from repro.core.path_eval import (
     ColumnarEngine,
     JoinPathEvaluator,
     SnapshotIndex,
     value_luts_for,
 )
-from repro.trace.columnar import (
-    ColumnarSnapshot,
-    ColumnarTrace,
-    SharedColumnarTrace,
-    columnar_available,
-)
+from repro.core.phase2 import partition_class
+from repro.core.phase3 import combine
+from repro.trace.columnar import ColumnarSnapshot, ColumnarTrace
 from repro.trace.events import Trace, TransactionTrace
 from repro.trace.persistence import load_trace_file, save_trace_file
-from repro.trace.splitter import train_test_split
+from repro.trace.splitter import split_by_class, train_test_split
+from repro.trace.stats import TableUsage, classify_tables
+from repro.workloads.auctionmark import AuctionMarkBenchmark, AuctionMarkConfig
+from repro.workloads.seats import SeatsBenchmark, SeatsConfig
 from repro.workloads.synthetic import SyntheticBenchmark, SyntheticConfig
 from repro.workloads.tatp import TatpBenchmark, TatpConfig
 from repro.workloads.tpcc import TpccBenchmark, TpccConfig
-
-pytestmark = pytest.mark.skipif(
-    not columnar_available(), reason="columnar engine requires numpy"
-)
+from repro.workloads.tpce import TpceBenchmark, TpceConfig
 
 try:
     from hypothesis import given, settings
@@ -69,15 +66,93 @@ def synthetic_bundle():
     ).generate(350, seed=5)
 
 
-def _run(bundle, engine, workers=1, num_partitions=4):
+@pytest.fixture(scope="module")
+def seats_bundle():
+    return SeatsBenchmark(
+        SeatsConfig(airports=4, customers_per_airport=10)
+    ).generate(400, seed=37)
+
+
+@pytest.fixture(scope="module")
+def auctionmark_bundle():
+    return AuctionMarkBenchmark(AuctionMarkConfig(users=50)).generate(
+        400, seed=41
+    )
+
+
+@pytest.fixture(scope="module")
+def tpce_bundle():
+    return TpceBenchmark(
+        TpceConfig(customers=30, brokers=8, companies=10)
+    ).generate(500, seed=27)
+
+
+def _run(bundle, num_partitions=4):
     partitioner = JECBPartitioner(
         bundle.database,
         bundle.catalog,
-        JECBConfig(
-            num_partitions=num_partitions, workers=workers, engine=engine
-        ),
+        JECBConfig(num_partitions=num_partitions),
     )
     return partitioner.run(bundle.trace)
+
+
+def _reference_run(bundle, num_partitions=4) -> JECBResult:
+    """The object reference for :meth:`JECBPartitioner.run`.
+
+    Same three phases, but each class is searched on its own object
+    :class:`Trace` (no engine, so every mapping-independence test is the
+    object scan) and Phase 3 evaluates costs transaction by transaction.
+    """
+    config = JECBConfig(num_partitions=num_partitions)
+    database = bundle.database
+    schema = database.schema
+    trace = bundle.trace
+    usage = classify_tables(trace, schema, config.read_mostly_threshold)
+    replicated = {t for t, u in usage.items() if u.replicated}
+    partitioned = [t for t, u in usage.items() if u is TableUsage.PARTITIONED]
+    streams = split_by_class(trace)
+    class_results = [
+        partition_class(
+            schema,
+            bundle.catalog.get(name),
+            streams[name],
+            replicated,
+            database,
+            num_partitions,
+            config.phase2,
+        )
+        for name in sorted(streams)
+        if name in bundle.catalog
+    ]
+    phase3 = combine(
+        class_results,
+        partitioned,
+        sorted(replicated),
+        schema,
+        database,
+        trace,
+        num_partitions,
+        config.phase3,
+        columnar=None,
+    )
+    return JECBResult(
+        partitioning=phase3.best,
+        table_usage=usage,
+        class_results=class_results,
+        phase3=phase3,
+    )
+
+
+def _class_counters(result) -> list[tuple[str, int, int, int]]:
+    return [
+        (
+            r.class_name,
+            r.metrics.trees_examined,
+            r.metrics.mi_tests,
+            r.metrics.mi_refuted,
+        )
+        for r in result.class_results
+    ]
 
 
 def _txn_signature(txn: TransactionTrace):
@@ -86,6 +161,53 @@ def _txn_signature(txn: TransactionTrace):
         txn.class_name,
         [(a.table, a.key, a.write) for a in txn.accesses],
     )
+
+
+def _decoded_signatures(view):
+    """Per-transaction signatures decoded from the view's columns alone."""
+    ctrace = view.parent
+    for i in range(len(view)):
+        start, end = int(view.offsets[i]), int(view.offsets[i + 1])
+        accesses = [
+            (
+                ctrace.table_of(int(view.tuple_ids[j])),
+                ctrace.key_of(int(view.tuple_ids[j])),
+                bool(view.write_bits[j]),
+            )
+            for j in range(start, end)
+        ]
+        yield (int(view.txn_ids[i]), view.class_name, accesses)
+
+
+def _decoded_tuples(view):
+    """Per-transaction deduplicated ``(table, key)`` lists from the columns."""
+    ctrace = view.parent
+    for i in range(len(view)):
+        start, end = int(view.uoffsets[i]), int(view.uoffsets[i + 1])
+        yield [
+            (
+                ctrace.table_of(int(view.utuple_ids[j])),
+                ctrace.key_of(int(view.utuple_ids[j])),
+            )
+            for j in range(start, end)
+        ]
+
+
+def _assert_view_matches(view, by_id) -> int:
+    """The view yields the original transactions and its columns decode
+    back to their accesses (and, deduplicated in first-access order, to
+    their tuple sets); returns the number of transactions checked."""
+    seen = 0
+    for txn, decoded, tuples in zip(
+        view, _decoded_signatures(view), _decoded_tuples(view), strict=True
+    ):
+        original = by_id[txn.txn_id]
+        assert txn is original
+        assert decoded == _txn_signature(original)
+        assert len(tuples) == len(set(tuples))
+        assert set(tuples) == original.tuples
+        seen += 1
+    return seen
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +229,7 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=60, deadline=None)
     @given(_txn_lists)
     def test_roundtrip_random_traces(txn_specs):
-        """Interning then materializing restores every access verbatim."""
+        """Interning then decoding the columns restores every access."""
         trace = Trace()
         for i, (class_name, accesses) in enumerate(txn_specs):
             txn = TransactionTrace(i, class_name)
@@ -116,30 +238,18 @@ if HAVE_HYPOTHESIS:
             trace.append(txn)
         ctrace = ColumnarTrace.from_trace(trace)
         by_id = {txn.txn_id: txn for txn in trace}
-        seen = 0
-        for view in ctrace.views.values():
-            # pickling drops the original objects; materialization must
-            # rebuild them from the columns alone
-            revived = pickle.loads(pickle.dumps(view))
-            for direct, rebuilt in zip(view, revived):
-                original = by_id[direct.txn_id]
-                assert _txn_signature(direct) == _txn_signature(original)
-                assert _txn_signature(rebuilt) == _txn_signature(original)
-                assert rebuilt.tuples == original.tuples
-                assert rebuilt.read_set == original.read_set
-                assert rebuilt.write_set == original.write_set
-                seen += 1
+        seen = sum(
+            _assert_view_matches(view, by_id) for view in ctrace.views.values()
+        )
         assert seen == len(trace)
 
 
 def test_roundtrip_real_workload(tatp_bundle):
     ctrace = ColumnarTrace.from_trace(tatp_bundle.trace)
     by_id = {txn.txn_id: txn for txn in tatp_bundle.trace}
-    seen = 0
-    for view in ctrace.views.values():
-        for txn in pickle.loads(pickle.dumps(view)):
-            assert _txn_signature(txn) == _txn_signature(by_id[txn.txn_id])
-            seen += 1
+    seen = sum(
+        _assert_view_matches(view, by_id) for view in ctrace.views.values()
+    )
     assert seen == len(tatp_bundle.trace)
 
 
@@ -155,34 +265,38 @@ def test_split_matches_object_splitter(tpcc_bundle):
 
 
 # ----------------------------------------------------------------------
-# differential: full runs, object engine as oracle
+# differential: full runs, the object reference as oracle
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "bundle_name", ["tpcc_bundle", "tatp_bundle", "synthetic_bundle"]
+    "bundle_name",
+    [
+        "tpcc_bundle",
+        "tatp_bundle",
+        "synthetic_bundle",
+        "seats_bundle",
+        "auctionmark_bundle",
+        "tpce_bundle",
+    ],
 )
 def test_engines_produce_identical_results(bundle_name, request):
     """Same partitioning, cost, MI verdict sequence and search counters."""
     bundle = request.getfixturevalue(bundle_name)
-    obj = _run(bundle, "object")
-    col = _run(bundle, "columnar")
-    assert col.partitioning.describe() == obj.partitioning.describe()
-    assert col.cost == obj.cost
-    assert col.solutions_table() == obj.solutions_table()
-    assert col.table_usage == obj.table_usage
+    ref = _reference_run(bundle)
+    col = _run(bundle)
+    assert col.partitioning.describe() == ref.partitioning.describe()
+    assert col.cost == ref.cost
+    assert col.solutions_table() == ref.solutions_table()
+    assert col.table_usage == ref.table_usage
     # Equal counters pin the MI verdicts tree for tree: one early refute
     # or spare acceptance would shift every number after it.
-    assert col.metrics.trees_examined == obj.metrics.trees_examined
-    assert col.metrics.mi_tests == obj.metrics.mi_tests
-    assert col.metrics.mi_refuted == obj.metrics.mi_refuted
-    assert col.metrics.engine == "columnar"
-    assert obj.metrics.engine == "object"
+    assert _class_counters(col) == _class_counters(ref)
 
 
 def test_distributed_fraction_matches_object_path(tpcc_bundle):
     """Definition 5/6 kernel: same CostReport as the per-txn object scan."""
     from repro.evaluation.evaluator import PartitioningEvaluator
 
-    col = _run(tpcc_bundle, "columnar")
+    col = _run(tpcc_bundle)
     ctrace = ColumnarTrace.from_trace(tpcc_bundle.trace)
     engine = ColumnarEngine(tpcc_bundle.database, ctrace)
     vector = PartitioningEvaluator(tpcc_bundle.database, columnar=engine)
@@ -197,7 +311,7 @@ def test_distributed_fraction_matches_object_path(tpcc_bundle):
 
 def test_scalar_evaluation_matches_object_walk(synthetic_bundle):
     """Compiled batch walks return the object walk's value for every key."""
-    result = _run(synthetic_bundle, "columnar")
+    result = _run(synthetic_bundle)
     ctrace = ColumnarTrace.from_trace(synthetic_bundle.trace)
     engine = ColumnarEngine(synthetic_bundle.database, ctrace)
     oracle = JoinPathEvaluator(synthetic_bundle.database)
@@ -218,7 +332,7 @@ def test_scalar_evaluation_matches_object_walk(synthetic_bundle):
 
 
 def test_class_value_luts_match_scalar_evaluation(tatp_bundle):
-    result = _run(tatp_bundle, "columnar")
+    result = _run(tatp_bundle)
     ctrace = ColumnarTrace.from_trace(tatp_bundle.trace)
     engine = ColumnarEngine(tatp_bundle.database, ctrace)
     paths = {
@@ -245,7 +359,7 @@ def test_value_luts_for_requires_columnar_backing(tatp_bundle):
 
 
 # ----------------------------------------------------------------------
-# snapshots, shared memory, persistence
+# snapshots, persistence
 # ----------------------------------------------------------------------
 def test_columnar_snapshot_matches_dict_probes(tpcc_bundle):
     ctrace = ColumnarTrace.from_trace(tpcc_bundle.trace)
@@ -255,29 +369,6 @@ def test_columnar_snapshot_matches_dict_probes(tpcc_bundle):
         snapshot = ColumnarSnapshot(index.table(table), keys)
         for local_id, key in enumerate(keys):
             assert snapshot.row_at(local_id) == index.snapshot(table, key)
-
-
-def test_shared_trace_roundtrip(tatp_bundle):
-    import numpy as np
-
-    ctrace = ColumnarTrace.from_trace(tatp_bundle.trace)
-    shared = SharedColumnarTrace.pack(ctrace)
-    try:
-        loaded = shared.load()
-        assert loaded.tables == ctrace.tables
-        assert np.array_equal(loaded.tuple_table, ctrace.tuple_table)
-        assert np.array_equal(loaded.tuple_local, ctrace.tuple_local)
-        assert sorted(loaded.views) == sorted(ctrace.views)
-        for name, view in ctrace.views.items():
-            other = loaded.views[name]
-            assert np.array_equal(other.offsets, view.offsets)
-            assert np.array_equal(other.tuple_ids, view.tuple_ids)
-            assert np.array_equal(other.write_bits, view.write_bits)
-            assert np.array_equal(other.uoffsets, view.uoffsets)
-            assert np.array_equal(other.utuple_ids, view.utuple_ids)
-    finally:
-        shared.close()
-        shared.unlink()
 
 
 def test_persistence_interns_table_names(tmp_path):
@@ -304,7 +395,8 @@ def test_persistence_interns_table_names(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.mark.smoke
 def test_columnar_smoke(tatp_bundle):
-    obj = _run(tatp_bundle, "object")
-    col = _run(tatp_bundle, "columnar")
-    assert col.partitioning.describe() == obj.partitioning.describe()
-    assert col.cost == obj.cost
+    ref = _reference_run(tatp_bundle)
+    col = _run(tatp_bundle)
+    assert col.partitioning.describe() == ref.partitioning.describe()
+    assert col.cost == ref.cost
+    assert col.solutions_table() == ref.solutions_table()

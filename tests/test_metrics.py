@@ -76,13 +76,11 @@ class TestSearchMetricsAggregation:
             metrics.class_metrics("missing")
 
     def test_summary_and_to_dict(self):
-        metrics = SearchMetrics(workers=4, parallel=True)
+        metrics = SearchMetrics()
         metrics.add_class(ClassMetrics("A", wall_seconds=0.5))
         text = metrics.summary()
-        assert "4 workers" in text
         assert "A" in text
         data = metrics.to_dict()
-        assert data["workers"] == 4
         assert data["per_class"][0]["class_name"] == "A"
 
 
@@ -291,7 +289,6 @@ class TestConfigRoundTrip:
     def test_jecb_round_trip(self):
         config = JECBConfig(
             num_partitions=6,
-            workers=3,
             phase2=Phase2Config(max_trees_per_root=9),
             phase3=Phase3Config(max_combinations_per_attr=123),
         )
@@ -301,20 +298,23 @@ class TestConfigRoundTrip:
     def test_partial_dict(self):
         config = JECBConfig.from_dict({"num_partitions": 5})
         assert config.num_partitions == 5
-        assert config.workers == 1
+        assert config.phase2 == Phase2Config()
 
     def test_nested_phase2_dict(self):
         config = JECBConfig.from_dict(
-            {"phase2": {"max_trees_per_root": 4}, "workers": "auto"}
+            {"phase2": {"max_trees_per_root": 4}, "num_partitions": 3}
         )
         assert config.phase2.max_trees_per_root == 4
-        assert config.workers == "auto"
+        assert config.num_partitions == 3
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="nope"):
-            JECBConfig.from_dict({"nope": 1})
-        with pytest.raises(ValueError, match="typo"):
-            Phase2Config.from_dict({"typo": 1})
+        # Removed settings must fail loudly, not be silently ignored.
+        for key, value in (("nope", 1), ("workers", 2), ("engine", "object")):
+            with pytest.raises(ValueError, match=key):
+                JECBConfig.from_dict({key: value})
+        for key, value in (("typo", 1), ("evaluator_cache_size", 1)):
+            with pytest.raises(ValueError, match=key):
+                Phase2Config.from_dict({key: value})
         with pytest.raises(ValueError, match="typo"):
             Phase3Config.from_dict({"typo": 1})
 
