@@ -21,11 +21,10 @@ from typing import Any
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters of one bounded cache."""
+    """Hit/miss counters of one memo cache."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -40,21 +39,16 @@ class CacheStats:
     def merge(self, other: "CacheStats") -> None:
         self.hits += other.hits
         self.misses += other.misses
-        self.evictions += other.evictions
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
 
     def __str__(self) -> str:
-        return (
-            f"{self.hits}/{self.lookups} hits ({self.hit_rate:.1%}), "
-            f"{self.evictions} evicted"
-        )
+        return f"{self.hits}/{self.lookups} hits ({self.hit_rate:.1%})"
 
 
 @dataclass

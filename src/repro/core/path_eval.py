@@ -1,17 +1,19 @@
 """Evaluating join paths on live data: tuple -> root-attribute value.
 
 A join path ``p(key(T), X)`` is a mapping from each tuple of ``T`` to one
-value of ``X`` (Section 5). The evaluator walks the path's validated steps
-against the database, fetching rows only when a needed column is not
-already known — so paths that stay inside the primary key (e.g. TPC-C's
-``NO_W_ID``) still evaluate for tuples that have since been deleted.
+value of ``X`` (Section 5). Each path is compiled once into a
+:class:`_PathPlan`, the one walker every layer shares: it fetches rows
+only when a needed column is not already known — so paths that stay
+inside the primary key (e.g. TPC-C's ``NO_W_ID``) still evaluate for
+tuples that have since been deleted — and memoizes the walk past the
+first foreign-key hop per distinct hop values.
 
-Results are memoized per (path, key) in a bounded LRU cache with hit/miss
-counters: mapping-independence testing and cost evaluation revisit the
-same tuples constantly, and the counters feed
-:class:`~repro.core.metrics.SearchMetrics`. Snapshot lookups go through a
-:class:`SnapshotIndex`, a per-table materialized live+tombstone index that
-can be shared across evaluators.
+:class:`JoinPathEvaluator` memoizes results per (path, key) with hit/miss
+counters that feed :class:`~repro.core.metrics.SearchMetrics`;
+:class:`ColumnarEngine` stores them as interned code columns over a
+:class:`~repro.trace.columnar.ColumnarTrace`. Snapshot lookups go through
+a :class:`SnapshotIndex`, a per-table materialized live+tombstone index
+that can be shared across evaluators.
 """
 
 from __future__ import annotations
@@ -24,11 +26,7 @@ from repro.core.join_path import JoinPath
 from repro.core.metrics import CacheStats
 from repro.storage.database import Database
 from repro.storage.table import Table
-from repro.trace.columnar import (
-    ColumnarClassTrace,
-    ColumnarSnapshot,
-    ColumnarTrace,
-)
+from repro.trace.columnar import ColumnarClassTrace, ColumnarTrace
 
 #: sentinel distinguishing "not memoized yet" from a memoized ``None``
 _MISS = object()
@@ -40,8 +38,9 @@ class SnapshotIndex:
     The trace is collected before partitioning starts, so the database is
     static during the search: materializing each table's merged
     live+tombstone view once is safe and turns every snapshot probe into a
-    single dict access. The :class:`ColumnarEngine` shares one index with
-    its fallback walker, so a search builds each table's view once.
+    single dict access. Holders that share one index (a
+    :class:`ColumnarEngine` and its per-class adapters) build each table's
+    view once.
     """
 
     def __init__(self, database: Database) -> None:
@@ -72,31 +71,154 @@ class SnapshotIndex:
         return cached[1].get(key)
 
 
+class _PathPlan:
+    """Compiled walk for one join path: the only code that walks one.
+
+    Which columns are known at each step — the source table's primary
+    key, then the current row's columns — is fixed by the path, so the
+    fetch-or-not control flow is decided once here rather than per key.
+    ``mode`` selects the per-key source stage:
+
+    * ``0`` — the destination comes straight from the key tuple (``arg``
+      is its index), so deleted rows still evaluate;
+    * ``1`` — the destination comes from the source row;
+    * ``2`` — the first fk hop's values come from the key (``arg`` is a
+      tuple of key indices);
+    * ``3`` — the first fk hop's values come from the source row (``arg``
+      is the fk's column tuple).
+
+    ``tail`` holds the fk hops from the first one on (intra steps there
+    are no-ops: a row is always held after a hop), and ``tail_memo``
+    collapses repeated sub-walks — every source key mapping to the same
+    first-hop values shares one tail walk, which is what makes walks over
+    fact tables (order lines funneling into a few districts) cheap. The
+    memo is only as fresh as the data it read, so a plan lives exactly as
+    long as its holder's value memo.
+    """
+
+    __slots__ = (
+        "snapshots", "source", "npk", "mode", "arg", "dest_col", "tail",
+        "tail_memo",
+    )
+
+    def __init__(self, path: JoinPath, snapshots: SnapshotIndex) -> None:
+        self.snapshots = snapshots
+        self.source = path.source_table
+        pk_columns = snapshots.table(self.source).schema.primary_key
+        pk_set = set(pk_columns)
+        self.npk = len(pk_columns)
+        self.dest_col = path.destination.column
+        self.tail_memo: dict[tuple, Any] = {}
+        steps = list(zip(path.steps, path.nodes[1:]))
+        first_fk = None
+        need_row = False
+        for index, (step, node) in enumerate(steps):
+            if step.kind == "fk":
+                first_fk = index
+                if not need_row and not all(
+                    c in pk_set for c in step.fk.columns
+                ):
+                    need_row = True
+                break
+            # an intra step needing a non-key column fetches the source
+            # row; every later value then reads from that row
+            if not need_row and not all(a.column in pk_set for a in node):
+                need_row = True
+        self.tail: tuple = ()
+        if first_fk is None:
+            if need_row or self.dest_col not in pk_set:
+                self.mode, self.arg = 1, None
+            else:
+                self.mode, self.arg = 0, pk_columns.index(self.dest_col)
+            return
+        fk0 = steps[first_fk][0].fk
+        if need_row:
+            self.mode, self.arg = 3, tuple(fk0.columns)
+        else:
+            self.mode = 2
+            self.arg = tuple(pk_columns.index(c) for c in fk0.columns)
+        tail = []
+        for step, _node in steps[first_fk:]:
+            if step.kind != "fk":
+                continue  # intra after a hop is a no-op: a row is held
+            ref_table = snapshots.table(step.fk.ref_table)
+            probe_pk = (
+                tuple(step.fk.ref_columns) == ref_table.schema.primary_key
+            )
+            tail.append((step.fk, ref_table, probe_pk))
+        self.tail = tuple(tail)
+
+    def value(self, key: tuple) -> Any:
+        """Root value for the source tuple *key*, or ``None``."""
+        if len(key) != self.npk:
+            return None
+        mode = self.mode
+        if mode == 0:
+            return key[self.arg]
+        if mode == 2:
+            values = tuple(key[i] for i in self.arg)
+        else:
+            row = self.snapshots.snapshot(self.source, key)
+            if row is None:
+                return None
+            if mode == 1:
+                return row.get(self.dest_col)
+            values = tuple(row.get(c) for c in self.arg)
+        memo = self.tail_memo
+        value = memo.get(values, _MISS)
+        if value is _MISS:
+            value = memo[values] = self._tail_value(values)
+        return value
+
+    def _tail_value(self, values: tuple) -> Any:
+        """Walk the fk hops from the first one's *values* to the root.
+
+        A hop matches live rows first and, when it targets the referenced
+        table's primary key, tombstones second; a NULL foreign key or a
+        failed hop yields ``None``.
+        """
+        row = None
+        for fk, ref_table, probe_pk in self.tail:
+            vals = (
+                values
+                if row is None
+                else tuple(row.get(c) for c in fk.columns)
+            )
+            if any(v is None for v in vals):
+                return None
+            matches = ref_table.lookup(fk.ref_columns, vals)
+            if matches:
+                row = matches[0]
+            elif probe_pk:
+                row = self.snapshots.snapshot(fk.ref_table, vals)
+                if row is None:
+                    return None
+            else:
+                return None
+        return row.get(self.dest_col)
+
+
 class JoinPathEvaluator:
     """Evaluates join paths against one :class:`Database`.
 
-    ``cache_size`` bounds the (path, key) memo table; ``None`` means
-    unbounded. Eviction is least-recently-used. ``cache_stats`` counts
-    hits/misses/evictions; ``mi_tests``/``mi_refuted`` are incremented by
-    :meth:`JoinTree.is_mapping_independent` so Phase 2 can report how much
-    of the search each class consumed.
+    Values are memoized per (path, key) until :meth:`clear_cache`;
+    ``cache_stats`` counts hits/misses. ``mi_tests``/``mi_refuted`` are
+    incremented by :meth:`JoinTree.is_mapping_independent` so Phase 2 can
+    report how much of the search each class consumed.
     """
 
     def __init__(
-        self,
-        database: Database,
-        cache_size: int | None = None,
-        snapshots: SnapshotIndex | None = None,
+        self, database: Database, snapshots: SnapshotIndex | None = None
     ) -> None:
         self.database = database
         self.snapshots = snapshots or SnapshotIndex(database)
-        self.cache_size = cache_size
         self.cache_stats = CacheStats()
         self.mi_tests = 0
         self.mi_refuted = 0
         self.evaluations = 0
         self.mi_seconds = 0.0
         self._cache: dict[tuple[JoinPath, tuple], Any] = {}
+        self._plans: dict[JoinPath, _PathPlan] = {}
 
     def evaluate(self, path: JoinPath, key: tuple) -> Any:
         """Value of the path's destination attribute for the tuple *key*.
@@ -108,89 +230,21 @@ class JoinPathEvaluator:
         self.evaluations += 1
         key = tuple(key)
         cache_key = (path, key)
-        cache = self._cache
-        if cache_key in cache:
+        value = self._cache.get(cache_key, _MISS)
+        if value is not _MISS:
             self.cache_stats.hits += 1
-            if self.cache_size is not None:
-                # LRU: re-insert at the back of the (ordered) dict.
-                value = cache.pop(cache_key)
-                cache[cache_key] = value
-                return value
-            return cache[cache_key]
+            return value
         self.cache_stats.misses += 1
-        value = self._walk(path, key)
-        if self.cache_size is not None and len(cache) >= self.cache_size:
-            cache.pop(next(iter(cache)))
-            self.cache_stats.evictions += 1
-        cache[cache_key] = value
+        plan = self._plans.get(path)
+        if plan is None:
+            plan = self._plans[path] = _PathPlan(path, self.snapshots)
+        value = self._cache[cache_key] = plan.value(key)
         return value
 
-    def _walk(self, path: JoinPath, key: tuple) -> Any:
-        source_table = path.source_table
-        table = self.snapshots.table(source_table)
-        pk_columns = table.schema.primary_key
-        if len(pk_columns) != len(key):
-            return None
-        known: dict[str, Any] = dict(zip(pk_columns, key))
-        current_table = source_table
-        row: dict[str, Any] | None = None
-
-        for step, node in zip(path.steps, path.nodes[1:]):
-            if step.kind == "intra":
-                needed = [a.column for a in node]
-                if not all(c in known for c in needed):
-                    if row is None:
-                        row = self._fetch_current(current_table, known)
-                        if row is None:
-                            return None
-                        known = dict(row)
-                # values now available through `known`
-            else:  # fk hop
-                fk = step.fk
-                assert fk is not None
-                if not all(c in known for c in fk.columns):
-                    if row is None:
-                        row = self._fetch_current(current_table, known)
-                        if row is None:
-                            return None
-                        known = dict(row)
-                values = tuple(known.get(c) for c in fk.columns)
-                if any(v is None for v in values):
-                    return None
-                ref_table = self.snapshots.table(fk.ref_table)
-                matches = ref_table.lookup(fk.ref_columns, values)
-                if matches:
-                    row = matches[0]
-                elif tuple(fk.ref_columns) == ref_table.schema.primary_key:
-                    row = self.snapshots.snapshot(fk.ref_table, values)
-                    if row is None:
-                        return None
-                else:
-                    return None
-                known = dict(row)
-                current_table = fk.ref_table
-
-        destination = path.destination
-        if destination.column in known:
-            return known[destination.column]
-        if row is None:
-            row = self._fetch_current(current_table, known)
-            if row is None:
-                return None
-            known = dict(row)
-        return known.get(destination.column)
-
-    def _fetch_current(
-        self, table_name: str, known: dict[str, Any]
-    ) -> dict[str, Any] | None:
-        table = self.snapshots.table(table_name)
-        pk = table.schema.primary_key
-        if not all(c in known for c in pk):
-            return None
-        return self.snapshots.snapshot(table_name, tuple(known[c] for c in pk))
-
     def clear_cache(self) -> None:
+        """Forget every memoized walk (call after the database changed)."""
         self._cache.clear()
+        self._plans.clear()
 
 
 # ----------------------------------------------------------------------
@@ -205,34 +259,6 @@ class _PathColumn:
         self.codes = np.zeros(size, dtype=np.int64)
         self.computed = np.zeros(size, dtype=bool)
         self.complete = size == 0
-
-
-class _PathPlan:
-    """Compiled walk for one join path (see :meth:`ColumnarEngine._fill`).
-
-    The object walk's fetch-or-not control flow depends only on *which*
-    columns are known at each step — the source table's primary key, then
-    the current row's columns — so for a fixed path it is the same for
-    every key. ``mode`` selects the per-key source stage:
-
-    * ``0`` — the destination comes straight from the key tuple (``arg``
-      is its index);
-    * ``1`` — the destination comes from the source row;
-    * ``2`` — the first fk hop's values come from the key (``arg`` is a
-      tuple of key indices);
-    * ``3`` — the first fk hop's values come from the source row (``arg``
-      is the fk's column tuple).
-
-    ``tail`` holds the fk hops from the first one on (intra steps there
-    are no-ops: a row is always held after a hop), and ``tail_memo``
-    collapses repeated sub-walks — every source key mapping to the same
-    first-hop values shares one tail walk, which is what makes fills over
-    fact-table streams (order lines funneling into a few districts)
-    cheap. Plans hoist resolved table objects, so the engine drops them
-    whenever the database version moves.
-    """
-
-    __slots__ = ("npk", "mode", "arg", "dest_col", "tail", "tail_memo")
 
 
 class ColumnarEngine:
@@ -268,12 +294,9 @@ class ColumnarEngine:
         self.database = database
         self.ctrace = ctrace
         self.snapshots = SnapshotIndex(database)
-        #: object walks for keys outside the trace
-        self._walker = JoinPathEvaluator(database, snapshots=self.snapshots)
         #: interned root values; index 0 is reserved for "no value".
         self.values: list[Any] = [None]
         self._value_codes: dict[Any, int] = {}
-        self._column_snapshots: dict[str, ColumnarSnapshot] = {}
         self._columns: dict[JoinPath, _PathColumn] = {}
         self._plans: dict[JoinPath, _PathPlan] = {}
         #: {id(mapping) -> (mapping, {value code -> partition id})}
@@ -285,7 +308,6 @@ class ColumnarEngine:
         self._db_tables = list(database)
         self._db_version = sum(t.version for t in self._db_tables)
         self._eval_calls = 0
-        self.batch_walks = 0
 
     # ------------------------------------------------------------------
     # value interning
@@ -301,17 +323,8 @@ class ColumnarEngine:
         return code
 
     # ------------------------------------------------------------------
-    # snapshots and per-path code columns
+    # per-path plans and code columns
     # ------------------------------------------------------------------
-    def column_snapshot(self, table_name: str) -> ColumnarSnapshot:
-        snapshot = self._column_snapshots.get(table_name)
-        if snapshot is None or snapshot.stale:
-            tid = self.ctrace.table_ids.get(table_name)
-            keys = self.ctrace.keys_of[tid] if tid is not None else []
-            snapshot = ColumnarSnapshot(self.snapshots.table(table_name), keys)
-            self._column_snapshots[table_name] = snapshot
-        return snapshot
-
     def _check_version(self) -> None:
         """Drop every value cache if any table mutated since the last call.
 
@@ -326,7 +339,6 @@ class ColumnarEngine:
             self._plans.clear()
             self._luts.clear()
             self._scalar_memo.clear()
-            self._column_snapshots.clear()
 
     def _column(self, path: JoinPath) -> _PathColumn:
         column = self._columns.get(path)
@@ -338,140 +350,25 @@ class ColumnarEngine:
         return column
 
     def _plan(self, path: JoinPath) -> _PathPlan:
-        """Compile (and cache) the per-path walk plan for :meth:`_fill`."""
         plan = self._plans.get(path)
-        if plan is not None:
-            return plan
-        table = self.snapshots.table(path.source_table)
-        pk_columns = table.schema.primary_key
-        pk_set = set(pk_columns)
-        plan = _PathPlan()
-        plan.npk = len(pk_columns)
-        plan.dest_col = path.destination.column
-        plan.tail_memo = {}
-        steps = list(zip(path.steps, path.nodes[1:]))
-        first_fk = None
-        need_row = False
-        for index, (step, node) in enumerate(steps):
-            if step.kind == "fk":
-                first_fk = index
-                if not need_row and not all(
-                    c in pk_set for c in step.fk.columns
-                ):
-                    need_row = True
-                break
-            # an intra step needing a non-key column fetches the source
-            # row; every later value then reads from that row
-            if not need_row and not all(a.column in pk_set for a in node):
-                need_row = True
-        if first_fk is None:
-            if need_row or plan.dest_col not in pk_set:
-                plan.mode, plan.arg = 1, None
-            else:
-                plan.mode, plan.arg = 0, pk_columns.index(plan.dest_col)
-            plan.tail = ()
-        else:
-            fk0 = steps[first_fk][0].fk
-            if need_row:
-                plan.mode, plan.arg = 3, tuple(fk0.columns)
-            else:
-                plan.mode = 2
-                plan.arg = tuple(pk_columns.index(c) for c in fk0.columns)
-            tail = []
-            for step, _node in steps[first_fk:]:
-                if step.kind != "fk":
-                    continue  # intra after a hop is a no-op: a row is held
-                ref_table = self.snapshots.table(step.fk.ref_table)
-                tail.append(
-                    (
-                        step.fk,
-                        ref_table,
-                        tuple(step.fk.ref_columns)
-                        == ref_table.schema.primary_key,
-                    )
-                )
-            plan.tail = tuple(tail)
-        self._plans[path] = plan
+        if plan is None:
+            plan = self._plans[path] = _PathPlan(path, self.snapshots)
         return plan
-
-    def _tail_value(self, plan: _PathPlan, values: tuple) -> Any:
-        """Walk the fk hops from the first one's *values* to the root.
-
-        Mirrors the object walk hop for hop: failed lookups, primary-key
-        snapshot fallbacks and NULL foreign keys all yield ``None``.
-        """
-        row = None
-        for fk, ref_table, probe_pk in plan.tail:
-            vals = (
-                values
-                if row is None
-                else tuple(row.get(c) for c in fk.columns)
-            )
-            if any(v is None for v in vals):
-                return None
-            matches = ref_table.lookup(fk.ref_columns, vals)
-            if matches:
-                row = matches[0]
-            elif probe_pk:
-                row = self.snapshots.snapshot(fk.ref_table, vals)
-                if row is None:
-                    return None
-            else:
-                return None
-        return row.get(plan.dest_col)
 
     def _fill(self, path: JoinPath, column: _PathColumn, local_ids) -> None:
         """Walk *path* for the given local key ids and record their codes.
 
-        Runs the compiled plan per key: the source stage reads the key
-        tuple or the trace-aligned source row, and everything past the
-        first fk hop is memoized per distinct hop values, so a fill never
-        repeats a sub-walk two source keys share.
+        One compiled plan serves every key, so a fill never repeats a
+        sub-walk past the first fk hop that two source keys share.
         """
-        tid = self.ctrace.table_ids[path.source_table]
-        keys = self.ctrace.keys_of[tid]
-        snapshot = self.column_snapshot(path.source_table)
-        plan = self._plan(path)
+        keys = self.ctrace.keys_of[self.ctrace.table_ids[path.source_table]]
+        walk = self._plan(path).value
         codes = column.codes
         computed = column.computed
         code_of = self._code_of
-        npk = plan.npk
-        mode = plan.mode
-        arg = plan.arg
-        dest_col = plan.dest_col
-        memo = plan.tail_memo
-        tail = self._tail_value
-        row_at = snapshot.row_at
-        miss = _MISS
         for local_id in local_ids.tolist():
-            key = keys[local_id]
-            if len(key) != npk:
-                value = None
-            elif mode == 0:
-                value = key[arg]
-            elif mode == 1:
-                row = row_at(local_id)
-                value = None if row is None else row.get(dest_col)
-            else:
-                if mode == 2:
-                    values = tuple(key[i] for i in arg)
-                else:
-                    row = row_at(local_id)
-                    values = (
-                        None
-                        if row is None
-                        else tuple(row.get(c) for c in arg)
-                    )
-                if values is None:
-                    value = None
-                else:
-                    value = memo.get(values, miss)
-                    if value is miss:
-                        value = tail(plan, values)
-                        memo[values] = value
-            codes[local_id] = code_of(value)
+            codes[local_id] = code_of(walk(keys[local_id]))
             computed[local_id] = True
-        self.batch_walks += len(local_ids)
 
     def ensure_codes(
         self, path: JoinPath, local_ids=None, stats: "CacheStats | None" = None
@@ -500,13 +397,8 @@ class ColumnarEngine:
                 column.complete = True
         return column.codes
 
-    def path_codes(self, path: JoinPath, stats: "CacheStats | None" = None):
-        """Root-value codes for every distinct source-table key, by local id."""
-        self._check_version()
-        return self.ensure_codes(path, None, stats)
-
     def evaluate_one(self, path: JoinPath, key: tuple, stats=None) -> Any:
-        """Scalar evaluation through the batch columns (object-identical).
+        """Scalar evaluation through the batch columns.
 
         The staleness check is amortized over 256 calls: scalar probes
         come from tight loops (greedy elimination, the statistics
@@ -537,11 +429,11 @@ class ColumnarEngine:
                 value = self.values[int(column.codes[local_id])]
                 memo[memo_key] = value
                 return value
-        # Key outside the trace (e.g. a caller probing ad hoc): fall back
-        # to a memoized object walk.
+        # Key outside the trace (e.g. a caller probing ad hoc): the same
+        # plan walks it, memoized by key instead of by column slot.
         if stats is not None:
             stats.misses += 1
-        value = self._walker._walk(path, key)
+        value = self._plan(path).value(key)
         memo[memo_key] = value
         return value
 

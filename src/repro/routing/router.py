@@ -206,6 +206,9 @@ class Router:
                 self.metrics.staleness_detections += 1
                 del lookups[attribute]
                 table = None
+                # The writes went past detached hooks, so walks memoized
+                # before them were never dropped; rebuild from fresh ones.
+                self._evaluator.clear_cache()
             else:
                 lookups.move_to_end(attribute)
         if table is None:

@@ -9,11 +9,7 @@ per-class homogeneous streams plus train/test halves.
 
 from repro.trace.events import TransactionTrace, Trace, TupleAccess
 from repro.trace.collector import TraceCollector
-from repro.trace.columnar import (
-    ColumnarClassTrace,
-    ColumnarSnapshot,
-    ColumnarTrace,
-)
+from repro.trace.columnar import ColumnarClassTrace, ColumnarTrace
 from repro.trace.stats import TableUsage, classify_tables
 from repro.trace.splitter import split_by_class, subsample, train_test_split
 
@@ -24,7 +20,6 @@ __all__ = [
     "TraceCollector",
     "ColumnarTrace",
     "ColumnarClassTrace",
-    "ColumnarSnapshot",
     "TableUsage",
     "classify_tables",
     "split_by_class",

@@ -30,15 +30,12 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.trace.events import KeyValue, Trace, TransactionTrace, TupleAccess
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.table import Table
 
 
 class ColumnarClassTrace:
@@ -314,49 +311,6 @@ class ColumnarTrace:
             f"txns={self.n_transactions}, tuples={self.n_tuples}, "
             f"accesses={self.n_accesses})"
         )
-
-
-class ColumnarSnapshot:
-    """Interned row view of one table, aligned with the trace's key ids.
-
-    ``rows`` is the table's merged live+tombstone snapshot;
-    ``row_at(local_id)`` probes it by array index instead of a dict hash,
-    and ``column(name)`` materializes one column across all trace keys.
-    Rebuilt by the engine when the table's mutation counter moves.
-    """
-
-    def __init__(self, table: "Table", keys: list[KeyValue]) -> None:
-        self.table = table
-        self.version = table.version
-        self.rows = table.snapshot_items()
-        self.keys = keys
-        self._trace_rows: list[dict[str, Any] | None] | None = None
-        self._columns: dict[str, list[Any]] = {}
-
-    @property
-    def stale(self) -> bool:
-        return self.table.version != self.version
-
-    @property
-    def trace_rows(self) -> list[dict[str, Any] | None]:
-        if self._trace_rows is None:
-            rows = self.rows
-            self._trace_rows = [rows.get(key) for key in self.keys]
-        return self._trace_rows
-
-    def row_at(self, local_id: int) -> dict[str, Any] | None:
-        return self.trace_rows[local_id]
-
-    def column(self, name: str) -> list[Any]:
-        """One column across all trace keys (``None`` for missing rows)."""
-        values = self._columns.get(name)
-        if values is None:
-            values = [
-                None if row is None else row.get(name)
-                for row in self.trace_rows
-            ]
-            self._columns[name] = values
-        return values
 
 
 def intern_table_names(trace: Trace) -> Trace:

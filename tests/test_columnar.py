@@ -18,12 +18,11 @@ from repro.core import JECBConfig, JECBPartitioner, JECBResult
 from repro.core.path_eval import (
     ColumnarEngine,
     JoinPathEvaluator,
-    SnapshotIndex,
     value_luts_for,
 )
 from repro.core.phase2 import partition_class
 from repro.core.phase3 import combine
-from repro.trace.columnar import ColumnarSnapshot, ColumnarTrace
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import Trace, TransactionTrace
 from repro.trace.persistence import load_trace_file, save_trace_file
 from repro.trace.splitter import split_by_class, train_test_split
@@ -34,6 +33,8 @@ from repro.workloads.synthetic import SyntheticBenchmark, SyntheticConfig
 from repro.workloads.tatp import TatpBenchmark, TatpConfig
 from repro.workloads.tpcc import TpccBenchmark, TpccConfig
 from repro.workloads.tpce import TpceBenchmark, TpceConfig
+
+from tests.test_mi_oracle import naive_root_value
 
 try:
     from hypothesis import given, settings
@@ -310,11 +311,11 @@ def test_distributed_fraction_matches_object_path(tpcc_bundle):
 
 
 def test_scalar_evaluation_matches_object_walk(synthetic_bundle):
-    """Compiled batch walks return the object walk's value for every key."""
+    """Compiled batch walks return the naive oracle's value for every key."""
     result = _run(synthetic_bundle)
+    database = synthetic_bundle.database
     ctrace = ColumnarTrace.from_trace(synthetic_bundle.trace)
-    engine = ColumnarEngine(synthetic_bundle.database, ctrace)
-    oracle = JoinPathEvaluator(synthetic_bundle.database)
+    engine = ColumnarEngine(database, ctrace)
     checked = 0
     for table in result.partitioning.tables:
         solution = result.partitioning.solution_for(table)
@@ -324,8 +325,8 @@ def test_scalar_evaluation_matches_object_walk(synthetic_bundle):
         if tid is None:
             continue
         for key in ctrace.keys_of[tid]:
-            assert engine.evaluate_one(solution.path, key) == oracle.evaluate(
-                solution.path, key
+            assert engine.evaluate_one(solution.path, key) == (
+                naive_root_value(database, solution.path, key)
             )
             checked += 1
     assert checked > 0
@@ -359,18 +360,8 @@ def test_value_luts_for_requires_columnar_backing(tatp_bundle):
 
 
 # ----------------------------------------------------------------------
-# snapshots, persistence
+# persistence
 # ----------------------------------------------------------------------
-def test_columnar_snapshot_matches_dict_probes(tpcc_bundle):
-    ctrace = ColumnarTrace.from_trace(tpcc_bundle.trace)
-    index = SnapshotIndex(tpcc_bundle.database)
-    for table, tid in ctrace.table_ids.items():
-        keys = ctrace.keys_of[tid]
-        snapshot = ColumnarSnapshot(index.table(table), keys)
-        for local_id, key in enumerate(keys):
-            assert snapshot.row_at(local_id) == index.snapshot(table, key)
-
-
 def test_persistence_interns_table_names(tmp_path):
     trace = Trace()
     for i in range(20):

@@ -1,7 +1,7 @@
 """Unit tests for search instrumentation, caching, and config plumbing.
 
-Covers the :mod:`repro.core.metrics` dataclasses, the evaluator's bounded
-LRU cache and shared :class:`SnapshotIndex`, config ``to_dict``/
+Covers the :mod:`repro.core.metrics` dataclasses, the evaluator's (path,
+key) memo and shared :class:`SnapshotIndex`, config ``to_dict``/
 ``from_dict`` round-trips, and the :func:`repro.partition` facade with its
 algorithm registries.
 """
@@ -44,9 +44,9 @@ class TestCacheStats:
         assert stats.hit_rate == 0.75
 
     def test_merge(self):
-        stats = CacheStats(hits=1, misses=2, evictions=3)
-        stats.merge(CacheStats(hits=10, misses=20, evictions=30))
-        assert (stats.hits, stats.misses, stats.evictions) == (11, 22, 33)
+        stats = CacheStats(hits=1, misses=2)
+        stats.merge(CacheStats(hits=10, misses=20))
+        assert (stats.hits, stats.misses) == (11, 22)
 
     def test_to_dict(self):
         data = CacheStats(hits=1, misses=1).to_dict()
@@ -178,39 +178,19 @@ def trade_path(custinfo_schema):
 
 
 class TestBoundedCache:
-    def test_capacity_enforced(self, figure1_db, trade_path):
-        evaluator = JoinPathEvaluator(figure1_db, cache_size=2)
-        for t_id in range(1, 9):
-            evaluator.evaluate(trade_path, (t_id,))
-        assert len(evaluator._cache) == 2
-        assert evaluator.cache_stats.evictions == 6
-        assert evaluator.cache_stats.misses == 8
-        assert evaluator.cache_stats.hits == 0
-
     def test_repeat_lookup_hits(self, figure1_db, trade_path):
-        evaluator = JoinPathEvaluator(figure1_db, cache_size=8)
+        evaluator = JoinPathEvaluator(figure1_db)
         first = evaluator.evaluate(trade_path, (1,))
         second = evaluator.evaluate(trade_path, (1,))
         assert first == second == 1
         assert evaluator.cache_stats.hits == 1
         assert evaluator.cache_stats.misses == 1
 
-    def test_lru_eviction_order(self, figure1_db, trade_path):
-        evaluator = JoinPathEvaluator(figure1_db, cache_size=2)
-        evaluator.evaluate(trade_path, (1,))
-        evaluator.evaluate(trade_path, (2,))
-        evaluator.evaluate(trade_path, (1,))  # hit: (1,) becomes recent
-        evaluator.evaluate(trade_path, (3,))  # evicts (2,), not (1,)
-        hits_before = evaluator.cache_stats.hits
-        evaluator.evaluate(trade_path, (1,))
-        assert evaluator.cache_stats.hits == hits_before + 1
-
     def test_unbounded_by_default(self, figure1_db, trade_path):
         evaluator = JoinPathEvaluator(figure1_db)
         for t_id in range(1, 9):
             evaluator.evaluate(trade_path, (t_id,))
         assert len(evaluator._cache) == 8
-        assert evaluator.cache_stats.evictions == 0
 
     def test_evaluation_counter(self, figure1_db, trade_path):
         evaluator = JoinPathEvaluator(figure1_db)

@@ -101,3 +101,8 @@ class TestEvaluation:
         assert evaluator.evaluate(p, (1,)) == 1
         evaluator.clear_cache()
         assert evaluator.evaluate(p, (1,)) == 2
+        # a write past the first hop: clear_cache also drops the walk
+        # memoized per first-hop value (account 7 -> customer 2)
+        figure1_db.update("CUSTOMER_ACCOUNT", (7,), {"CA_C_ID": 1})
+        evaluator.clear_cache()
+        assert evaluator.evaluate(p, (1,)) == 1

@@ -12,6 +12,7 @@ from repro.procedures import ProcedureCatalog, StoredProcedure
 from repro.routing import LookupTable, Router
 from repro.schema import Attr
 from repro.storage import Database
+from repro.workloads.tpcc import TpccBenchmark, TpccConfig
 
 from tests.conftest import (
     build_custinfo_procedure,
@@ -329,6 +330,24 @@ class TestWriteThrough:
         figure1_db.delete("CUSTOMER_ACCOUNT", (8,))
         assert router.route("CustInfo", {"cust_id": 1}).broadcast
         assert router.metrics.staleness_detections >= 1
+
+    def test_detached_rebuild_walks_fresh_rows(self):
+        """A stale lookup rebuilt behind detached hooks must not reuse
+        walks memoized before the writes it missed."""
+        from tests.test_path_effects import _tpcc_layout
+
+        bundle = TpccBenchmark(TpccConfig(warehouses=2)).generate(0, seed=11)
+        database = bundle.database
+        partitioning = _tpcc_layout(database.schema, "C_ID")
+        router = Router(database, bundle.catalog, partitioning)
+        attribute = Attr("ORDER_LINE", "OL_I_ID")
+        router.lookup_table(attribute)  # warm: memoizes every line's walk
+        router.close()
+        customer = database.table("ORDERS").get((1, 1, 1))["O_C_ID"]
+        database.update("ORDERS", (1, 1, 1), {"O_C_ID": customer % 30 + 1})
+        router.lookup_table(attribute)  # stale: rebuilt
+        assert router.metrics.lookups_rebuilt == 1
+        assert_lookups_match_rebuild(router, database, partitioning)
 
 
 class TestReplicatedOnly:
