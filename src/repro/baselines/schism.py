@@ -20,8 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.baselines.classifier import DecisionTree
 from repro.core.mapping import REPLICATED, stable_hash
+from repro.core.path_eval import ColumnarEngine
 from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.evaluation.resources import ResourceMeter, ResourceUsage
 from repro.graphs.mincut import Graph, partition_graph
@@ -49,8 +52,9 @@ class SchismConfig:
 class TupleMapSolution:
     """Per-table placement: seen tuples by lookup, unseen by classifier.
 
-    Duck-type compatible with :class:`~repro.core.solution.TableSolution`
-    for everything the evaluator and router need. The classifier runs on
+    Answers what :class:`~repro.core.solution.TableSolution` answers for
+    the evaluator, the router and the cluster: :meth:`partition_of` per
+    key and :meth:`partition_ids` per interned key. The classifier runs on
     the tuple's full attribute vector (Schism classifies on attributes,
     not just keys), fetched from the database at routing time.
     """
@@ -82,6 +86,15 @@ class TupleMapSolution:
             if features is not None and len(features) == self.classifier.num_features:
                 return self.classifier.predict(features)
         return 1 + stable_hash(tuple(key)) % self.num_partitions
+
+    def partition_ids(self, engine: ColumnarEngine, local_ids: Any) -> Any:
+        """:meth:`partition_of` once per interned key (``-1`` unroutable)."""
+        ctrace = engine.ctrace
+        keys = ctrace.keys_of[ctrace.table_ids[self.table]]
+        pids = [self.partition_of(keys[i]) for i in local_ids.tolist()]
+        return np.asarray(
+            [-1 if pid is None else pid for pid in pids], dtype=np.int64
+        )
 
     def __str__(self) -> str:
         rules = self.classifier.leaf_count() if self.classifier else 0

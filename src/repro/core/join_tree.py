@@ -4,26 +4,22 @@ A join tree ``Tree(W, X)`` combines one join path per partitioned table of
 a homogeneous workload ``W``, all ending at the root attribute ``X``. The
 tree maps every tuple the workload touches to a value of ``X``; a tree is a
 **mapping-independent** solution (Definition 7) when every transaction's
-tuples map to a *single* root value.
+tuples map to a *single* root value. The test runs on interned class
+views only, through :class:`~repro.core.path_eval.ColumnarEngine`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import PartitioningError
 from repro.schema.attribute import Attr
 from repro.core.join_path import JoinPath
-from repro.core.path_eval import JoinPathEvaluator
+from repro.core.metrics import ClassMetrics
+from repro.core.path_eval import ColumnarEngine
 from repro.trace.columnar import ColumnarClassTrace
-from repro.trace.events import Trace, TransactionTrace
-
-
-#: Distinct "no value seen yet" marker (root values may legitimately be
-#: any object, including None-adjacent sentinels a caller might pick).
-_NO_VALUE = object()
 
 
 @dataclass(frozen=True)
@@ -70,79 +66,30 @@ class JoinTree:
     # ------------------------------------------------------------------
     # trace-driven semantics
     # ------------------------------------------------------------------
-    def root_values(
-        self, txn: TransactionTrace, evaluator: JoinPathEvaluator
-    ) -> set[Any] | None:
-        """Root values of all covered tuples of *txn*.
-
-        Returns ``None`` when some covered tuple has no root value (the
-        tree fails to map it); tuples of tables outside the tree are
-        ignored (they are replicated or handled by other solutions).
-        """
-        values: set[Any] = set()
-        for table, key in txn.tuples:
-            path = self.paths.get(table)
-            if path is None:
-                continue
-            value = evaluator.evaluate(path, key)
-            if value is None:
-                return None
-            values.add(value)
-        return values
-
     def is_mapping_independent(
-        self, trace: Trace, evaluator: JoinPathEvaluator
+        self,
+        view: ColumnarClassTrace,
+        engine: ColumnarEngine,
+        metrics: ClassMetrics | None = None,
     ) -> bool:
         """Definition 7: every transaction maps to exactly one root value.
 
-        Columnar trace views whose interned columns belong to the
-        evaluator's engine are checked by the vectorized kernel (identical
-        verdicts, see :meth:`ColumnarEngine.tree_is_mapping_independent`);
-        everything else takes the object scan below.
-
-        Refutation short-circuits the object scan: it stops at the first
-        tuple whose root value misses or disagrees, without finishing the
-        transaction or the rest of the trace — one bad Payment transaction
-        refutes a TPC-C tree after a handful of evaluations instead of
-        thousands.
+        *view* is a class view of *engine*'s interned trace; the verdict
+        comes from :meth:`ColumnarEngine.tree_is_mapping_independent`.
+        *metrics* collects the test, its refutation, the covered tuple
+        probes, its wall time and the engine's column hits and misses.
         """
         started = time.perf_counter()
-        evaluator.mi_tests += 1
-        engine = getattr(evaluator, "engine", None)
-        if (
-            engine is not None
-            and isinstance(trace, ColumnarClassTrace)
-            and trace.parent is engine.ctrace
-        ):
-            verdict, probes = engine.tree_is_mapping_independent(
-                self, trace, evaluator.cache_stats
-            )
-            evaluator.evaluations += probes
+        verdict, probes = engine.tree_is_mapping_independent(
+            self, view, None if metrics is None else metrics.cache
+        )
+        if metrics is not None:
+            metrics.mi_tests += 1
             if not verdict:
-                evaluator.mi_refuted += 1
-            evaluator.mi_seconds += time.perf_counter() - started
-            return verdict
-        paths = self.paths
-        sentinel = _NO_VALUE
-        try:
-            for txn in trace:
-                first = sentinel
-                for table, key in txn.tuples:
-                    path = paths.get(table)
-                    if path is None:
-                        continue
-                    value = evaluator.evaluate(path, key)
-                    if value is None or (
-                        first is not sentinel
-                        and value is not first
-                        and value != first
-                    ):
-                        evaluator.mi_refuted += 1
-                        return False
-                    first = value
-            return True
-        finally:
-            evaluator.mi_seconds += time.perf_counter() - started
+                metrics.mi_refuted += 1
+            metrics.path_evaluations += probes
+            metrics.mi_seconds += time.perf_counter() - started
+        return verdict
 
     def restrict(self, tables: Iterable[str]) -> "JoinTree":
         """The tree covering only *tables* (a workload-elimination view)."""

@@ -161,10 +161,9 @@ class JECBPartitioner:
                         self.catalog.get(name),
                         ctrace.class_view(name),
                         replicated,
-                        self.database,
+                        engine,
                         config.num_partitions,
                         config.phase2,
-                        engine=engine,
                     )
                     for name in sorted(ctrace.views)
                     if name in self.catalog
@@ -181,11 +180,10 @@ class JECBPartitioner:
                     partitioned,
                     sorted(replicated),
                     self.schema,
-                    self.database,
+                    engine,
                     training_trace,
                     config.num_partitions,
                     config.phase3,
-                    columnar=engine,
                 )
             metrics.phase3_seconds = clock.seconds
             metrics.cost_eval_seconds = phase3.cost_eval_seconds

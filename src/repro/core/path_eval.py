@@ -8,12 +8,16 @@ inside the primary key (e.g. TPC-C's ``NO_W_ID``) still evaluate for
 tuples that have since been deleted — and memoizes the walk past the
 first foreign-key hop per distinct hop values.
 
-:class:`JoinPathEvaluator` memoizes results per (path, key) with hit/miss
-counters that feed :class:`~repro.core.metrics.SearchMetrics`;
-:class:`ColumnarEngine` stores them as interned code columns over a
-:class:`~repro.trace.columnar.ColumnarTrace`. Snapshot lookups go through
-a :class:`SnapshotIndex`, a per-table materialized live+tombstone index
-that can be shared across evaluators.
+:class:`ColumnarEngine` is the one evaluator of trace-driven decisions:
+it stores walk results as interned code columns over a
+:class:`~repro.trace.columnar.ColumnarTrace` and answers Definition 7
+(mapping independence) and the per-key partition ids Definitions 5/6
+need, for views of that trace only. :class:`JoinPathEvaluator` memoizes
+results per (path, key) for the layers that place one tuple at a time —
+the router, the simulated cluster, the baselines' cost models and the
+skew report. Snapshot lookups go through a :class:`SnapshotIndex`, a
+per-table materialized live+tombstone index that can be shared across
+evaluators.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.join_path import JoinPath
+from repro.errors import PartitioningError
 from repro.core.metrics import CacheStats
 from repro.storage.database import Database
 from repro.storage.table import Table
@@ -38,9 +43,8 @@ class SnapshotIndex:
     The trace is collected before partitioning starts, so the database is
     static during the search: materializing each table's merged
     live+tombstone view once is safe and turns every snapshot probe into a
-    single dict access. Holders that share one index (a
-    :class:`ColumnarEngine` and its per-class adapters) build each table's
-    view once.
+    single dict access. Evaluators that share one index build each
+    table's view once.
     """
 
     def __init__(self, database: Database) -> None:
@@ -202,9 +206,10 @@ class JoinPathEvaluator:
     """Evaluates join paths against one :class:`Database`.
 
     Values are memoized per (path, key) until :meth:`clear_cache`;
-    ``cache_stats`` counts hits/misses. ``mi_tests``/``mi_refuted`` are
-    incremented by :meth:`JoinTree.is_mapping_independent` so Phase 2 can
-    report how much of the search each class consumed.
+    ``cache_stats`` counts hits/misses. This is the per-key walker of the
+    layers that place one tuple at a time (the router, the cluster, the
+    baselines' cost models); trace-driven decisions go through
+    :class:`ColumnarEngine`.
     """
 
     def __init__(
@@ -213,10 +218,7 @@ class JoinPathEvaluator:
         self.database = database
         self.snapshots = snapshots or SnapshotIndex(database)
         self.cache_stats = CacheStats()
-        self.mi_tests = 0
-        self.mi_refuted = 0
         self.evaluations = 0
-        self.mi_seconds = 0.0
         self._cache: dict[tuple[JoinPath, tuple], Any] = {}
         self._plans: dict[JoinPath, _PathPlan] = {}
 
@@ -270,9 +272,9 @@ class ColumnarEngine:
       table (local key id order), the *value code* of the path's root
       value: ``0`` for "no value" (the walk failed), otherwise a dense id
       interning the value under its own ``__eq__``/``__hash__``. Two
-      tuples share a code exactly when the object scan's ``!=``
-      comparison would call them equal, so the vectorized checks below
-      return the same verdicts as the object scan. Columns fill lazily —
+      tuples share a code exactly when their root values compare equal,
+      so the vectorized checks below decide Definitions 5 and 7 on codes
+      alone. Columns fill lazily —
       a mapping-independence test only walks the tuple ids its class
       stream actually contains, and later classes (or trees sharing the
       path) reuse every code already computed.
@@ -286,8 +288,10 @@ class ColumnarEngine:
       dicts for the scalar loops (blame, statistics fallback) that must
       keep their own iteration order.
 
-    One engine is shared by every class of a search and by Phase 3;
-    per-class counters live in :class:`ColumnarPathEvaluator` adapters.
+    Every entry point takes views of :attr:`ctrace` only. One engine is
+    shared by every class of a search and by Phase 3; callers pass a
+    :class:`~repro.core.metrics.CacheStats` to count column hits and
+    misses per class.
     """
 
     def __init__(self, database: Database, ctrace: ColumnarTrace) -> None:
@@ -301,13 +305,8 @@ class ColumnarEngine:
         self._plans: dict[JoinPath, _PathPlan] = {}
         #: {id(mapping) -> (mapping, {value code -> partition id})}
         self._luts: dict[int, tuple[Any, dict[int, int]]] = {}
-        self._scalar_memo: dict[tuple[JoinPath, tuple], Any] = {}
-        #: {(class, txn start, txn stop) -> {table id -> (gids, local ids)}}
-        #: of the tuples one chunk of a class stream touches
-        self._view_locals: dict[tuple, dict[int, tuple[Any, Any]]] = {}
         self._db_tables = list(database)
         self._db_version = sum(t.version for t in self._db_tables)
-        self._eval_calls = 0
 
     # ------------------------------------------------------------------
     # value interning
@@ -338,7 +337,6 @@ class ColumnarEngine:
             self._columns.clear()
             self._plans.clear()
             self._luts.clear()
-            self._scalar_memo.clear()
 
     def _column(self, path: JoinPath) -> _PathColumn:
         column = self._columns.get(path)
@@ -371,92 +369,36 @@ class ColumnarEngine:
             computed[local_id] = True
 
     def ensure_codes(
-        self, path: JoinPath, local_ids=None, stats: "CacheStats | None" = None
+        self, path: JoinPath, local_ids, stats: CacheStats | None = None
     ):
-        """The path's code column, with the given local ids (all when
-        ``None``) guaranteed computed."""
+        """The path's code column, with *local_ids* guaranteed computed.
+
+        *stats* counts one hit when nothing had to be walked, else one
+        miss.
+        """
         column = self._column(path)
-        if column.complete:
-            if stats is not None:
-                stats.hits += 1
-            return column.codes
-        if local_ids is None:
-            missing = np.flatnonzero(~column.computed)
-        else:
+        if not column.complete:
             missing = local_ids[~column.computed[local_ids]]
-        if missing.size:
-            if stats is not None:
-                stats.misses += 1
-            self._fill(path, column, missing)
-            if local_ids is None or bool(column.computed.all()):
-                column.complete = True
-        else:
-            if stats is not None:
-                stats.hits += 1
-            if local_ids is None:
-                column.complete = True
+            if missing.size:
+                if stats is not None:
+                    stats.misses += 1
+                self._fill(path, column, missing)
+                column.complete = bool(column.computed.all())
+                return column.codes
+        if stats is not None:
+            stats.hits += 1
         return column.codes
 
-    def evaluate_one(self, path: JoinPath, key: tuple, stats=None) -> Any:
-        """Scalar evaluation through the batch columns.
-
-        The staleness check is amortized over 256 calls: scalar probes
-        come from tight loops (greedy elimination, the statistics
-        fallback) that never mutate the database mid-loop, and every
-        batch entry point re-checks unconditionally.
-        """
-        self._eval_calls += 1
-        if self._eval_calls & 0xFF == 0:
-            self._check_version()
-        memo_key = (path, key)
-        memo = self._scalar_memo
-        if memo_key in memo:
-            if stats is not None:
-                stats.hits += 1
-            return memo[memo_key]
-        tid = self.ctrace.table_ids.get(path.source_table)
-        if tid is not None:
-            gid = self.ctrace.key_gids(tid).get(key)
-            if gid is not None:
-                local_id = int(self.ctrace.tuple_local[gid])
-                column = self._column(path)
-                if not column.computed[local_id]:
-                    if stats is not None:
-                        stats.misses += 1
-                    self._fill(path, column, np.asarray([local_id]))
-                elif stats is not None:
-                    stats.hits += 1
-                value = self.values[int(column.codes[local_id])]
-                memo[memo_key] = value
-                return value
-        # Key outside the trace (e.g. a caller probing ad hoc): the same
-        # plan walks it, memoized by key instead of by column slot.
-        if stats is not None:
-            stats.misses += 1
-        value = self._plan(path).value(key)
-        memo[memo_key] = value
-        return value
+    def _own(self, view: ColumnarClassTrace) -> None:
+        """Reject a view interned into some other trace."""
+        if view.parent is not self.ctrace:
+            raise PartitioningError(
+                f"{view!r} is not a view of this engine's interned trace"
+            )
 
     # ------------------------------------------------------------------
     # Definition 7: vectorized mapping-independence
     # ------------------------------------------------------------------
-    def _chunk_tables(self, view: ColumnarClassTrace, start: int, stop: int):
-        """Per-table (global ids, local ids) of one chunk's unique tuples."""
-        key = (view.class_name, start, stop)
-        cached = self._view_locals.get(key)
-        if cached is None:
-            ctrace = self.ctrace
-            uoffsets = view.uoffsets
-            uids = view.utuple_ids[uoffsets[start] : uoffsets[stop]]
-            unique_gids = np.unique(uids)
-            tids = ctrace.tuple_table[unique_gids]
-            cached = {}
-            for tid in np.unique(tids).tolist():
-                gids = unique_gids[tids == tid]
-                cached[tid] = (gids, ctrace.tuple_local[gids])
-            self._view_locals[key] = cached
-        return cached
-
     def tree_is_mapping_independent(
         self, tree, view: ColumnarClassTrace, stats=None
     ) -> tuple[bool, int]:
@@ -464,9 +406,8 @@ class ColumnarEngine:
 
         Segmented min/max over each transaction's deduplicated tuple ids:
         a transaction refutes when a covered tuple has no root value
-        (code 0) or two covered tuples carry different codes. Identical to
-        the object scan's chained ``!=`` comparisons because the codes
-        intern value equality.
+        (code 0) or two covered tuples carry different codes — Definition
+        7's value comparison, since the codes intern value equality.
 
         The stream is processed in geometrically growing transaction
         chunks (64, 128, 256, ...) with an early exit on the first
@@ -475,6 +416,7 @@ class ColumnarEngine:
         the rest of the class's tuples. Chunk boundaries are fixed, so
         the verdict and probe count are deterministic.
         """
+        self._own(view)
         self._check_version()
         ntxn = len(view)
         if ntxn == 0 or view.utuple_ids.size == 0:
@@ -501,7 +443,7 @@ class ColumnarEngine:
                 pos = stop
                 continue
             uids = utuple_ids[ustart:uend]
-            per_table = self._chunk_tables(view, pos, stop)
+            per_table = view.chunk_tables(pos, stop)
             for tid, path in paths:
                 entry = per_table.get(tid)
                 if entry is None:
@@ -540,9 +482,10 @@ class ColumnarEngine:
         columns persist across calls), and ``mapping`` is invoked once per
         distinct value code — it is a deterministic pure function
         (process-independent ``stable_hash``), so this yields exactly the
-        ids the object path computes per access. The code -> pid table is
-        cached per mapping identity; codes intern value equality, so the
-        table is shared across every path that produces the same values.
+        ids :meth:`TableSolution.partition_of` computes per access. The
+        code -> pid table is cached per mapping identity; codes intern
+        value equality, so the table is shared across every path that
+        produces the same values.
         """
         self._check_version()
         codes = self.ensure_codes(path, local_ids, stats)[local_ids]
@@ -568,15 +511,14 @@ class ColumnarEngine:
         """Per-table ``{key: root value}`` over every tuple *view* touches.
 
         Feeds the scalar loops (greedy blame, the statistics fallback)
-        that probe one access at a time: a plain dict get replaces a
-        memoized ``evaluate_one`` call. Values come from the same lazy
-        code columns, so they are identical to scalar evaluation, and the
-        caller keeps its own iteration order — only the value lookup is
-        swapped out, which preserves bit-identical downstream set
-        construction.
+        that must keep their own iteration order over ``txn.tuples``:
+        downstream set construction is order-sensitive, so only the value
+        lookup is batched. Values come from the same lazy code columns
+        the Definition-7 kernel reads.
         """
+        self._own(view)
         self._check_version()
-        per_table = self._chunk_tables(view, 0, len(view))
+        per_table = view.chunk_tables(0, len(view))
         values = self.values
         luts: dict[str, dict] = {}
         for table, path in paths.items():
@@ -593,49 +535,3 @@ class ColumnarEngine:
                 for lid, code in zip(local_ids.tolist(), codes.tolist())
             }
         return luts
-
-
-class ColumnarPathEvaluator:
-    """Per-class counter facade over a shared :class:`ColumnarEngine`.
-
-    Quacks like :class:`JoinPathEvaluator` (``evaluate``, ``mi_tests``,
-    ``cache_stats``…) so greedy elimination, partial-solution mining and
-    the statistics fallback run unchanged — every scalar ``evaluate``
-    resolves to an array probe of the engine's interned columns.
-    ``JoinTree.is_mapping_independent`` detects the ``engine`` attribute
-    and dispatches whole trace views to the vectorized kernel.
-    """
-
-    def __init__(self, engine: ColumnarEngine) -> None:
-        self.engine = engine
-        self.database = engine.database
-        self.snapshots = engine.snapshots
-        self.cache_stats = CacheStats()
-        self.mi_tests = 0
-        self.mi_refuted = 0
-        self.evaluations = 0
-        self.mi_seconds = 0.0
-
-    def evaluate(self, path: JoinPath, key: tuple) -> Any:
-        self.evaluations += 1
-        return self.engine.evaluate_one(path, tuple(key), self.cache_stats)
-
-    def clear_cache(self) -> None:  # pragma: no cover - API parity
-        pass
-
-
-def value_luts_for(evaluator, trace, paths) -> dict[str, dict] | None:
-    """Per-table key -> root-value dicts, when the pair is columnar-backed.
-
-    Returns ``None`` unless *evaluator* carries a :class:`ColumnarEngine`
-    and *trace* is a class view of its interned trace — the scalar loops
-    then fall back to per-access ``evaluate`` calls. When available, the
-    dicts hold exactly the values scalar evaluation would return, computed
-    in one batch per (table, path) instead of one memo probe per access.
-    """
-    engine = getattr(evaluator, "engine", None)
-    if engine is None:
-        return None
-    if getattr(trace, "parent", None) is not engine.ctrace:
-        return None
-    return engine.class_value_luts(trace, paths, evaluator.cache_stats)

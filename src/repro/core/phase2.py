@@ -21,24 +21,13 @@ from repro.schema.database import DatabaseSchema
 from repro.sql.analyzer import StatementAnalysis, analyze_procedure
 from repro.sql.dataflow import analyze_dataflow
 from repro.procedures.procedure import StoredProcedure
-from repro.storage.database import Database
 from repro.trace.columnar import ColumnarClassTrace
-from repro.trace.events import Trace
-from repro.trace.splitter import train_test_split
 from repro.core.join_graph import JoinGraph
 from repro.core.join_tree import JoinTree, prune_compatible_trees
 from repro.core.metrics import ClassMetrics
-from repro.core.path_eval import (
-    ColumnarEngine,
-    ColumnarPathEvaluator,
-    JoinPathEvaluator,
-    value_luts_for,
-)
+from repro.core.path_eval import ColumnarEngine
 from repro.core.solution import PARTIAL, TOTAL, ClassSolution
 from repro.core.statistics import evaluate_fallback
-
-#: sentinel distinguishing "key not in the batch LUT" from a ``None`` value
-_MISS = object()
 
 
 @dataclass
@@ -178,8 +167,9 @@ def enumerate_trees(
 
 def eliminate_until_mi(
     tree: JoinTree,
-    trace: Trace,
-    evaluator: JoinPathEvaluator,
+    trace: ColumnarClassTrace,
+    engine: ColumnarEngine,
+    metrics: ClassMetrics | None = None,
 ) -> JoinTree | None:
     """Greedy table elimination (partial solutions, Section 5).
 
@@ -195,31 +185,28 @@ def eliminate_until_mi(
         candidate = tree.restrict(tables)
         if not candidate.paths:
             return None
-        if candidate.is_mapping_independent(trace, evaluator):
+        if candidate.is_mapping_independent(trace, engine, metrics):
             return candidate if len(candidate.paths) < len(tree.paths) else None
         if len(tables) == 1:
             return None
         # Blame: in each violating transaction, the offenders are the
         # tables holding values different from the transaction's modal
         # root value (remote accesses deviate; the home tables agree).
-        # The loop keeps the object path's iteration order (txn.tuples is
-        # a set, and downstream set iteration is order-sensitive); only
-        # the per-access value lookup is batched when columnar-backed.
-        luts = value_luts_for(evaluator, trace, candidate.paths)
+        # The loop keeps its iteration order over txn.tuples (a set, and
+        # downstream set iteration is order-sensitive); only the
+        # per-access value lookup is batched.
+        luts = engine.class_value_luts(
+            trace, candidate.paths, None if metrics is None else metrics.cache
+        )
         offenders: dict[str, int] = {t: 0 for t in tables}
         for txn in trace:
             per_table: dict[str, set] = {}
             broken: set[str] = set()
             for table, key in txn.tuples:
-                path = candidate.paths.get(table)
-                if path is None:
+                lut = luts.get(table)
+                if lut is None:
                     continue
-                if luts is None:
-                    value = evaluator.evaluate(path, key)
-                else:
-                    value = luts[table].get(key, _MISS)
-                    if value is _MISS:
-                        value = evaluator.evaluate(path, key)
+                value = lut[key]
                 if value is None:
                     broken.add(table)
                 else:
@@ -249,8 +236,9 @@ def eliminate_until_mi(
 def _solve_remainder(
     graph: JoinGraph,
     tables: frozenset[str] | set[str],
-    class_trace: Trace,
-    evaluator: JoinPathEvaluator,
+    class_trace: ColumnarClassTrace,
+    engine: ColumnarEngine,
+    metrics: ClassMetrics,
     config: Phase2Config,
     depth: int = 0,
 ) -> list[JoinTree]:
@@ -262,12 +250,14 @@ def _solve_remainder(
     for root in sub.find_roots():
         trees = enumerate_trees(sub, root, config)
         for tree in trees:
-            if tree.is_mapping_independent(class_trace, evaluator):
+            if tree.is_mapping_independent(class_trace, engine, metrics):
                 found.append(tree)
                 break  # one MI tree per root is enough for a partial
         else:
             if trees:
-                reduced = eliminate_until_mi(trees[0], class_trace, evaluator)
+                reduced = eliminate_until_mi(
+                    trees[0], class_trace, engine, metrics
+                )
                 if reduced is not None:
                     found.append(reduced)
                     found.extend(
@@ -275,7 +265,8 @@ def _solve_remainder(
                             sub,
                             sub.partitioned_tables - reduced.tables,
                             class_trace,
-                            evaluator,
+                            engine,
+                            metrics,
                             config,
                             depth + 1,
                         )
@@ -285,8 +276,9 @@ def _solve_remainder(
 
 def _mine_partials(
     totals: list[JoinTree],
-    trace: Trace,
-    evaluator: JoinPathEvaluator,
+    trace: ColumnarClassTrace,
+    engine: ColumnarEngine,
+    metrics: ClassMetrics,
 ) -> list[JoinTree]:
     """Recursively harvest mapping-independent sub-trees (Section 5.3)."""
     found: list[JoinTree] = []
@@ -298,7 +290,7 @@ def _mine_partials(
             if subtree in seen or not subtree.paths:
                 continue
             seen.add(subtree)
-            if subtree.is_mapping_independent(trace, evaluator):
+            if subtree.is_mapping_independent(trace, engine, metrics):
                 found.append(subtree)
                 frontier.append(subtree)
     return found
@@ -307,20 +299,17 @@ def _mine_partials(
 def partition_class(
     schema: DatabaseSchema,
     procedure: StoredProcedure,
-    class_trace: Trace,
+    class_trace: ColumnarClassTrace,
     replicated: set[str],
-    database: Database,
+    engine: ColumnarEngine,
     num_partitions: int,
     config: Phase2Config | None = None,
-    engine: ColumnarEngine | None = None,
 ) -> ClassResult:
     """Find total and partial solutions for one transaction class.
 
-    When *engine* is given and *class_trace* is a columnar view of the
-    engine's trace, path evaluation runs on the interned columns (the
-    partitioner's path). Otherwise *class_trace* is scanned object by
-    object through a :class:`JoinPathEvaluator` — the reference the
-    columnar differentials compare against.
+    *class_trace* is the class's view of *engine*'s interned trace; every
+    trace-driven test runs on the engine's columns and is counted in the
+    result's :class:`ClassMetrics`.
     """
     started = time.perf_counter()
     config = config or Phase2Config()
@@ -331,36 +320,13 @@ def partition_class(
         result.read_only = True
         metrics.wall_seconds = time.perf_counter() - started
         return result
-
-    evaluator = _class_evaluator(class_trace, database, engine)
     try:
         return _search_class(
-            schema, procedure, class_trace, database,
-            num_partitions, config, result, evaluator,
+            procedure, class_trace, engine, num_partitions, config, result
         )
     finally:
         metrics.wall_seconds = time.perf_counter() - started
         metrics.trees_examined = result.trees_examined
-        metrics.mi_tests = evaluator.mi_tests
-        metrics.mi_refuted = evaluator.mi_refuted
-        metrics.path_evaluations = evaluator.evaluations
-        metrics.mi_seconds = evaluator.mi_seconds
-        metrics.cache = evaluator.cache_stats
-
-
-def _class_evaluator(
-    class_trace: Trace,
-    database: Database,
-    engine: ColumnarEngine | None,
-):
-    """Columnar adapter when the trace is a view of the engine's columns."""
-    if (
-        engine is not None
-        and isinstance(class_trace, ColumnarClassTrace)
-        and class_trace.parent is engine.ctrace
-    ):
-        return ColumnarPathEvaluator(engine)
-    return JoinPathEvaluator(database)
 
 
 def _pruned(metrics: ClassMetrics, trees: list[JoinTree]) -> list[JoinTree]:
@@ -371,14 +337,12 @@ def _pruned(metrics: ClassMetrics, trees: list[JoinTree]) -> list[JoinTree]:
 
 
 def _search_class(
-    schema: DatabaseSchema,
     procedure: StoredProcedure,
-    class_trace: Trace,
-    database: Database,
+    class_trace: ColumnarClassTrace,
+    engine: ColumnarEngine,
     num_partitions: int,
     config: Phase2Config,
     result: ClassResult,
-    evaluator: JoinPathEvaluator,
 ) -> ClassResult:
     graph = result.graph
     metrics = result.metrics
@@ -395,7 +359,7 @@ def _search_class(
                 first_per_root.append(trees[0])
             for tree in trees:
                 examined.append(tree)
-                if tree.is_mapping_independent(class_trace, evaluator):
+                if tree.is_mapping_independent(class_trace, engine, metrics):
                     mi_trees.append(tree)
         result.trees_examined = len(examined)
         mi_trees = list(dict.fromkeys(mi_trees))  # drop exact duplicates
@@ -405,7 +369,9 @@ def _search_class(
             for tree in mi_trees
         ]
         if result.total_solutions and config.mine_partial_solutions:
-            partial_trees = _mine_partials(mi_trees, class_trace, evaluator)
+            partial_trees = _mine_partials(
+                mi_trees, class_trace, engine, metrics
+            )
             partial_trees = _pruned(metrics, partial_trees)
             result.partial_solutions = [
                 ClassSolution(procedure.name, tree, PARTIAL, None, True)
@@ -417,10 +383,10 @@ def _search_class(
                     procedure.name,
                     first_per_root,
                     class_trace,
-                    database,
+                    engine,
+                    metrics,
                     num_partitions,
                     config,
-                    evaluator,
                 )
             if config.mine_partial_solutions:
                 # Partial solutions by table elimination: drop the tables
@@ -430,14 +396,17 @@ def _search_class(
                 # sides may each be mapping independent on their own.
                 partial_trees = []
                 for tree in first_per_root:
-                    reduced = eliminate_until_mi(tree, class_trace, evaluator)
+                    reduced = eliminate_until_mi(
+                        tree, class_trace, engine, metrics
+                    )
                     if reduced is None:
                         continue
                     partial_trees.append(reduced)
                     removed = graph.partitioned_tables - reduced.tables
                     partial_trees.extend(
                         _solve_remainder(
-                            graph, removed, class_trace, evaluator, config
+                            graph, removed, class_trace, engine, metrics,
+                            config,
                         )
                     )
                 partial_trees = list(dict.fromkeys(partial_trees))
@@ -456,7 +425,7 @@ def _search_class(
         for root in subgraph.find_roots():
             for tree in enumerate_trees(subgraph, root, config):
                 result.trees_examined += 1
-                if tree.is_mapping_independent(class_trace, evaluator):
+                if tree.is_mapping_independent(class_trace, engine, metrics):
                     partial_trees.append(tree)
     partial_trees = _pruned(metrics, partial_trees)
     result.partial_solutions = [
@@ -469,22 +438,16 @@ def _search_class(
 def _statistics_solutions(
     class_name: str,
     trees: list[JoinTree],
-    class_trace: Trace,
-    database: Database,
+    class_trace: ColumnarClassTrace,
+    engine: ColumnarEngine,
+    metrics: ClassMetrics,
     num_partitions: int,
     config: Phase2Config,
-    path_evaluator: JoinPathEvaluator | None = None,
 ) -> list[ClassSolution]:
     """Section 5.3 fallback: accept a lookup mapping only if meaningful."""
     if len(class_trace) < 4:
         return []
-    if isinstance(class_trace, ColumnarClassTrace):
-        # Columnar views split into sub-views (same accumulator walk as
-        # train_test_split, so the object reference picks the same
-        # transactions).
-        train, validation = class_trace.split(0.5)
-    else:
-        train, validation = train_test_split(class_trace, 0.5)
+    train, validation = class_trace.split(0.5)
     best: ClassSolution | None = None
     best_cost = float("inf")
     for tree in trees:
@@ -493,9 +456,9 @@ def _statistics_solutions(
             train,
             validation,
             num_partitions,
-            database,
+            engine,
             seed=config.fallback_seed,
-            path_evaluator=path_evaluator,
+            stats=metrics.cache,
         )
         if outcome.meaningful and outcome.lookup_cost < best_cost:
             best_cost = outcome.lookup_cost

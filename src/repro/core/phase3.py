@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 
 from repro.schema.attribute import Attr
 from repro.schema.database import DatabaseSchema
-from repro.storage.database import Database
 from repro.trace.events import Trace
 from repro.core.compat import (
     EQUAL,
@@ -32,6 +31,7 @@ from repro.core.compat import (
 )
 from repro.core.join_path import JoinPath, paths_compatible
 from repro.core.mapping import HashMapping, MappingFunction
+from repro.core.path_eval import ColumnarEngine
 from repro.core.pathfinder import shortest_path
 from repro.core.phase2 import ClassResult, _config_from_dict
 from repro.core.solution import DatabasePartitioning, TableSolution
@@ -229,18 +229,16 @@ def combine(
     partitioned_tables: list[str],
     replicated_tables: list[str],
     schema: DatabaseSchema,
-    database: Database,
+    engine: ColumnarEngine,
     global_trace: Trace,
     num_partitions: int,
     config: Phase3Config | None = None,
-    *,
-    columnar=None,
 ) -> Phase3Result:
     """Run the full Phase-3 search and return the best global solution.
 
-    *columnar* optionally passes the run's :class:`ColumnarEngine`; cost
-    evaluation then runs on the interned columns whenever *global_trace*
-    is the trace the engine was built from.
+    Every combination is costed by a :class:`PartitioningEvaluator` over
+    the run's *engine*, which reads *global_trace* from the engine's
+    columns when it is the trace the engine was built from.
     """
     started = time.perf_counter()
     config = config or Phase3Config()
@@ -261,7 +259,7 @@ def combine(
                 all_attrs.append(entry.attribute)
     candidates = lattice.coarsest(sorted(all_attrs))
 
-    evaluator = PartitioningEvaluator(database, columnar=columnar)
+    evaluator = PartitioningEvaluator(engine.database, engine)
     evaluated: list[EvaluatedCombination] = []
     for attribute in candidates:
         shared_mapping: MappingFunction | None = None

@@ -22,12 +22,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
+import numpy as np
+
 from repro.errors import PartitioningError
 from repro.schema.attribute import Attr
 from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
 from repro.core.mapping import REPLICATED, HashMapping, MappingFunction
-from repro.core.path_eval import JoinPathEvaluator
+from repro.core.path_eval import ColumnarEngine, JoinPathEvaluator
 from repro.schema.table import TableSchema
 
 TOTAL = "total"
@@ -193,6 +195,16 @@ class TableSolution:
             return None
         assert self.mapping is not None
         return self.mapping(value)
+
+    def partition_ids(self, engine: ColumnarEngine, local_ids: Any) -> Any:
+        """:meth:`partition_of` for interned keys of this table, batched.
+
+        *local_ids* index the table's keys in *engine*'s interned trace;
+        the result holds one id per key, ``-1`` for unroutable.
+        """
+        if self.path is None:
+            return np.zeros(len(local_ids), dtype=np.int64)
+        return engine.partition_pids(self.path, self.mapping, local_ids)
 
     def __str__(self) -> str:
         if self.replicated:

@@ -21,12 +21,12 @@ from repro.core.mapping import (
     MappingFunction,
     RangeMapping,
 )
-from repro.core.path_eval import JoinPathEvaluator, value_luts_for
+from repro.core.metrics import CacheStats
+from repro.core.path_eval import ColumnarEngine
 from repro.core.solution import DatabasePartitioning
 from repro.evaluation.evaluator import PartitioningEvaluator
 from repro.graphs.mincut import build_coaccess_graph, partition_graph
-from repro.storage.database import Database
-from repro.trace.events import Trace
+from repro.trace.columnar import ColumnarClassTrace
 
 
 @dataclass
@@ -52,34 +52,28 @@ class FallbackResult:
         )
 
 
-#: sentinel distinguishing "key not in the batch LUT" from a ``None`` value
-_MISS = object()
-
-
 def transaction_root_values(
-    tree: JoinTree, trace: Trace, evaluator: JoinPathEvaluator
+    tree: JoinTree,
+    trace: ColumnarClassTrace,
+    engine: ColumnarEngine,
+    stats: CacheStats | None = None,
 ) -> list[set[Any]]:
     """Per-transaction sets of root values (unroutable tuples skipped).
 
     The iteration order over ``txn.tuples`` is preserved exactly — the
     value sets feed the co-access graph whose node order the min-cut's
-    seeded shuffles consume — so the columnar fast path only swaps the
-    per-access ``evaluate`` call for a batch-built dict lookup.
+    seeded shuffles consume — so only the value lookup is batched
+    (:meth:`ColumnarEngine.class_value_luts`).
     """
-    luts = value_luts_for(evaluator, trace, tree.paths)
+    luts = engine.class_value_luts(trace, tree.paths, stats)
     groups: list[set[Any]] = []
     for txn in trace:
         values: set[Any] = set()
         for table, key in txn.tuples:
-            path = tree.paths.get(table)
-            if path is None:
+            lut = luts.get(table)
+            if lut is None:
                 continue
-            if luts is None:
-                value = evaluator.evaluate(path, key)
-            else:
-                value = luts[table].get(key, _MISS)
-                if value is _MISS:
-                    value = evaluator.evaluate(path, key)
+            value = lut[key]
             if value is not None:
                 values.add(value)
         if values:
@@ -89,13 +83,14 @@ def transaction_root_values(
 
 def build_statistics_mapping(
     tree: JoinTree,
-    train_trace: Trace,
+    train_trace: ColumnarClassTrace,
     num_partitions: int,
-    evaluator: JoinPathEvaluator,
+    engine: ColumnarEngine,
     seed: int = 7,
+    stats: CacheStats | None = None,
 ) -> LookupMapping:
     """Min-cut the root-value co-access graph into a lookup mapping."""
-    groups = transaction_root_values(tree, train_trace, evaluator)
+    groups = transaction_root_values(tree, train_trace, engine, stats)
     graph = build_coaccess_graph(groups)
     assignment = partition_graph(graph, num_partitions, seed=seed)
     table = {value: part + 1 for value, part in assignment.items()}
@@ -106,22 +101,24 @@ def build_statistics_mapping(
 
 def evaluate_fallback(
     tree: JoinTree,
-    train_trace: Trace,
-    validation_trace: Trace,
+    train_trace: ColumnarClassTrace,
+    validation_trace: ColumnarClassTrace,
     num_partitions: int,
-    database: Database,
+    engine: ColumnarEngine,
     seed: int = 7,
-    path_evaluator: JoinPathEvaluator | None = None,
+    stats: CacheStats | None = None,
 ) -> FallbackResult:
-    """Build the statistics mapping and score it against hash and range."""
-    if path_evaluator is None:
-        path_evaluator = JoinPathEvaluator(database)
+    """Build the statistics mapping and score it against hash and range.
+
+    Both halves are views of *engine*'s interned trace; *stats* counts the
+    engine's column hits and misses.
+    """
     lookup = build_statistics_mapping(
-        tree, train_trace, num_partitions, path_evaluator, seed
+        tree, train_trace, num_partitions, engine, seed, stats
     )
     observed = [
         v
-        for group in transaction_root_values(tree, train_trace, path_evaluator)
+        for group in transaction_root_values(tree, train_trace, engine, stats)
         for v in group
     ]
     candidates: list[tuple[str, MappingFunction]] = [
@@ -129,8 +126,7 @@ def evaluate_fallback(
         ("hash", HashMapping(num_partitions)),
         ("range", RangeMapping.from_values(num_partitions, observed)),
     ]
-    evaluator = PartitioningEvaluator(database)
-    evaluator.path_evaluator = path_evaluator  # share the memo cache
+    evaluator = PartitioningEvaluator(engine.database, engine)
     costs: dict[str, float] = {}
     for name, mapping in candidates:
         partitioning = DatabasePartitioning.from_tree(

@@ -10,6 +10,10 @@ of distributed transactions. A transaction is distributed when
 Tuples whose join path cannot produce a root value are unroutable — they
 would have to be located by broadcast — and make the transaction count as
 distributed (the conservative reading the paper's router section implies).
+
+This is the one implementation of Definition 5: every trace is interned
+(:class:`~repro.trace.columnar.ColumnarTrace`) and scored by segmented
+reductions over its columns.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.path_eval import ColumnarEngine, JoinPathEvaluator
-from repro.core.mapping import REPLICATED
+from repro.core.path_eval import ColumnarEngine
 from repro.core.solution import DatabasePartitioning
 from repro.storage.database import Database
-from repro.trace.columnar import ColumnarClassTrace
-from repro.trace.events import Trace, TransactionTrace
+from repro.trace.columnar import ColumnarClassTrace, ColumnarTrace
+from repro.trace.events import Trace
 
 
 @dataclass
@@ -66,46 +69,29 @@ class CostReport:
 class PartitioningEvaluator:
     """Applies a partitioning to a trace and reports its cost (Figure 4).
 
-    When a :class:`ColumnarEngine` is available (passed explicitly or
-    carried by ``path_evaluator``) and the trace is the engine's interned
-    trace (or a class view of it), Definition 5 runs vectorized: one
-    partition-id column per table solution plus three segmented reductions
-    per class stream. Verdicts are identical to the per-transaction scan —
-    the kernel computes the same three conditions (unroutable tuple,
-    replicated write, more than one partition touched) over the same
-    access stream. ``eval_seconds`` accumulates cost-evaluation wall time
-    for the stage timers.
+    Every trace is scored on interned columns: each table solution gives
+    the partition ids of the distinct tuples the trace touches, then three
+    segmented reductions per class stream find the distributed
+    transactions (an unroutable tuple, a replicated write, more than one
+    partition touched).
+
+    *engine* is the run's :class:`ColumnarEngine`, when there is one: its
+    source trace (while unchanged), its :class:`ColumnarTrace` and its
+    class views are read from its columns as they are. Any other trace is
+    interned into an engine this evaluator keeps, and interned again when
+    a different trace object arrives or the trace's length has changed.
+    ``eval_seconds`` accumulates cost-evaluation wall time for the stage
+    timers.
     """
 
     def __init__(
-        self, database: Database, columnar: ColumnarEngine | None = None
+        self, database: Database, engine: ColumnarEngine | None = None
     ) -> None:
         self.database = database
-        self.columnar = columnar
+        self.engine = engine
         self.eval_seconds = 0.0
-        if columnar is not None:
-            from repro.core.path_eval import ColumnarPathEvaluator
-
-            self.path_evaluator = ColumnarPathEvaluator(columnar)
-        else:
-            self.path_evaluator = JoinPathEvaluator(database)
-
-    def transaction_is_distributed(
-        self, txn: TransactionTrace, partitioning: DatabasePartitioning
-    ) -> bool:
-        """Definition 5 for a single transaction."""
-        partitions: set[int] = set()
-        for access in txn.accesses:
-            solution = partitioning.solution_for(access.table)
-            pid = solution.partition_of(access.key, self.path_evaluator)
-            if pid is None:
-                return True  # unroutable tuple: must broadcast
-            if pid == REPLICATED:
-                if access.write:
-                    return True  # condition 1: writes a replicated tuple
-                continue  # replicated reads are local anywhere
-            partitions.add(pid)
-        return len(partitions) > 1  # condition 2
+        #: the engine holding the last trace that was not the run's
+        self._interned: ColumnarEngine | None = None
 
     def evaluate(
         self, partitioning: DatabasePartitioning, trace: Trace
@@ -113,47 +99,38 @@ class PartitioningEvaluator:
         """Cost of *partitioning* over *trace* with per-class breakdown."""
         started = time.perf_counter()
         try:
-            views = self._columnar_views(trace)
-            if views is not None:
-                return self._evaluate_columnar(partitioning, *views)
-            report = CostReport()
-            for txn in trace:
-                report.total_transactions += 1
-                report.per_class_total[txn.class_name] = (
-                    report.per_class_total.get(txn.class_name, 0) + 1
+            found = self._views(trace)
+            if found is None:
+                engine = ColumnarEngine(
+                    self.database, ColumnarTrace.from_trace(trace)
                 )
-                if self.transaction_is_distributed(txn, partitioning):
-                    report.distributed_transactions += 1
-                    report.per_class_distributed[txn.class_name] = (
-                        report.per_class_distributed.get(txn.class_name, 0) + 1
-                    )
-            return report
+                self._interned = engine
+                found = engine, list(engine.ctrace.views.values())
+            return self._score(partitioning, *found)
         finally:
             self.eval_seconds += time.perf_counter() - started
 
-    # ------------------------------------------------------------------
-    # columnar fast path
-    # ------------------------------------------------------------------
-    def _engine(self) -> ColumnarEngine | None:
-        return getattr(self.path_evaluator, "engine", None) or self.columnar
-
-    def _columnar_views(
+    def _views(
         self, trace: Trace
     ) -> tuple[ColumnarEngine, list[ColumnarClassTrace]] | None:
-        """The engine + class views when *trace* lives in its columns."""
-        engine = self._engine()
-        if engine is None:
-            return None
-        ctrace = engine.ctrace
-        if isinstance(trace, ColumnarClassTrace) and trace.parent is ctrace:
-            return engine, [trace]
-        if trace is ctrace.source or trace is ctrace:
-            # Class views are kept in first-seen order, matching the order
-            # the object loop would first encounter each class.
-            return engine, list(ctrace.views.values())
+        """The engine already holding *trace*, with its class views."""
+        for engine in (self.engine, self._interned):
+            if engine is None:
+                continue
+            ctrace = engine.ctrace
+            source = ctrace.source
+            unchanged = (
+                source is not None and len(source) == ctrace.n_transactions
+            )
+            if trace is ctrace or (trace is source and unchanged):
+                # Class views are kept in first-seen order, which is the
+                # order each class first appears in the trace.
+                return engine, list(ctrace.views.values())
+            if isinstance(trace, ColumnarClassTrace) and trace.parent is ctrace:
+                return engine, [trace]
         return None
 
-    def _evaluate_columnar(
+    def _score(
         self,
         partitioning: DatabasePartitioning,
         engine: ColumnarEngine,
@@ -173,20 +150,17 @@ class PartitioningEvaluator:
         )
         touched_tids = ctrace.tuple_table[gids]
         for tid, table in enumerate(ctrace.tables):
-            solution = partitioning.solution_for(table)
-            if solution.path is None:
-                continue  # already 0 (replicated)
             sub = gids[touched_tids == tid]
             if sub.size == 0:
                 continue
-            pid_of[sub] = engine.partition_pids(
-                solution.path, solution.mapping, ctrace.tuple_local[sub]
+            pid_of[sub] = partitioning.solution_for(table).partition_ids(
+                engine, ctrace.tuple_local[sub]
             )
         report = CostReport()
         for view in views:
             ntxn = len(view)
             if ntxn == 0:
-                continue  # the object loop never sees this class either
+                continue  # a class with no transactions is not reported
             report.total_transactions += ntxn
             report.per_class_total[view.class_name] = (
                 report.per_class_total.get(view.class_name, 0) + ntxn

@@ -17,13 +17,13 @@ each transaction class's stream as flat numpy int columns:
     definition quantifies over.
 
 A :class:`ColumnarTrace` is built once from a :class:`Trace` at the start
-of Phase 2; every class search and Phase 3's cost evaluation read it.
+of Phase 2; every class search and Phase 3's cost evaluation read it. The
+partitioning evaluator interns any other trace it scores the same way.
 
-:class:`ColumnarClassTrace` views stay interchangeable with ``Trace``
-where Phase 2 needs object semantics (greedy table elimination and the
-statistics fallback iterate ``txn.tuples`` on the *original* transaction
-objects), so those code paths stay bit-identical to the object scan by
-construction.
+:class:`ColumnarClassTrace` views still iterate the *original*
+transaction objects, for the Phase-2 loops whose output depends on the
+iteration order of ``txn.tuples`` (greedy table elimination and the
+statistics fallback).
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from repro.trace.events import KeyValue, Trace, TransactionTrace, TupleAccess
 class ColumnarClassTrace:
     """One transaction class's stream as flat integer columns.
 
-    Iterable like a :class:`Trace` (yielding the original
-    :class:`TransactionTrace` objects) so object-semantics code paths keep
-    working.
+    Iterable like a :class:`Trace`, yielding the original
+    :class:`TransactionTrace` objects.
     """
 
     def __init__(
@@ -67,26 +66,35 @@ class ColumnarClassTrace:
         self.uoffsets = uoffsets
         self.utuple_ids = utuple_ids
         self._txns = txns
+        #: {(txn start, txn stop) -> {table id -> (gids, local ids)}}
+        self._chunks: dict[tuple[int, int], dict[int, tuple[Any, Any]]] = {}
 
-    # ------------------------------------------------------------------
-    # Trace-compatible object view
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    @property
-    def transactions(self) -> list[TransactionTrace]:
-        return self._txns
-
     def __iter__(self) -> Iterator[TransactionTrace]:
-        return iter(self.transactions)
+        return iter(self._txns)
 
-    @property
-    def class_names(self) -> list[str]:
-        return [self.class_name] if len(self) else []
+    def chunk_tables(self, start: int, stop: int) -> dict[int, tuple[Any, Any]]:
+        """Per-table (global ids, local ids) of the distinct tuples that
+        transactions ``start:stop`` touch, memoized on this view.
 
-    def is_homogeneous(self) -> bool:
-        return True
+        The memo lives on the view, not on whoever asks: a view and the
+        sub-views :meth:`split` cuts from it share a class name and chunk
+        bounds but not their transactions.
+        """
+        cached = self._chunks.get((start, stop))
+        if cached is None:
+            parent = self.parent
+            uids = self.utuple_ids[self.uoffsets[start] : self.uoffsets[stop]]
+            unique_gids = np.unique(uids)
+            tids = parent.tuple_table[unique_gids]
+            cached = {}
+            for tid in np.unique(tids).tolist():
+                gids = unique_gids[tids == tid]
+                cached[tid] = (gids, parent.tuple_local[gids])
+            self._chunks[(start, stop)] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # splitting (train/test halves for the statistics fallback)
@@ -186,7 +194,6 @@ class ColumnarTrace:
         self.tables: list[str] = []
         self.table_ids: dict[str, int] = {}
         self.keys_of: list[list[KeyValue]] = []
-        self.ids_by_table: list[Any] = []
         self.tuple_table: Any = None
         self.tuple_local: Any = None
         self.views: dict[str, ColumnarClassTrace] = {}
@@ -194,10 +201,9 @@ class ColumnarTrace:
         self.n_accesses = 0
         self.build_seconds = 0.0
         self.intern_seconds = 0.0
-        #: the object trace this was built from (identity is used to route
-        #: cost evaluation through the columnar kernel).
+        #: the object trace this was built from (the evaluator reuses this
+        #: interning when it is handed the same, unchanged trace).
         self.source: Trace | None = None
-        self._key_gids: list[dict[KeyValue, int]] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -210,10 +216,9 @@ class ColumnarTrace:
         table_ids = self.table_ids
         tables = self.tables
         keys_of = self.keys_of
-        key_gids = self._key_gids
+        key_gids: list[dict[KeyValue, int]] = []
         tuple_table: list[int] = []
         tuple_local: list[int] = []
-        gids_by_table: list[list[int]] = []
         builders: dict[str, _ClassBuilder] = {}
 
         for txn in trace:
@@ -231,7 +236,6 @@ class ColumnarTrace:
                     tables.append(access.table)
                     keys_of.append([])
                     key_gids.append({})
-                    gids_by_table.append([])
                 interned = key_gids[tid]
                 gid = interned.get(access.key)
                 if gid is None:
@@ -239,7 +243,6 @@ class ColumnarTrace:
                     interned[access.key] = gid
                     tuple_local.append(len(keys_of[tid]))
                     keys_of[tid].append(access.key)
-                    gids_by_table[tid].append(gid)
                     tuple_table.append(tid)
                 builder.ids.append(gid)
                 builder.writes.append(1 if access.write else 0)
@@ -252,9 +255,6 @@ class ColumnarTrace:
 
         self.tuple_table = np.asarray(tuple_table, dtype=np.int64)
         self.tuple_local = np.asarray(tuple_local, dtype=np.int64)
-        self.ids_by_table = [
-            np.asarray(gids, dtype=np.int64) for gids in gids_by_table
-        ]
         for name, builder in builders.items():
             view = ColumnarClassTrace(
                 self,
@@ -280,10 +280,6 @@ class ColumnarTrace:
     def n_tuples(self) -> int:
         return 0 if self.tuple_table is None else len(self.tuple_table)
 
-    @property
-    def class_names(self) -> list[str]:
-        return list(self.views)
-
     def class_view(self, name: str) -> ColumnarClassTrace:
         return self.views[name]
 
@@ -294,16 +290,6 @@ class ColumnarTrace:
         return self.keys_of[int(self.tuple_table[gid])][
             int(self.tuple_local[gid])
         ]
-
-    def key_gids(self, tid: int) -> dict[KeyValue, int]:
-        """``key -> global tuple id`` for one table."""
-        return self._key_gids[tid]
-
-    def gid_for(self, table: str, key: KeyValue) -> int | None:
-        tid = self.table_ids.get(table)
-        if tid is None:
-            return None
-        return self.key_gids(tid).get(tuple(key))
 
     def __repr__(self) -> str:
         return (

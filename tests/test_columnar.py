@@ -1,32 +1,31 @@
-"""The columnar trace engine is a pure representation change.
+"""The columnar kernels are the one implementation of Definitions 5 and 7.
 
 Everything here pins one contract: interning a trace into flat integer
-columns and routing the hot paths (mapping independence, scalar path
-evaluation, Definition 5/6 cost) through :class:`ColumnarEngine` must be
-invisible — same transactions back out, same values, same verdicts, same
-cost. The oracle is a test-only object reference: ``partition_class`` on
-each per-class :class:`Trace` from ``split_by_class`` (object scans
-through a :class:`JoinPathEvaluator`), then ``combine`` without an
-engine, checked on the five bundled benchmarks and a generated workload.
+columns and deciding mapping independence (Definition 7) and distributed
+transactions (Definitions 5/6) on those columns gives exactly what the
+definitions say. The oracles are the referee object scans of
+:mod:`tests.referee`: every tree the search can test gets the referee's
+verdict, and every partitioning Phase 3 costs gets the referee's
+:class:`CostReport`, on the five bundled benchmarks and a generated
+workload.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import JECBConfig, JECBPartitioner, JECBResult
-from repro.core.path_eval import (
-    ColumnarEngine,
-    JoinPathEvaluator,
-    value_luts_for,
-)
-from repro.core.phase2 import partition_class
-from repro.core.phase3 import combine
+from repro.baselines.horticulture import HorticultureConfig, HorticulturePartitioner
+from repro.baselines.published import build_spec_partitioning
+from repro.baselines.schism import SchismConfig, SchismPartitioner
+from repro.core import JECBConfig, JECBPartitioner
+from repro.core.join_tree import JoinTree
+from repro.core.path_eval import ColumnarEngine, JoinPathEvaluator
+from repro.core.phase2 import Phase2Config, enumerate_trees
+from repro.evaluation.evaluator import PartitioningEvaluator
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import Trace, TransactionTrace
 from repro.trace.persistence import load_trace_file, save_trace_file
-from repro.trace.splitter import split_by_class, train_test_split
-from repro.trace.stats import TableUsage, classify_tables
+from repro.trace.splitter import train_test_split
 from repro.workloads.auctionmark import AuctionMarkBenchmark, AuctionMarkConfig
 from repro.workloads.seats import SeatsBenchmark, SeatsConfig
 from repro.workloads.synthetic import SyntheticBenchmark, SyntheticConfig
@@ -34,6 +33,7 @@ from repro.workloads.tatp import TatpBenchmark, TatpConfig
 from repro.workloads.tpcc import TpccBenchmark, TpccConfig
 from repro.workloads.tpce import TpceBenchmark, TpceConfig
 
+from tests import referee
 from tests.test_mi_oracle import naive_root_value
 
 try:
@@ -97,63 +97,56 @@ def _run(bundle, num_partitions=4):
     return partitioner.run(bundle.trace)
 
 
-def _reference_run(bundle, num_partitions=4) -> JECBResult:
-    """The object reference for :meth:`JECBPartitioner.run`.
+def _search_trees(class_result) -> list[JoinTree]:
+    """Every tree Phase 2 can test for one class.
 
-    Same three phases, but each class is searched on its own object
-    :class:`Trace` (no engine, so every mapping-independence test is the
-    object scan) and Phase 3 evaluates costs transaction by transaction.
+    Each root's enumerated trees (the split subgraphs' roots when the
+    class graph has none), each followed by its sub-trees.
     """
-    config = JECBConfig(num_partitions=num_partitions)
+    config = Phase2Config()
+    graph = class_result.graph
+    rooted = [(graph, root) for root in graph.find_roots()]
+    if not rooted:
+        rooted = [
+            (sub, root) for sub in graph.split() for root in sub.find_roots()
+        ]
+    trees: list[JoinTree] = []
+    for subgraph, root in rooted:
+        for tree in enumerate_trees(subgraph, root, config):
+            trees.append(tree)
+            trees.extend(tree.subtrees())
+    return trees
+
+
+def _assert_mi_kernel_matches_referee(bundle) -> int:
+    """Kernel and referee agree on every tree of every class; returns the
+    number of trees checked."""
+    result = _run(bundle)
     database = bundle.database
-    schema = database.schema
-    trace = bundle.trace
-    usage = classify_tables(trace, schema, config.read_mostly_threshold)
-    replicated = {t for t, u in usage.items() if u.replicated}
-    partitioned = [t for t, u in usage.items() if u is TableUsage.PARTITIONED]
-    streams = split_by_class(trace)
-    class_results = [
-        partition_class(
-            schema,
-            bundle.catalog.get(name),
-            streams[name],
-            replicated,
-            database,
-            num_partitions,
-            config.phase2,
-        )
-        for name in sorted(streams)
-        if name in bundle.catalog
-    ]
-    phase3 = combine(
-        class_results,
-        partitioned,
-        sorted(replicated),
-        schema,
-        database,
-        trace,
-        num_partitions,
-        config.phase3,
-        columnar=None,
-    )
-    return JECBResult(
-        partitioning=phase3.best,
-        table_usage=usage,
-        class_results=class_results,
-        phase3=phase3,
-    )
+    engine = ColumnarEngine(database, ColumnarTrace.from_trace(bundle.trace))
+    checked = 0
+    for class_result in result.class_results:
+        if class_result.read_only:
+            continue
+        view = engine.ctrace.class_view(class_result.class_name)
+        evaluator = JoinPathEvaluator(database)
+        for tree in _search_trees(class_result):
+            assert tree.is_mapping_independent(view, engine) == (
+                referee.mapping_independent(tree, view, evaluator)
+            ), (class_result.class_name, str(tree))
+            checked += 1
+    return checked
 
 
-def _class_counters(result) -> list[tuple[str, int, int, int]]:
-    return [
-        (
-            r.class_name,
-            r.metrics.trees_examined,
-            r.metrics.mi_tests,
-            r.metrics.mi_refuted,
-        )
-        for r in result.class_results
-    ]
+def _assert_cost_kernel_matches_referee(bundle) -> int:
+    """Every combination Phase 3 costed carries the referee's report;
+    returns the number of combinations checked."""
+    result = _run(bundle)
+    for combination in result.phase3.evaluated:
+        assert combination.report == referee.cost_report(
+            combination.partitioning, bundle.trace, bundle.database
+        ), combination.partitioning.name
+    return len(result.phase3.evaluated)
 
 
 def _txn_signature(txn: TransactionTrace):
@@ -266,69 +259,105 @@ def test_split_matches_object_splitter(tpcc_bundle):
 
 
 # ----------------------------------------------------------------------
-# differential: full runs, the object reference as oracle
+# differential: the kernels against the referee scans
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "bundle_name",
-    [
-        "tpcc_bundle",
-        "tatp_bundle",
-        "synthetic_bundle",
-        "seats_bundle",
-        "auctionmark_bundle",
-        "tpce_bundle",
-    ],
-)
+_ALL_BUNDLES = [
+    "tpcc_bundle",
+    "tatp_bundle",
+    "synthetic_bundle",
+    "seats_bundle",
+    "auctionmark_bundle",
+    "tpce_bundle",
+]
+
+
+@pytest.mark.parametrize("bundle_name", _ALL_BUNDLES)
 def test_engines_produce_identical_results(bundle_name, request):
-    """Same partitioning, cost, MI verdict sequence and search counters."""
+    """Definition 7: the kernel gives the referee's verdict on every tree
+    the search enumerates and on each tree's sub-trees."""
     bundle = request.getfixturevalue(bundle_name)
-    ref = _reference_run(bundle)
-    col = _run(bundle)
-    assert col.partitioning.describe() == ref.partitioning.describe()
-    assert col.cost == ref.cost
-    assert col.solutions_table() == ref.solutions_table()
-    assert col.table_usage == ref.table_usage
-    # Equal counters pin the MI verdicts tree for tree: one early refute
-    # or spare acceptance would shift every number after it.
-    assert _class_counters(col) == _class_counters(ref)
+    assert _assert_mi_kernel_matches_referee(bundle) > 0
+
+
+@pytest.mark.parametrize("bundle_name", _ALL_BUNDLES)
+def test_cost_kernel_matches_referee(bundle_name, request):
+    """Definition 5/6: every combination Phase 3 evaluated gets the
+    referee's CostReport."""
+    bundle = request.getfixturevalue(bundle_name)
+    assert _assert_cost_kernel_matches_referee(bundle) > 0
 
 
 def test_distributed_fraction_matches_object_path(tpcc_bundle):
-    """Definition 5/6 kernel: same CostReport as the per-txn object scan."""
-    from repro.evaluation.evaluator import PartitioningEvaluator
+    """Definition 5/6 kernel on a test half the evaluator interns itself:
+    same CostReport as the referee's per-transaction scan."""
+    train, test = train_test_split(tpcc_bundle.trace, 0.5)
+    result = JECBPartitioner(
+        tpcc_bundle.database, tpcc_bundle.catalog, JECBConfig(num_partitions=4)
+    ).run(train)
+    report = PartitioningEvaluator(tpcc_bundle.database).evaluate(
+        result.partitioning, test
+    )
+    assert report.distributed_transactions > 0
+    assert report == referee.cost_report(
+        result.partitioning, test, tpcc_bundle.database
+    )
 
-    col = _run(tpcc_bundle)
-    ctrace = ColumnarTrace.from_trace(tpcc_bundle.trace)
-    engine = ColumnarEngine(tpcc_bundle.database, ctrace)
-    vector = PartitioningEvaluator(tpcc_bundle.database, columnar=engine)
-    scalar = PartitioningEvaluator(tpcc_bundle.database)
-    vreport = vector.evaluate(col.partitioning, ctrace)
-    sreport = scalar.evaluate(col.partitioning, tpcc_bundle.trace)
-    assert vreport.total_transactions == sreport.total_transactions
-    assert vreport.distributed_transactions == sreport.distributed_transactions
-    assert vreport.per_class_total == sreport.per_class_total
-    assert vreport.per_class_distributed == sreport.per_class_distributed
+
+def test_baseline_reports_match_referee(tpcc_bundle):
+    """Schism's tuple maps, Horticulture's columns and a hash baseline go
+    through the one Definition-5 kernel and get the referee's report.
+
+    Schism's solutions have no join path yet are not replicated: a kernel
+    that read "no path" as "replicated" would score it too well.
+    """
+    database = tpcc_bundle.database
+    schema = database.schema
+    train, test = train_test_split(tpcc_bundle.trace, 0.5)
+    schism = SchismPartitioner(database, SchismConfig(num_partitions=4)).run(
+        train
+    )
+    horticulture = HorticulturePartitioner(
+        database,
+        tpcc_bundle.catalog,
+        HorticultureConfig(num_partitions=4, iterations=10),
+    ).run(train)
+    hashed = build_spec_partitioning(
+        schema,
+        4,
+        {name: schema.table(name).primary_key[0] for name in schema.table_names},
+        name="hash-by-key",
+    )
+    evaluator = PartitioningEvaluator(database)
+    for partitioning in (
+        schism.partitioning,
+        horticulture.partitioning,
+        hashed,
+    ):
+        report = evaluator.evaluate(partitioning, test)
+        assert report == referee.cost_report(partitioning, test, database), (
+            partitioning.name
+        )
+        assert report.distributed_transactions > 0
 
 
 def test_scalar_evaluation_matches_object_walk(synthetic_bundle):
-    """Compiled batch walks return the naive oracle's value for every key."""
+    """Compiled batch walks return the naive oracle's value for every key
+    each class view touches."""
     result = _run(synthetic_bundle)
     database = synthetic_bundle.database
     ctrace = ColumnarTrace.from_trace(synthetic_bundle.trace)
     engine = ColumnarEngine(database, ctrace)
+    paths = {
+        table: result.partitioning.solution_for(table).path
+        for table in result.partitioning.tables
+        if result.partitioning.solution_for(table).path is not None
+    }
     checked = 0
-    for table in result.partitioning.tables:
-        solution = result.partitioning.solution_for(table)
-        if solution.path is None:
-            continue
-        tid = ctrace.table_ids.get(solution.path.source_table)
-        if tid is None:
-            continue
-        for key in ctrace.keys_of[tid]:
-            assert engine.evaluate_one(solution.path, key) == (
-                naive_root_value(database, solution.path, key)
-            )
-            checked += 1
+    for view in ctrace.views.values():
+        for table, lut in engine.class_value_luts(view, paths).items():
+            for key, value in lut.items():
+                assert value == naive_root_value(database, paths[table], key)
+                checked += 1
     assert checked > 0
 
 
@@ -336,6 +365,7 @@ def test_class_value_luts_match_scalar_evaluation(tatp_bundle):
     result = _run(tatp_bundle)
     ctrace = ColumnarTrace.from_trace(tatp_bundle.trace)
     engine = ColumnarEngine(tatp_bundle.database, ctrace)
+    evaluator = JoinPathEvaluator(tatp_bundle.database)
     paths = {
         table: result.partitioning.solution_for(table).path
         for table in result.partitioning.tables
@@ -349,14 +379,38 @@ def test_class_value_luts_match_scalar_evaluation(tatp_bundle):
                 path = paths.get(table)
                 if path is None:
                     continue
-                assert luts[table][key] == engine.evaluate_one(path, key)
+                assert luts[table][key] == evaluator.evaluate(path, key)
                 checked += 1
     assert checked > 0
 
 
-def test_value_luts_for_requires_columnar_backing(tatp_bundle):
-    evaluator = JoinPathEvaluator(tatp_bundle.database)
-    assert value_luts_for(evaluator, tatp_bundle.trace, {}) is None
+def test_split_views_keep_their_own_chunks(tpcc_bundle):
+    """A split half is not its parent view's prefix.
+
+    The MI kernel on a 128-transaction view walks its first 64
+    transactions as one chunk; the 64-transaction train half it splits
+    into has the same class name and bounds but other transactions, and
+    its value lookups must cover exactly its own tuples.
+    """
+    new_orders = [txn for txn in tpcc_bundle.trace if txn.class_name == "NewOrder"]
+    assert len(new_orders) >= 128
+    result = _run(tpcc_bundle)
+    tree = _search_trees(result.class_result("NewOrder"))[0]
+    engine, view = referee.intern(tpcc_bundle.database, Trace(new_orders[:128]))
+    engine.tree_is_mapping_independent(tree, view)
+    train, _test = view.split(0.5)
+    assert len(train) == 64
+    luts = engine.class_value_luts(train, tree.paths)
+    evaluator = JoinPathEvaluator(tpcc_bundle.database)
+    checked = 0
+    for txn in train:
+        for table, key in txn.tuples:
+            path = tree.paths.get(table)
+            if path is None:
+                continue
+            assert luts[table][key] == evaluator.evaluate(path, key)
+            checked += 1
+    assert checked > 0
 
 
 # ----------------------------------------------------------------------
@@ -382,12 +436,10 @@ def test_persistence_interns_table_names(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# smoke: the CI fast job's columnar sanity check
+# smoke: the CI fast job's kernel-vs-referee check
 # ----------------------------------------------------------------------
 @pytest.mark.smoke
 def test_columnar_smoke(tatp_bundle):
-    ref = _reference_run(tatp_bundle)
-    col = _run(tatp_bundle)
-    assert col.partitioning.describe() == ref.partitioning.describe()
-    assert col.cost == ref.cost
-    assert col.solutions_table() == ref.solutions_table()
+    """Both kernels against their referees on one small bundle."""
+    assert _assert_mi_kernel_matches_referee(tatp_bundle) > 0
+    assert _assert_cost_kernel_matches_referee(tatp_bundle) > 0

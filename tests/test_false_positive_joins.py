@@ -15,7 +15,6 @@ import pytest
 from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_graph import JoinGraph
 from repro.core.join_tree import JoinTree
-from repro.core.path_eval import JoinPathEvaluator
 from repro.core.phase2 import Phase2Config, enumerate_trees
 from repro.procedures import ProcedureCatalog, StoredProcedure
 from repro.schema import Attr, DatabaseSchema, integer_table
@@ -23,6 +22,8 @@ from repro.sql import analyze_procedure
 from repro.sql.dataflow import analyze_dataflow
 from repro.storage import Database
 from repro.trace import TraceCollector
+
+from tests.referee import intern
 
 
 @pytest.fixture
@@ -93,14 +94,14 @@ class TestFalsePositiveImplicitJoin:
         schema, database, procedure, trace = setup
         analysis = analyze_procedure(procedure.statements, schema)
         graph = JoinGraph.from_analysis(schema, analysis, set())
-        evaluator = JoinPathEvaluator(database)
+        engine, view = intern(database, trace)
         trees = enumerate_trees(
             graph, Attr("PARENT", "A_ID"), Phase2Config()
         )
         full_trees = [t for t in trees if len(t.paths) == 2]
         assert full_trees
         for tree in full_trees:
-            assert not tree.is_mapping_independent(trace, evaluator)
+            assert not tree.is_mapping_independent(view, engine)
 
     def test_jecb_falls_back_to_per_table_partials(self, setup):
         """End to end: JECB still partitions both tables (per-table
@@ -210,9 +211,9 @@ class TestGlueOverwrittenWitness:
         graph = JoinGraph.from_analysis(
             schema, flow.merged, set(), implicit_edges=flow.implicit_edges
         )
-        evaluator = JoinPathEvaluator(database)
+        engine, view = intern(database, trace)
         trees = enumerate_trees(graph, Attr("PARENT", "A_ID"), Phase2Config())
         full_trees = [t for t in trees if len(t.paths) == 2]
         assert full_trees
         for tree in full_trees:
-            assert not tree.is_mapping_independent(trace, evaluator)
+            assert not tree.is_mapping_independent(view, engine)

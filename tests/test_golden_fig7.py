@@ -2,7 +2,8 @@
 
 JECB runs on the five bundled benchmarks at the sizes and seed of
 ``repro.experiments.runner.figure7`` (train/test halves, k = 8). Each run
-pins the test-half distributed fraction (Definition 6), the search
+pins the test-half distributed fraction (Definition 6, checked against
+the referee scan of :mod:`tests.referee`), the search
 counters that trace every Definition-7 verdict, and a hash of the chosen
 partitioning and its per-class solutions table. A refactor of the search,
 the path walks or the cost evaluator that drifts any of them fails here,
@@ -23,6 +24,8 @@ from repro.workloads.seats import SeatsBenchmark, SeatsConfig
 from repro.workloads.tatp import TatpBenchmark, TatpConfig
 from repro.workloads.tpcc import TpccBenchmark, TpccConfig
 from repro.workloads.tpce import TpceBenchmark, TpceConfig
+
+from tests import referee
 
 #: name -> (benchmark factory, transactions) — figure7 at scale 1.0
 _BUNDLES = {
@@ -53,9 +56,15 @@ def test_figure7_outputs_are_pinned(name):
     result = JECBPartitioner(
         bundle.database, bundle.catalog, JECBConfig(num_partitions=8)
     ).run(train)
-    cost = PartitioningEvaluator(bundle.database).cost(
+    report = PartitioningEvaluator(bundle.database).evaluate(
         result.partitioning, test
     )
+    # the kernel's report, statistics-fallback mappings included, is the
+    # referee scan's
+    assert report == referee.cost_report(
+        result.partitioning, test, bundle.database
+    )
+    cost = report.cost
     metrics = result.metrics
     assert metrics is not None
     counters = (

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree, prune_compatible_trees, tree_relation
-from repro.core.path_eval import JoinPathEvaluator
 from repro.errors import PartitioningError
 from repro.schema import Attr
 from repro.trace.events import Trace, TransactionTrace
+
+from tests.referee import intern
 
 
 def path(schema, *nodes):
@@ -107,9 +108,9 @@ class TestMappingIndependence:
         """CA_ID tree is NOT mapping independent; CA_C_ID tree is."""
         fine, coarse = custinfo_trees
         trace = Trace([figure1_transaction(1), figure1_transaction(2)])
-        evaluator = JoinPathEvaluator(figure1_db)
-        assert not fine.is_mapping_independent(trace, evaluator)
-        assert coarse.is_mapping_independent(trace, evaluator)
+        engine, view = intern(figure1_db, trace)
+        assert not fine.is_mapping_independent(view, engine)
+        assert coarse.is_mapping_independent(view, engine)
 
     def test_property1_coarser_preserves_mi(self, figure1_db, custinfo_trees):
         """Property 1: if the finer tree is MI, so is any coarser tree.
@@ -123,30 +124,33 @@ class TestMappingIndependence:
         txn.record("TRADE", (7,), False)
         txn.record("HOLDING_SUMMARY", (101, 1), False)
         trace = Trace([txn])
-        evaluator = JoinPathEvaluator(figure1_db)
-        assert fine.is_mapping_independent(trace, evaluator)
-        assert coarse.is_mapping_independent(trace, evaluator)
-
-    def test_root_values(self, figure1_db, custinfo_trees):
-        _, coarse = custinfo_trees
-        evaluator = JoinPathEvaluator(figure1_db)
-        values = coarse.root_values(figure1_transaction(1), evaluator)
-        assert values == {1}
+        engine, view = intern(figure1_db, trace)
+        assert fine.is_mapping_independent(view, engine)
+        assert coarse.is_mapping_independent(view, engine)
 
     def test_unroutable_tuple_returns_none(self, figure1_db, custinfo_trees):
+        """A covered tuple without a root value refutes the tree."""
         _, coarse = custinfo_trees
         txn = TransactionTrace(0, "CustInfo")
         txn.record("TRADE", (999,), False)  # no such trade, no tombstone
-        evaluator = JoinPathEvaluator(figure1_db)
-        assert coarse.root_values(txn, evaluator) is None
+        engine, view = intern(figure1_db, Trace([txn]))
+        assert not coarse.is_mapping_independent(view, engine)
 
     def test_uncovered_tables_ignored(self, figure1_db, custinfo_trees):
         _, coarse = custinfo_trees
         txn = TransactionTrace(0, "CustInfo")
-        txn.record("TRADE", (1,), False)
+        txn.record("TRADE", (1,), False)  # customer 1
         txn.record("CUSTOMER", (2,), False)  # not covered by the tree
-        evaluator = JoinPathEvaluator(figure1_db)
-        assert coarse.root_values(txn, evaluator) == {1}
+        engine, view = intern(figure1_db, Trace([txn]))
+        assert coarse.is_mapping_independent(view, engine)
+
+    def test_view_of_another_trace_rejected(self, figure1_db, custinfo_trees):
+        _, coarse = custinfo_trees
+        trace = Trace([figure1_transaction(1)])
+        engine, _view = intern(figure1_db, trace)
+        _other, foreign = intern(figure1_db, trace)
+        with pytest.raises(PartitioningError):
+            coarse.is_mapping_independent(foreign, engine)
 
 
 class TestTreeRelation:

@@ -1,14 +1,16 @@
 """A brute-force differential oracle for join paths and mapping independence.
 
 :meth:`JoinTree.is_mapping_independent` is the hot inner loop of Phase 2:
-it short-circuits, memoizes path evaluations per (path, key), and walks
-paths through compiled plans that skip row fetches when the needed columns
-sit inside the primary key and share the walk past the first foreign-key
-hop. Any of those optimizations could silently change Definition 7's
-meaning. This module re-implements the definition as directly as possible
-— no cache, no short-circuit, eager row materialization, fresh snapshots
-on every probe — and Hypothesis cross-checks the two implementations, and
-every per-key walk, on randomized schemas-with-tombstones and traces.
+it decides Definition 7 on interned code columns, stops at the first
+refuting chunk of transactions, and fills those columns through compiled
+path plans that skip row fetches when the needed columns sit inside the
+primary key and share the walk past the first foreign-key hop. Any of
+those optimizations could silently change Definition 7's meaning. This
+module re-implements the definition as directly as possible — no cache,
+no short-circuit, eager row materialization, fresh snapshots on every
+probe — and Hypothesis cross-checks the kernel, the referee object scan
+and every per-key walk against it on randomized schemas-with-tombstones
+and traces.
 """
 
 from hypothesis import given, settings
@@ -16,12 +18,13 @@ from hypothesis import strategies as st
 
 from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
-from repro.core.path_eval import ColumnarEngine, JoinPathEvaluator
+from repro.core.path_eval import JoinPathEvaluator
 from repro.schema.attribute import Attr
 from repro.storage import Database
-from repro.trace import ColumnarTrace, Trace
+from repro.trace import Trace
 from repro.trace.events import TransactionTrace, TupleAccess
 
+from tests import referee
 from tests.conftest import build_custinfo_schema, load_figure1_data
 
 
@@ -124,8 +127,8 @@ class TestKnownAnswers:
                 TupleAccess("TRADE", (1,), False),  # account 1
             ])
         ])
-        evaluator = JoinPathEvaluator(database)
-        assert tree.is_mapping_independent(trace, evaluator)
+        engine, view = referee.intern(database, trace)
+        assert tree.is_mapping_independent(view, engine)
         assert brute_force_mapping_independent(database, tree, trace)
 
     def test_cross_customer_transaction_refutes(self):
@@ -139,8 +142,8 @@ class TestKnownAnswers:
                 TupleAccess("TRADE", (2,), False),  # account 7 -> customer 2
             ])
         ])
-        evaluator = JoinPathEvaluator(database)
-        assert not tree.is_mapping_independent(trace, evaluator)
+        engine, view = referee.intern(database, trace)
+        assert not tree.is_mapping_independent(view, engine)
         assert not brute_force_mapping_independent(database, tree, trace)
 
     def test_dangling_foreign_key_refutes_both_ways(self):
@@ -152,8 +155,8 @@ class TestKnownAnswers:
         trace = Trace([
             TransactionTrace(0, "T", [TupleAccess("TRADE", (90,), False)])
         ])
-        evaluator = JoinPathEvaluator(database)
-        assert not tree.is_mapping_independent(trace, evaluator)
+        engine, view = referee.intern(database, trace)
+        assert not tree.is_mapping_independent(view, engine)
         assert not brute_force_mapping_independent(database, tree, trace)
 
     def test_deleted_account_still_maps_through_tombstone(self):
@@ -168,8 +171,8 @@ class TestKnownAnswers:
                 TupleAccess("TRADE", (4,), False),  # account 8, customer 1
             ])
         ])
-        evaluator = JoinPathEvaluator(database)
-        assert tree.is_mapping_independent(trace, evaluator)
+        engine, view = referee.intern(database, trace)
+        assert tree.is_mapping_independent(view, engine)
         assert brute_force_mapping_independent(database, tree, trace)
 
 
@@ -250,19 +253,24 @@ def test_optimized_checker_matches_brute_force(
     ])
     tree = _customer_tree(schema)
     expected = brute_force_mapping_independent(database, tree, trace)
+    engine, view = referee.intern(database, trace)
+    assert tree.is_mapping_independent(view, engine) == expected
+    # run it twice: the filled code columns must not change the verdict
+    assert tree.is_mapping_independent(view, engine) == expected
     evaluator = JoinPathEvaluator(database)
-    assert tree.is_mapping_independent(trace, evaluator) == expected
-    # run it twice: the memo cache must not change the verdict
-    assert tree.is_mapping_independent(trace, evaluator) == expected
+    assert referee.mapping_independent(tree, trace, evaluator) == expected
 
     # Per key, both holders of the compiled walk agree with the oracle:
-    # on trace keys and on keys outside the trace, with dangling foreign
-    # keys, tombstoned accounts and keys that name no row at all.
-    engine = ColumnarEngine(database, ColumnarTrace.from_trace(trace))
+    # the engine on every key the trace touches, the per-key evaluator
+    # also on keys outside the trace — with dangling foreign keys,
+    # tombstoned accounts and keys that name no row at all.
+    for table, lut in engine.class_value_luts(view, tree.paths).items():
+        for key, value in lut.items():
+            assert value == naive_root_value(database, tree.paths[table], key)
     fresh = JoinPathEvaluator(database)
     for table, top in (("TRADE", 12), ("CUSTOMER_ACCOUNT", 8)):
         path = tree.paths[table]
         for i in range(1, top + 1):
-            value = naive_root_value(database, path, (i,))
-            assert fresh.evaluate(path, (i,)) == value
-            assert engine.evaluate_one(path, (i,)) == value
+            assert fresh.evaluate(path, (i,)) == naive_root_value(
+                database, path, (i,)
+            )

@@ -106,16 +106,19 @@ class TestExample7Pruning:
         from repro.trace.stats import classify_tables
         from repro.trace import split_by_class
 
+        from tests.referee import intern
+
         schema = tpce.database.schema
         usage = classify_tables(tpce.trace, schema)
         replicated = {t for t, u in usage.items() if u.replicated}
         stream = split_by_class(tpce.trace)["Customer-Position"]
+        engine, view = intern(tpce.database, stream)
         result = partition_class(
             schema,
             tpce.catalog.get("Customer-Position"),
-            stream,
+            view,
             replicated,
-            tpce.database,
+            engine,
             8,
         )
         roots = {str(r) for r in result.total_roots}

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.join_tree import JoinTree
-from repro.core.path_eval import JoinPathEvaluator
 from repro.core.phase2 import (
     ClassResult,
     Phase2Config,
@@ -15,14 +14,17 @@ from repro.schema import Attr
 from repro.trace import Trace, split_by_class
 from repro.trace.events import TransactionTrace
 
+from tests.referee import intern
+
 
 @pytest.fixture
 def custinfo_run(custinfo_workload):
     database, catalog, trace = custinfo_workload
     procedure = catalog.get("CustInfo")
     replicated = {"CUSTOMER", "CUSTOMER_ACCOUNT", "HOLDING_SUMMARY"}
+    engine, view = intern(database, trace)
     result = partition_class(
-        database.schema, procedure, trace, replicated, database, 4
+        database.schema, procedure, view, replicated, engine, 4
     )
     return result
 
@@ -51,12 +53,13 @@ class TestPartitionClass:
     def test_read_only_class(self, custinfo_workload):
         database, catalog, trace = custinfo_workload
         procedure = catalog.get("CustInfo")
+        engine, view = intern(database, trace)
         result = partition_class(
             database.schema,
             procedure,
-            trace,
+            view,
             replicated=set(database.schema.table_names),
-            database=database,
+            engine=engine,
             num_partitions=4,
         )
         assert result.read_only
@@ -137,9 +140,9 @@ class TestEliminateUntilMi:
             copy.record("HOLDING_SUMMARY", hs_keys[i % len(hs_keys)], False)
             poisoned.append(copy)
         poisoned_trace = Trace(poisoned)
-        evaluator = JoinPathEvaluator(database)
-        assert not tree.is_mapping_independent(poisoned_trace, evaluator)
-        reduced = eliminate_until_mi(tree, poisoned_trace, evaluator)
+        engine, view = intern(database, poisoned_trace)
+        assert not tree.is_mapping_independent(view, engine)
+        reduced = eliminate_until_mi(tree, view, engine)
         assert reduced is not None
         assert reduced.tables == {"TRADE"}
 
@@ -160,9 +163,9 @@ class TestEliminateUntilMi:
                 )
             },
         )
-        evaluator = JoinPathEvaluator(database)
+        engine, view = intern(database, trace)
         # already MI over the full coverage -> no *partial* solution
-        assert eliminate_until_mi(tree, trace, evaluator) is None
+        assert eliminate_until_mi(tree, view, engine) is None
 
     def test_hopeless_tree_returns_none(self, custinfo_workload):
         """A single-table tree that is not MI cannot be reduced."""
@@ -177,5 +180,5 @@ class TestEliminateUntilMi:
         txn = TransactionTrace(0, "c")
         txn.record("TRADE", (1,), False)
         txn.record("TRADE", (2,), False)
-        evaluator = JoinPathEvaluator(database)
-        assert eliminate_until_mi(tree, Trace([txn]), evaluator) is None
+        engine, view = intern(database, Trace([txn]))
+        assert eliminate_until_mi(tree, view, engine) is None

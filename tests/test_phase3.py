@@ -17,6 +17,8 @@ from repro.core.phase3 import (
 from repro.schema import Attr
 from repro.trace.stats import TableUsage, classify_tables
 
+from tests.referee import intern
+
 
 def path(schema, *nodes):
     return JoinPath.parse(schema, list(nodes))
@@ -152,13 +154,14 @@ class TestCombine:
         partitioned = [
             t for t, u in usage.items() if u is TableUsage.PARTITIONED
         ]
+        engine, view = intern(database, trace)
         class_results = [
             partition_class(
                 database.schema,
                 catalog.get("CustInfo"),
-                trace,
+                view,
                 replicated,
-                database,
+                engine,
                 4,
             )
         ]
@@ -167,7 +170,7 @@ class TestCombine:
             partitioned,
             sorted(replicated),
             database.schema,
-            database,
+            engine,
             trace,
             4,
             config,
@@ -199,12 +202,13 @@ class TestCombine:
 
     def test_empty_results_fall_back_to_replication(self, custinfo_workload):
         database, _catalog, trace = custinfo_workload
+        engine, _view = intern(database, trace)
         result = combine(
             [],
             ["TRADE"],
             ["CUSTOMER"],
             database.schema,
-            database,
+            engine,
             trace,
             4,
         )
@@ -214,9 +218,10 @@ class TestCombine:
         database, catalog, trace = custinfo_workload
         usage = classify_tables(trace, database.schema)
         replicated = {t for t, u in usage.items() if u.replicated}
+        engine, view = intern(database, trace)
         result = partition_class(
-            database.schema, catalog.get("CustInfo"), trace,
-            replicated, database, 4,
+            database.schema, catalog.get("CustInfo"), view,
+            replicated, engine, 4,
         )
         per_table = harvest_entries([result, result])  # duplicated input
         for entries in per_table.values():

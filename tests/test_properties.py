@@ -17,13 +17,13 @@ from repro.core.mapping import (
     RangeMapping,
     stable_hash,
 )
-from repro.core.path_eval import JoinPathEvaluator
 from repro.graphs.mincut import Graph, partition_graph
 from repro.schema import Attr
 from repro.trace.events import Trace, TransactionTrace
 from repro.trace.splitter import subsample, train_test_split
 from repro.workloads.tpce import build_tpce_schema
 from tests.conftest import build_custinfo_schema, load_figure1_data
+from tests.referee import intern
 from repro.storage import Database
 
 _TPCE_SCHEMA = build_tpce_schema()
@@ -200,6 +200,6 @@ class TestProperty1:
             },
         )
         assert tree_relation(fine, coarse)
-        evaluator = JoinPathEvaluator(database)
-        if fine.is_mapping_independent(trace, evaluator):
-            assert coarse.is_mapping_independent(trace, evaluator)
+        engine, view = intern(database, trace)
+        if fine.is_mapping_independent(view, engine):
+            assert coarse.is_mapping_independent(view, engine)

@@ -15,6 +15,8 @@ from repro.errors import PartitioningError
 from repro.evaluation.evaluator import PartitioningEvaluator
 from repro.trace.events import Trace, TransactionTrace
 
+from tests.referee import intern
+
 
 def path(schema, *nodes):
     return JoinPath.parse(schema, list(nodes))
@@ -115,6 +117,12 @@ class TestEvaluator:
             txn.record(table, key, write)
         return txn
 
+    @staticmethod
+    def distributed(evaluator, txn, partitioning) -> bool:
+        """Definition 5 for one transaction, through the evaluator."""
+        report = evaluator.evaluate(partitioning, Trace([txn]))
+        return report.distributed_transactions == 1
+
     def test_single_partition_local(self, figure1_db, customer_partitioning):
         evaluator = PartitioningEvaluator(figure1_db)
         txn = self.make_txn([
@@ -122,9 +130,7 @@ class TestEvaluator:
             ("TRADE", (4,), False),   # customer 1
             ("CUSTOMER_ACCOUNT", (1,), False),
         ])
-        assert not evaluator.transaction_is_distributed(
-            txn, customer_partitioning
-        )
+        assert not self.distributed(evaluator, txn, customer_partitioning)
 
     def test_cross_partition_distributed(self, figure1_db, customer_partitioning):
         evaluator = PartitioningEvaluator(figure1_db)
@@ -132,7 +138,7 @@ class TestEvaluator:
             ("TRADE", (1,), False),  # customer 1
             ("TRADE", (2,), False),  # customer 2
         ])
-        assert evaluator.transaction_is_distributed(txn, customer_partitioning)
+        assert self.distributed(evaluator, txn, customer_partitioning)
 
     def test_replicated_read_is_local(self, figure1_db, customer_partitioning):
         evaluator = PartitioningEvaluator(figure1_db)
@@ -140,9 +146,7 @@ class TestEvaluator:
             ("TRADE", (1,), False),
             ("HOLDING_SUMMARY", (101, 1), False),  # replicated read
         ])
-        assert not evaluator.transaction_is_distributed(
-            txn, customer_partitioning
-        )
+        assert not self.distributed(evaluator, txn, customer_partitioning)
 
     def test_replicated_write_distributed(self, figure1_db, customer_partitioning):
         """Definition 5 condition 1."""
@@ -150,12 +154,12 @@ class TestEvaluator:
         txn = self.make_txn([
             ("HOLDING_SUMMARY", (101, 1), True),
         ])
-        assert evaluator.transaction_is_distributed(txn, customer_partitioning)
+        assert self.distributed(evaluator, txn, customer_partitioning)
 
     def test_unroutable_distributed(self, figure1_db, customer_partitioning):
         evaluator = PartitioningEvaluator(figure1_db)
         txn = self.make_txn([("TRADE", (999,), False)])
-        assert evaluator.transaction_is_distributed(txn, customer_partitioning)
+        assert self.distributed(evaluator, txn, customer_partitioning)
 
     def test_zero_mapping_write_distributed(self, figure1_db, custinfo_schema):
         p = path(custinfo_schema, "TRADE.T_ID")
@@ -164,8 +168,8 @@ class TestEvaluator:
         evaluator = PartitioningEvaluator(figure1_db)
         write = self.make_txn([("TRADE", (1,), True)])
         read = self.make_txn([("TRADE", (1,), False)])
-        assert evaluator.transaction_is_distributed(write, partitioning)
-        assert not evaluator.transaction_is_distributed(read, partitioning)
+        assert self.distributed(evaluator, write, partitioning)
+        assert not self.distributed(evaluator, read, partitioning)
 
     def test_cost_report(self, figure1_db, customer_partitioning):
         evaluator = PartitioningEvaluator(figure1_db)
@@ -188,3 +192,29 @@ class TestEvaluator:
     def test_empty_trace_zero_cost(self, figure1_db, customer_partitioning):
         evaluator = PartitioningEvaluator(figure1_db)
         assert evaluator.cost(customer_partitioning, Trace()) == 0.0
+
+    def test_appended_transactions_are_scored(
+        self, figure1_db, customer_partitioning
+    ):
+        """A trace that grew after it was interned is interned again, both
+        when it is the run engine's source and when the evaluator interned
+        it itself."""
+        trace = Trace([self.make_txn([("TRADE", (1,), False)], 0, "a")])
+        engine, _view = intern(figure1_db, trace)
+        evaluators = [
+            PartitioningEvaluator(figure1_db, engine),
+            PartitioningEvaluator(figure1_db),
+        ]
+        for evaluator in evaluators:
+            report = evaluator.evaluate(customer_partitioning, trace)
+            assert report.total_transactions == 1
+            assert report.distributed_transactions == 0
+        trace.append(
+            self.make_txn(
+                [("TRADE", (1,), False), ("TRADE", (2,), False)], 1, "a"
+            )
+        )
+        for evaluator in evaluators:
+            report = evaluator.evaluate(customer_partitioning, trace)
+            assert report.total_transactions == 2
+            assert report.distributed_transactions == 1

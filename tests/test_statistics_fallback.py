@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
-from repro.core.path_eval import JoinPathEvaluator
 from repro.core.statistics import (
     build_statistics_mapping,
     evaluate_fallback,
@@ -15,6 +14,8 @@ from repro.core.statistics import (
 from repro.schema import Attr, DatabaseSchema, integer_table
 from repro.storage import Database
 from repro.trace.events import Trace, TransactionTrace
+
+from tests.referee import intern
 
 
 @pytest.fixture
@@ -50,8 +51,8 @@ def clustered_workload():
 class TestTransactionRootValues:
     def test_groups(self, clustered_workload):
         database, trace, tree = clustered_workload
-        evaluator = JoinPathEvaluator(database)
-        groups = transaction_root_values(tree, trace, evaluator)
+        engine, view = intern(database, trace)
+        groups = transaction_root_values(tree, view, engine)
         assert len(groups) == len(trace)
         assert all(len(g) == 2 for g in groups)
 
@@ -59,16 +60,16 @@ class TestTransactionRootValues:
         database, _trace, tree = clustered_workload
         txn = TransactionTrace(0, "pairs")
         txn.record("ITEM", (1,), False)
-        evaluator = JoinPathEvaluator(database)
-        groups = transaction_root_values(tree, Trace([txn]), evaluator)
+        engine, view = intern(database, Trace([txn]))
+        groups = transaction_root_values(tree, view, engine)
         assert groups == [{1}]
 
 
 class TestStatisticsMapping:
     def test_pairs_colocated(self, clustered_workload):
         database, trace, tree = clustered_workload
-        evaluator = JoinPathEvaluator(database)
-        mapping = build_statistics_mapping(tree, trace, 4, evaluator)
+        engine, view = intern(database, trace)
+        mapping = build_statistics_mapping(tree, view, 4, engine)
         colocated = sum(
             1 for base in range(20) if mapping(1 + base) == mapping(21 + base)
         )
@@ -76,7 +77,8 @@ class TestStatisticsMapping:
 
     def test_fallback_beats_hash_and_range(self, clustered_workload):
         database, trace, tree = clustered_workload
-        result = evaluate_fallback(tree, trace, trace, 4, database)
+        engine, train, validation = intern(database, trace, trace)
+        result = evaluate_fallback(tree, train, validation, 4, engine)
         assert result.lookup_cost < result.hash_cost
         assert result.lookup_cost < result.range_cost
         assert result.meaningful
@@ -99,7 +101,8 @@ class TestStatisticsMapping:
             for item in rng.sample(range(1, 101), 3):
                 txn.record("ITEM", (item,), False)
             (train if t % 2 == 0 else validation).append(txn)
-        result = evaluate_fallback(tree, train, validation, 8, database)
+        engine, train, validation = intern(database, train, validation)
+        result = evaluate_fallback(tree, train, validation, 8, engine)
         # random co-access cannot beat hashing by a meaningful margin;
         # allow tiny noise but lookup must not dramatically win
         assert result.lookup_cost > 0.5
