@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.baselines.published import intra_table_path
 from repro.core.mapping import HashMapping
-from repro.core.path_eval import JoinPathEvaluator
+from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.evaluation.cost_models import footprint
 from repro.evaluation.resources import ResourceMeter, ResourceUsage
@@ -212,14 +212,14 @@ class HorticulturePartitioner:
         """Skew-aware cost: distributed fraction + skew + sites terms."""
         config = self.config
         partitioning = self._materialize(design, replicated)
-        evaluator = JoinPathEvaluator(self.database)
+        pid_of = PlacementStore(self.database, partitioning).pid_of
         k = config.num_partitions
         distributed = 0
         sites_total = 0
         heat = [0.0] * (k + 1)
         n = max(len(sample), 1)
         for txn in sample:
-            print_footprint = footprint(txn, partitioning, evaluator)
+            print_footprint = footprint(txn, pid_of)
             if print_footprint.distributed:
                 distributed += 1
             sites = (

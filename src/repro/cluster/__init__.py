@@ -4,7 +4,6 @@ fault injection, and live repartitioning."""
 from repro.cluster.cluster import Cluster, CostConfig
 from repro.cluster.faults import CRASH, RECOVER, REPARTITION, FaultEvent, FaultPlan
 from repro.cluster.node import Node
-from repro.cluster.placement import PlacementMap
 from repro.core.metrics import ClusterMetrics
 from repro.errors import ClusterError, ClusterUnavailable
 
@@ -20,5 +19,4 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "Node",
-    "PlacementMap",
 ]

@@ -20,6 +20,10 @@ Two execution modes share all placement and accounting logic:
   writes, aborting atomically when a touched node is down, and applying
   committed writes to the owning nodes (write-through placement).
 
+Where every row lives comes from one
+:class:`~repro.core.placement.PlacementStore` per installed partitioning,
+shared with the cluster's router; the cluster walks no join path itself.
+
 Fault injection (:class:`~repro.cluster.faults.FaultPlan`) crashes and
 recovers nodes and installs new partitionings between transactions;
 recovery resyncs replicas that diverged while down, and repartitioning
@@ -33,11 +37,10 @@ from typing import Any, Iterable, Mapping
 
 from repro.cluster.faults import CRASH, RECOVER, REPARTITION, FaultPlan
 from repro.cluster.node import Node
-from repro.cluster.placement import PlacementMap
 from repro.core.mapping import REPLICATED
 from repro.core.metrics import ClusterMetrics
-from repro.core.path_eval import JoinPathEvaluator
-from repro.core.solution import DatabasePartitioning, PathEffect, TableSolution
+from repro.core.placement import MOVE, UNROUTABLE, PlacementStore
+from repro.core.solution import DatabasePartitioning
 from repro.engine.executor import Executor
 from repro.errors import ClusterError, ClusterUnavailable
 from repro.procedures.procedure import ProcedureCatalog
@@ -88,8 +91,12 @@ class _Resolution:
     divergent: set[tuple[int, str]] = field(default_factory=set)
 
 
-#: A buffered source mutation: (table, op, key, old_row, new_row).
-_Op = tuple[str, str, KeyValue, "Row | None", "Row | None"]
+#: one buffered store change (see ``PlacementSubscriber.placement_changed``)
+_Change = tuple[
+    str, str, KeyValue, "Row | None", "Row | None", "int | None", "int | None"
+]
+#: "this transaction has not read the table's column yet"
+_UNREAD: Any = object()
 
 
 class Cluster:
@@ -97,10 +104,10 @@ class Cluster:
 
     ``database`` stays the logical source of truth (what the union of all
     partitions contains); each :class:`~repro.cluster.node.Node` holds the
-    physically placed copies. Live execution runs against the source and
-    mirrors committed writes to the owning nodes, which keeps the
-    router's write-through lookup tables and the placement map in lockstep
-    with the data nodes.
+    physically placed copies, homed by :attr:`store`. Live execution runs
+    against the source and, on commit, moves each row the store changed
+    from its old partition's nodes to its new one's; writes made outside
+    a transaction are mirrored at once.
 
     ``num_nodes`` defaults to one node per partition; with fewer nodes
     than partitions, partition ids wrap around the ring
@@ -136,21 +143,16 @@ class Cluster:
             node_id: Node(node_id, self.schema)
             for node_id in range(1, self.num_nodes + 1)
         }
-        self._evaluator = JoinPathEvaluator(database)
+        self._all_nodes = tuple(self.nodes)
         self.partitioning = partitioning
-        self.placement = PlacementMap()
+        self.store: PlacementStore | None = None
         self.router: Router | None = None
         self._tick = 0
         self._fault_cursor = 0
-        self._txn_ops: list[_Op] | None = None
+        #: the running transaction's store changes (None outside one)
+        self._txn_log: list[_Change] | None = None
         self._txn_access: list[TupleAccess] = []
         self._undoing = False
-        self._dependents: dict[str, set[str]] = {}
-        self._listeners: dict[str, Any] = {}
-        for table_schema in self.schema.tables:
-            listener = self._make_listener(table_schema.name)
-            self._listeners[table_schema.name] = listener
-            self.source.table(table_schema.name).add_listener(listener)
         self.install(partitioning, _initial=True)
 
     # ------------------------------------------------------------------
@@ -169,13 +171,12 @@ class Cluster:
         return self._tick
 
     def close(self) -> None:
-        """Detach the router and the cluster's mutation listeners."""
+        """Detach the router and the placement store from the source."""
         if self.router is not None:
             self.router.close()
             self.router = None
-        for table_name, listener in self._listeners.items():
-            self.source.table(table_name).remove_listener(listener)
-        self._listeners = {}
+        if self.store is not None:
+            self.store.close()
 
     # ------------------------------------------------------------------
     # placement
@@ -187,130 +188,99 @@ class Cluster:
 
         Returns the number of row copies that had to be created on nodes
         that did not hold them (the "moved tuples" of a live
-        repartitioning). The router is rebuilt over the new layout and
-        node contents are synced to the new placement — including nodes
-        that are currently down (repartitioning is substrate maintenance,
-        so it also clears any pending replica divergence).
+        repartitioning). A new placement store and router are built over
+        the new layout and node contents are synced to it — including
+        nodes that are currently down (repartitioning is substrate
+        maintenance, so it also clears any pending replica divergence).
         """
         self.partitioning = partitioning
-        self._dependents = self._build_dependents()
-        self._evaluator.clear_cache()
         if self.router is not None:
             self.router.close()
-        self.router = Router(self.source, self.catalog, partitioning)
-        placement = self._compute_placement()
-        inserted = self._sync_nodes(placement)
-        self.placement = placement
+        if self.store is not None:
+            self.store.close()
+        store = self.store = PlacementStore(self.source, partitioning).attach()
+        for table_schema in self.schema.tables:
+            store.subscribe(table_schema.name, self)
+        self.router = Router(self.source, self.catalog, partitioning, store=store)
+        inserted = 0
+        for table_schema in self.schema.tables:
+            inserted += self._sync_table(table_schema.name)[0]
         for node in self.nodes.values():
             node.divergent.clear()
         if _initial:
-            self.metrics.tuples_placed += placement.placed_count()
-            self.metrics.tuples_replicated += placement.replicated_count() + sum(
-                len(self.source.table(t)) for t in placement.replicated_tables
-            )
-            self.metrics.unroutable_tuples += placement.unroutable_count()
+            metrics = self.metrics
+            for table_schema in self.schema.tables:
+                pids = store.pids(table_schema.name)
+                if pids is None:
+                    metrics.tuples_replicated += len(
+                        self.source.table(table_schema.name)
+                    )
+                    continue
+                for pid in pids.values():
+                    if pid > 0:
+                        metrics.tuples_placed += 1
+                    elif pid == REPLICATED:
+                        metrics.tuples_replicated += 1
+                    else:
+                        metrics.unroutable_tuples += 1
             return 0
         self.metrics.repartitions += 1
         self.metrics.tuples_migrated += inserted
         return inserted
 
-    def _compute_placement(self) -> PlacementMap:
-        placement = PlacementMap()
-        for table_schema in self.schema.tables:
-            name = table_schema.name
-            solution = self.partitioning.solution_for(name)
-            if solution.replicated:
-                placement.replicate_table(name)
-                continue
-            table = self.source.table(name)
-            for key in list(table.keys()):
-                pid = solution.partition_of(key, self._evaluator)
-                if pid is None:
-                    placement.mark_unroutable(name, key)
-                elif pid == REPLICATED:
-                    placement.place_everywhere(name, key)
-                else:
-                    placement.place(name, key, self.node_of(pid))
-        return placement
-
-    def _desired_rows(
-        self, table_name: str, placement: PlacementMap
-    ) -> dict[int, dict[KeyValue, Row]]:
-        table = self.source.table(table_name)
-        replicate_all = table_name in placement.replicated_tables
-        desired: dict[int, dict[KeyValue, Row]] = {
-            node_id: {} for node_id in self.nodes
-        }
-        for row in table.scan():
-            key = table.primary_key_of(row)
-            if (
-                replicate_all
-                or placement.is_everywhere(table_name, key)
-                or placement.is_unroutable(table_name, key)
-            ):
-                for per_node in desired.values():
-                    per_node[key] = row
-            else:
-                home = placement.home_of(table_name, key)
-                if home is not None:
-                    desired[home][key] = row
-        return desired
-
-    def _sync_nodes(self, placement: PlacementMap) -> int:
-        total_inserted = 0
-        for table_schema in self.schema.tables:
-            inserted, _, _ = self._sync_table(table_schema.name, placement)
-            total_inserted += inserted
-        return total_inserted
+    def _holders(self, pid: int | None) -> tuple[int, ...]:
+        """Nodes holding a row of partition *pid* (none while not live)."""
+        if pid is None:
+            return ()
+        if pid > 0:
+            return (self.node_of(pid),)
+        return self._all_nodes
 
     def _sync_table(
-        self,
-        table_name: str,
-        placement: PlacementMap,
-        only: Node | None = None,
+        self, table_name: str, targets: Iterable[Node] | None = None
     ) -> tuple[int, int, int]:
-        """Diff node contents for *table_name* against *placement*.
+        """Sync node contents for *table_name* with the store's pid column.
 
+        An empty node table is filled in one batch, any other is diffed.
         Returns ``(inserted, removed, updated)`` row counts across the
-        synced nodes (all of them, or just *only*).
+        synced nodes (*targets*, or all of them).
         """
-        desired = self._desired_rows(table_name, placement)
-        targets = [only] if only is not None else list(self.nodes.values())
+        assert self.store is not None
+        table = self.source.table(table_name)
+        pids = self.store.pids(table_name)
+        wanted: dict[int, dict[KeyValue, Row]]
+        if pids is None:
+            everything = dict(table.items())
+            wanted = {node_id: everything for node_id in self.nodes}
+        else:
+            wanted = {node_id: {} for node_id in self.nodes}
+            every = tuple(wanted.values())
+            homed: dict[int, dict[KeyValue, Row]] = {}
+            for key, row in table.items():
+                pid = pids[key]
+                if pid > 0:
+                    rows = homed.get(pid)
+                    if rows is None:
+                        rows = homed[pid] = wanted[self.node_of(pid)]
+                    rows[key] = row
+                else:
+                    for rows in every:
+                        rows[key] = row
         inserted = removed = updated = 0
-        for node in targets:
+        for node in self.nodes.values() if targets is None else targets:
             node_table = node.database.table(table_name)
-            want = desired[node.node_id]
-            have = set(node_table.keys())
-            for key in have - want.keys():
+            want = wanted[node.node_id]
+            if not len(node_table):
+                inserted += node_table.insert_many(want.values())
+                continue
+            for key in set(node_table.keys()) - want.keys():
                 node_table.delete(key)
                 removed += 1
             for key, row in want.items():
-                existing = node_table.get(key)
-                if existing is None:
-                    node_table.insert(row)
-                    inserted += 1
-                elif existing != row:
-                    changes = {
-                        column: value
-                        for column, value in row.items()
-                        if existing.get(column) != value
-                    }
-                    node_table.update(key, changes)
-                    updated += 1
+                op = self._put_row(node_table, key, row)
+                inserted += op == "insert"
+                updated += op == "update"
         return inserted, removed, updated
-
-    def _build_dependents(self) -> dict[str, set[str]]:
-        """table -> partitioned tables whose join paths hop into that table.
-
-        A self-referencing path that lands back on its source table makes
-        that table its own dependent.
-        """
-        out: dict[str, set[str]] = {}
-        for table_schema in self.schema.tables:
-            name = table_schema.name
-            for dep in self.partitioning.solution_for(name).hop_targets:
-                out.setdefault(dep, set()).add(name)
-        return out
 
     # ------------------------------------------------------------------
     # fault schedule
@@ -334,9 +304,7 @@ class Cluster:
                     node.recover()
                     self.metrics.recoveries += 1
                     for table_name in sorted(node.divergent):
-                        ins, rem, upd = self._sync_table(
-                            table_name, self.placement, only=node
-                        )
+                        ins, rem, upd = self._sync_table(table_name, [node])
                         self.metrics.rows_resynced += ins + rem + upd
                     node.divergent.clear()
             elif event.action == REPARTITION:
@@ -386,8 +354,12 @@ class Cluster:
         accesses: Iterable[TupleAccess],
         txn_id: int,
         coordinator_hint: int | None = None,
+        changes: Mapping[tuple[str, KeyValue], list] | None = None,
     ) -> _Resolution:
         """Map recorded accesses to the set of participating nodes.
+
+        *changes* are the running transaction's (:meth:`_net_changes`):
+        until commit, the nodes hold a row it moved on its old partition.
 
         Raises :class:`ClusterUnavailable` when a singly-homed row's node
         is down — the transaction cannot proceed and must abort. Dead
@@ -398,13 +370,28 @@ class Cluster:
         up = self.up_node_ids()
         if not up:
             raise ClusterUnavailable("no live nodes in the cluster")
+        store = self.store
+        assert store is not None
+        # one version-checked column per table: no write happens here
+        columns: dict[str, Any] = {}
         resolution = _Resolution(participants=set(), divergent=set())
         replicated_read = False
         for access in accesses:
             table, key = access.table, access.key
-            solution = self.partitioning.solution_for(table)
-            disposition = self._dispose(solution, table, key)
-            if disposition == "replicated":
+            change = changes.get((table, key)) if changes else None
+            if change is not None and change[0] is not None:
+                pid = change[0]
+            else:
+                pids = columns.get(table, _UNREAD)
+                if pids is _UNREAD:
+                    pids = columns[table] = store.pids(table)
+                if pids is None:
+                    pid = REPLICATED
+                else:
+                    pid = pids.get(key)
+                    if pid is None:  # not a live row
+                        pid = store.pid_of(table, key)
+            if pid == REPLICATED:
                 if access.write:
                     resolution.wrote_replicated = True
                     resolution.participants |= up
@@ -413,19 +400,20 @@ class Cluster:
                             resolution.divergent.add((node.node_id, table))
                 else:
                     replicated_read = True
-            elif disposition == "unroutable":
+            elif pid == UNROUTABLE:
                 resolution.broadcast = True
                 resolution.participants |= up
                 if access.write:
                     for node in self.nodes.values():
                         if not node.up:
                             resolution.divergent.add((node.node_id, table))
-            else:  # home node id
-                if not self.nodes[disposition].up:
+            else:
+                home = self.node_of(pid)
+                if not self.nodes[home].up:
                     raise ClusterUnavailable(
-                        f"node {disposition} holding {table}{key} is down"
+                        f"node {home} holding {table}{key} is down"
                     )
-                resolution.participants.add(disposition)
+                resolution.participants.add(home)
         if not resolution.participants:
             coordinator, failed_over = self._pick_coordinator(
                 txn_id, up, coordinator_hint
@@ -436,29 +424,6 @@ class Cluster:
         if resolution.divergent:
             resolution.failovers += len({n for n, _ in resolution.divergent})
         return resolution
-
-    def _dispose(
-        self, solution: TableSolution, table: str, key: KeyValue
-    ) -> "int | str":
-        """Classify one access: ``"replicated"``, ``"unroutable"``, or the
-        home node id."""
-        if solution.replicated or self.placement.is_everywhere(table, key):
-            return "replicated"
-        if self.placement.is_unroutable(table, key):
-            return "unroutable"
-        home = self.placement.home_of(table, key)
-        if home is not None:
-            return home
-        # Row not in the placement map (deleted before the cluster was
-        # built, or never loaded): fall back to the partitioning rule —
-        # tombstones make the join path still evaluable, exactly like the
-        # static evaluator.
-        pid = solution.partition_of(key, self._evaluator)
-        if pid is None:
-            return "unroutable"
-        if pid == REPLICATED:
-            return "replicated"
-        return self.node_of(pid)
 
     def _pick_coordinator(
         self, txn_id: int, up: frozenset[int], hint: int | None
@@ -555,89 +520,98 @@ class Cluster:
         arguments: Mapping[str, Any],
         hint: int | None,
     ) -> None:
-        self._txn_ops = []
-        self._txn_access = []
+        self._begin()
         executor = Executor(self.source, on_access=self._record_access)
         try:
             procedure.execute(executor, dict(arguments))
-            self._evaluator.clear_cache()
+            log = self._txn_log
+            changes = self._net_changes(log) if log else {}
             resolution = self._resolve_accesses(
-                self._txn_access, self._tick, coordinator_hint=hint
+                self._txn_access, self._tick, hint, changes
             )
-            planned = self._plan_ops(self._txn_ops)
+            if log:
+                self._add_write_homes(log, resolution)
         except BaseException:
             self._rollback()
             raise
-        ops = self._txn_ops
-        self._txn_ops = None
+        self._txn_log = None
         self._txn_access = []
-        for _, _, _, _, _, disposition, home in planned:
-            if disposition == "home":
-                resolution.participants.add(home)
-        self._apply_planned(planned, resolution)
+        assert self.store is not None
+        self.store.commit()
+        for (table, key), (old_pid, new_pid, row) in changes.items():
+            self._apply_change(table, key, old_pid, new_pid, row)
         self._commit(resolution, procedure.name)
-        self._repair_cascades(ops)
+
+    def _begin(self) -> None:
+        """Start buffering a transaction's writes and store changes."""
+        self._txn_log = []
+        self._txn_access = []
+        assert self.store is not None
+        self.store.begin()
 
     def _record_access(self, table: str, key: KeyValue, write: bool) -> None:
         self._txn_access.append(TupleAccess(table, tuple(key), write))
 
-    def _plan_ops(
-        self, ops: list[_Op]
-    ) -> list[tuple[str, str, KeyValue, Row | None, Row | None, str, int | None]]:
-        """Decide where each buffered write lands, verifying liveness.
-
-        Raises :class:`ClusterUnavailable` before anything is applied to a
-        node, so the caller can still abort atomically.
-        """
-        planned = []
-        for table, op, key, old, new in ops:
-            solution = self.partitioning.solution_for(table)
-            if solution.replicated:
-                planned.append((table, op, key, old, new, "replicated", None))
-                continue
-            if op == "delete":
-                planned.append((table, op, key, old, new, "delete", None))
-                continue
-            pid = solution.partition_of(key, self._evaluator)
-            if pid is None:
-                planned.append((table, op, key, old, new, "unroutable", None))
-            elif pid == REPLICATED:
-                planned.append((table, op, key, old, new, "everywhere", None))
+    @staticmethod
+    def _net_changes(log: list[_Change]) -> dict[tuple[str, KeyValue], list]:
+        """Per changed row, in first-change order: its pid before the
+        transaction, its pid now and its content now."""
+        net: dict[tuple[str, KeyValue], list] = {}
+        for table, _, key, _, new, old_pid, new_pid in log:
+            entry = net.get((table, key))
+            if entry is None:
+                net[(table, key)] = [old_pid, new_pid, new]
             else:
+                entry[1] = new_pid
+                entry[2] = new
+        return net
+
+    def _add_write_homes(
+        self, log: list[_Change], resolution: _Resolution
+    ) -> None:
+        """Add the home node of every row the transaction wrote.
+
+        Raises :class:`ClusterUnavailable` when one is down, before
+        anything reaches a node, so the caller can still abort atomically.
+        """
+        assert self.store is not None
+        for table, op, key, _, _, _, _ in log:
+            if op == MOVE or op == "delete":
+                continue
+            pid = self.store.pid_of(table, key)
+            if pid > 0:
                 home = self.node_of(pid)
                 if not self.nodes[home].up:
                     raise ClusterUnavailable(
                         f"node {home} owning {table}{key} is down"
                     )
-                planned.append((table, op, key, old, new, "home", home))
-        return planned
-
-    def _apply_planned(self, planned, resolution: _Resolution) -> None:
-        for table, op, key, old, new, disposition, home in planned:
-            if disposition == "replicated":
-                self._apply_replicated(table, op, key, new)
-            elif disposition == "delete":
-                self._apply_partitioned_delete(table, key)
-            else:
-                self._settle_row(table, key, new, disposition, home)
+                resolution.participants.add(home)
 
     def _rollback(self) -> None:
-        """Undo every buffered source mutation, newest first."""
-        ops = self._txn_ops or []
-        self._txn_ops = None
+        """Undo every buffered source write, newest first.
+
+        The nodes never saw the transaction, so its store changes are
+        dropped, and so are the ones the undo makes: the store's
+        :meth:`~repro.core.placement.PlacementStore.abort` puts every
+        moved row back to its pid from before the transaction.
+        """
+        log = self._txn_log or []
+        self._txn_log = None
         self._txn_access = []
+        store = self.store
+        assert store is not None
         self._undoing = True
         try:
-            for table, op, key, old, new in reversed(ops):
+            for table, op, key, old, new, _, _ in reversed(log):
                 source_table = self.source.table(table)
                 if op == "insert":
                     source_table.delete(key)
                     # *old* is the tombstone the insert replaced.
-                    source_table.restore_tombstone(key, old)
+                    store.restore_tombstone(table, key, old)
                 elif op == "delete":
                     assert old is not None
                     source_table.insert(old)
-                else:
+                elif op == "update":
                     assert old is not None and new is not None
                     primary = set(source_table.schema.primary_key)
                     changes = {
@@ -647,208 +621,107 @@ class Cluster:
                     }
                     if changes:
                         source_table.update(key, changes)
+            store.abort()
         finally:
             self._undoing = False
-            self._evaluator.clear_cache()
 
     # ------------------------------------------------------------------
-    # physical write-through
+    # physical write-through (the store's change feed)
     # ------------------------------------------------------------------
-    def _make_listener(self, table_name: str):
-        def listener(
-            op: str, key: KeyValue, old: Row | None, new: Row | None
-        ) -> None:
-            if self._undoing:
-                return
-            if self._txn_ops is not None:
-                self._txn_ops.append((table_name, op, key, old, new))
-            else:
-                self._mirror_out_of_band(table_name, op, key, old, new)
-
-        return listener
-
-    def _mirror_out_of_band(
-        self, table: str, op: str, key: KeyValue, old: Row | None, new: Row | None
+    def placement_changed(
+        self,
+        table: str,
+        op: str,
+        key: KeyValue,
+        old: Row | None,
+        new: Row | None,
+        old_pid: int | None,
+        new_pid: int | None,
     ) -> None:
-        """Mirror a source mutation made outside any cluster transaction.
+        """Buffer a store change inside a transaction, else mirror it
+        (benchmark loaders and tests write to the source directly)."""
+        if self._undoing:
+            return
+        if self._txn_log is not None:
+            self._txn_log.append((table, op, key, old, new, old_pid, new_pid))
+        else:
+            self._apply_change(table, key, old_pid, new_pid, new)
 
-        Benchmark loaders and tests mutate the source database directly;
-        the cluster keeps the physical placement in lockstep the same way
-        the router's lookup tables do.
+    def placement_reset(self, table: str) -> None:
+        """The store filled *table*'s column again: resync the live nodes.
+
+        A down node is left alone and marked divergent, so its recovery
+        resyncs (and counts) the table.
         """
-        self._evaluator.clear_cache()
-        solution = self.partitioning.solution_for(table)
-        if solution.replicated:
-            self._apply_replicated(table, op, key, new)
-        elif op == "delete":
-            self._apply_partitioned_delete(table, key)
-        else:
-            pid = solution.partition_of(key, self._evaluator)
-            if pid is None:
-                disposition, home = "unroutable", None
-            elif pid == REPLICATED:
-                disposition, home = "everywhere", None
-            else:
-                disposition, home = "home", self.node_of(pid)
-            self._settle_row(table, key, new, disposition, home)
-        self._repair_cascades([(table, op, key, old, new)])
-
-    def _apply_replicated(
-        self, table: str, op: str, key: KeyValue, new: Row | None
-    ) -> None:
+        up = [node for node in self.nodes.values() if node.up]
+        self._sync_table(table, up)
         for node in self.nodes.values():
-            if not node.up:
-                node.divergent.add(table)
-                continue
-            node_table = node.database.table(table)
-            if op == "delete":
-                self._drop_row(node_table, key)
+            if node.up:
+                node.divergent.discard(table)
             else:
-                assert new is not None
-                self._put_row(node_table, key, new)
-
-    def _apply_partitioned_delete(self, table: str, key: KeyValue) -> None:
-        home = self.placement.home_of(table, key)
-        if home is not None:
-            holders: Iterable[Node] = (self.nodes[home],)
-        else:
-            holders = self.nodes.values()
-        for node in holders:
-            if not node.up:
                 node.divergent.add(table)
-                continue
-            self._drop_row(node.database.table(table), key)
-        self.placement.forget(table, key)
 
-    def _settle_row(
+    def _apply_change(
         self,
         table: str,
         key: KeyValue,
+        old_pid: int | None,
+        new_pid: int | None,
         row: Row | None,
-        disposition: str,
-        home: int | None,
     ) -> None:
-        """Place (or move) one row according to its new disposition."""
-        assert row is not None
-        previous_home = self.placement.home_of(table, key)
-        was_spread = self.placement.is_everywhere(
-            table, key
-        ) or self.placement.is_unroutable(table, key)
-        was_placed = previous_home is not None or was_spread
-        if disposition == "home":
-            assert home is not None
-            desired = {home}
-        else:
-            desired = set(self.nodes)
-        for node_id in sorted(desired):
+        """Move one row (content *row*) from the nodes of *old_pid* to
+        those of *new_pid*. A home node takes the row even while down;
+        copies everywhere skip down nodes, which are marked divergent."""
+        old_nodes = self._holders(old_pid)
+        new_nodes = self._holders(new_pid)
+        homed = new_pid is not None and new_pid > 0
+        for node_id in new_nodes:
             node = self.nodes[node_id]
-            if node.up or disposition == "home":
+            if node.up or homed:
+                assert row is not None
                 self._put_row(node.database.table(table), key, row)
             else:
                 node.divergent.add(table)
-        if previous_home is not None and previous_home not in desired:
-            node = self.nodes[previous_home]
+        for node_id in old_nodes:
+            if node_id in new_nodes:
+                continue
+            node = self.nodes[node_id]
             if node.up:
                 self._drop_row(node.database.table(table), key)
             else:
                 node.divergent.add(table)
-        if was_spread and disposition == "home":
-            for node in self.nodes.values():
-                if node.node_id in desired:
-                    continue
-                if node.up:
-                    self._drop_row(node.database.table(table), key)
-                else:
-                    node.divergent.add(table)
-        self.placement.forget(table, key)
-        if disposition == "home":
-            assert home is not None
-            self.placement.place(table, key, home)
-        elif disposition == "everywhere":
-            self.placement.place_everywhere(table, key)
-        else:
-            self.placement.mark_unroutable(table, key)
-        if disposition == "unroutable" and not was_spread:
+        if old_pid is None or new_pid is None:
+            if new_pid == UNROUTABLE:
+                self.metrics.unroutable_tuples += 1
+            return
+        if new_pid == UNROUTABLE and old_pid > 0:
             self.metrics.unroutable_tuples += 1
-        if was_placed and (
-            (previous_home is not None and desired != {previous_home})
-            or (was_spread and disposition == "home")
+        if (old_pid > 0 and new_nodes != old_nodes) or (
+            old_pid <= 0 and homed
         ):
             self.metrics.tuples_migrated += 1
 
     @staticmethod
-    def _put_row(node_table: Table, key: KeyValue, row: Row) -> None:
+    def _put_row(node_table: Table, key: KeyValue, row: Row) -> str | None:
+        """Make the node's copy equal *row*; returns the write it took."""
         existing = node_table.get(key)
         if existing is None:
             node_table.insert(row)
-        elif existing != row:
-            changes = {
-                column: value
-                for column, value in row.items()
-                if existing.get(column) != value
-            }
-            node_table.update(key, changes)
+            return "insert"
+        if existing == row:
+            return None
+        changes = {
+            column: value
+            for column, value in row.items()
+            if existing.get(column) != value
+        }
+        node_table.update(key, changes)
+        return "update"
 
     @staticmethod
     def _drop_row(node_table: Table, key: KeyValue) -> None:
         if node_table.get(key) is not None:
             node_table.delete(key)
-
-    def _repair_cascades(self, ops: Iterable[_Op]) -> None:
-        """Re-place rows whose join paths read a just-mutated row.
-
-        A write to a row that other rows' join paths walk through can
-        change *their* partition values; the cluster must then physically
-        move them (the router applies the same rule to its lookup tables).
-        TPC-C's customer-rooted paths read CUSTOMER and ORDERS on the way,
-        so most writes land on a dependency table — but few can move a
-        row. :meth:`TableSolution.mutation_effect` decides per write and
-        dependent: ``NONE`` is skipped, ``UNPLACED`` re-places only the
-        dependent's unroutable rows, and ``ALL`` re-places the whole table.
-        """
-        effects: dict[str, PathEffect] = {}
-        for table, op, _, old, new in ops:
-            dependents = self._dependents.get(table)
-            if not dependents:
-                continue
-            table_schema = self.schema.table(table)
-            for dependent in dependents:
-                if effects.get(dependent) is PathEffect.ALL:
-                    continue
-                effect = self.partitioning.solution_for(
-                    dependent
-                ).mutation_effect(table_schema, op, old, new)
-                if effect > effects.get(dependent, PathEffect.NONE):
-                    effects[dependent] = effect
-        for dependent in sorted(effects):
-            if effects[dependent] is PathEffect.ALL:
-                self._replace_table_placement(dependent)
-            else:
-                unroutable = self.placement.unroutable.get(dependent, ())
-                self._replace_table_placement(dependent, list(unroutable))
-
-    def _replace_table_placement(
-        self, table: str, keys: Iterable[KeyValue] | None = None
-    ) -> None:
-        """Move *table*'s rows (just *keys*, when given) to their homes."""
-        solution = self.partitioning.solution_for(table)
-        source_table = self.source.table(table)
-        for key in list(source_table.keys()) if keys is None else keys:
-            row = source_table.get(key)
-            if row is None:
-                continue
-            pid = solution.partition_of(key, self._evaluator)
-            if pid is None:
-                disposition, home = "unroutable", None
-                current = self.placement.is_unroutable(table, key)
-            elif pid == REPLICATED:
-                disposition, home = "everywhere", None
-                current = self.placement.is_everywhere(table, key)
-            else:
-                disposition, home = "home", self.node_of(pid)
-                current = self.placement.home_of(table, key) == home
-            if not current:
-                self._settle_row(table, key, dict(row), disposition, home)
 
     # ------------------------------------------------------------------
     # invariants
@@ -860,17 +733,20 @@ class Cluster:
         (one home node, or every node for replicated/unroutable data), no
         node may hold a row the source lacks, and placed copies must equal
         the source content. Tables marked divergent on a down node are
-        exempt until recovery resyncs them. Returns a list of problem
+        exempt until recovery resyncs them. The check changes nothing: a
+        store column that missed writes is reported, not refilled, and
+        nodes are compared with it as it stands. Returns a list of problem
         descriptions — empty means the invariant holds.
         """
         problems: list[str] = []
+        store = self.store
+        assert store is not None
         for table_schema in self.schema.tables:
             name = table_schema.name
+            if not store.in_step(name):
+                problems.append(f"store column {name} out of step")
             source_table = self.source.table(name)
-            source_rows = {
-                source_table.primary_key_of(row): row
-                for row in source_table.scan()
-            }
+            source_rows = dict(source_table.items())
             checked = [
                 node
                 for node in self.nodes.values()
@@ -879,8 +755,7 @@ class Cluster:
             holders: dict[KeyValue, set[int]] = {}
             for node in checked:
                 node_table = node.database.table(name)
-                for row in node_table.scan():
-                    key = node_table.primary_key_of(row)
+                for key, row in node_table.items():
                     holders.setdefault(key, set()).add(node.node_id)
                     expected_row = source_rows.get(key)
                     if expected_row is None:
@@ -893,25 +768,21 @@ class Cluster:
                             f"{name}{key}: content on node {node.node_id} "
                             "differs from the source"
                         )
-            replicated = name in self.placement.replicated_tables
+            pids = store.held(name)
             checked_ids = {node.node_id for node in checked}
             for key in source_rows:
                 where = holders.get(key, set())
-                if (
-                    replicated
-                    or self.placement.is_everywhere(name, key)
-                    or self.placement.is_unroutable(name, key)
-                ):
+                pid = REPLICATED if pids is None else pids.get(key)
+                if pid is None:
+                    problems.append(f"{name}{key}: no placement")
+                elif pid <= 0:
                     if where != checked_ids:
                         problems.append(
                             f"{name}{key}: replicated on {sorted(where)}, "
                             f"expected {sorted(checked_ids)}"
                         )
                 else:
-                    home = self.placement.home_of(name, key)
-                    if home is None:
-                        problems.append(f"{name}{key}: no placement")
-                        continue
+                    home = self.node_of(pid)
                     expected = {home} if home in checked_ids else set()
                     if where != expected:
                         problems.append(

@@ -26,6 +26,7 @@ from repro.core.mapping import (
 from repro.core.metrics import CacheStats, ClassMetrics, SearchMetrics
 from repro.core.partitioner import JECBConfig, JECBPartitioner, JECBResult
 from repro.core.path_eval import JoinPathEvaluator, SnapshotIndex
+from repro.core.placement import UNROUTABLE, PlacementStore
 from repro.core.phase2 import ClassResult, Phase2Config, partition_class
 from repro.core.phase3 import Phase3Config, Phase3Result, combine
 from repro.core.solution import (
@@ -60,6 +61,8 @@ __all__ = [
     "JECBResult",
     "JoinPathEvaluator",
     "SnapshotIndex",
+    "UNROUTABLE",
+    "PlacementStore",
     "ClassResult",
     "Phase2Config",
     "partition_class",

@@ -264,11 +264,12 @@ class RoutingMetrics:
     lookups_built: int = 0
     lookups_rebuilt: int = 0
     lookups_evicted: int = 0
+    #: wall seconds spent building lookup views, kept out of ``latency``
+    lookup_build_seconds: float = 0.0
     staleness_detections: int = 0
     write_through_inserts: int = 0
     write_through_deletes: int = 0
     write_through_updates: int = 0
-    write_through_fallbacks: int = 0
     batch_calls: int = 0
     batch_memo_hits: int = 0
     broadcast_causes: dict[str, int] = field(default_factory=dict)
@@ -297,11 +298,11 @@ class RoutingMetrics:
         self.lookups_built += other.lookups_built
         self.lookups_rebuilt += other.lookups_rebuilt
         self.lookups_evicted += other.lookups_evicted
+        self.lookup_build_seconds += other.lookup_build_seconds
         self.staleness_detections += other.staleness_detections
         self.write_through_inserts += other.write_through_inserts
         self.write_through_deletes += other.write_through_deletes
         self.write_through_updates += other.write_through_updates
-        self.write_through_fallbacks += other.write_through_fallbacks
         self.batch_calls += other.batch_calls
         self.batch_memo_hits += other.batch_memo_hits
         for cause, count in other.broadcast_causes.items():
@@ -324,11 +325,11 @@ class RoutingMetrics:
             "lookups_built": self.lookups_built,
             "lookups_rebuilt": self.lookups_rebuilt,
             "lookups_evicted": self.lookups_evicted,
+            "lookup_build_seconds": self.lookup_build_seconds,
             "staleness_detections": self.staleness_detections,
             "write_through_inserts": self.write_through_inserts,
             "write_through_deletes": self.write_through_deletes,
             "write_through_updates": self.write_through_updates,
-            "write_through_fallbacks": self.write_through_fallbacks,
             "batch_calls": self.batch_calls,
             "batch_memo_hits": self.batch_memo_hits,
             "broadcast_causes": dict(self.broadcast_causes),
@@ -340,11 +341,11 @@ class RoutingMetrics:
             f"lookups: {self.lookups_built} built, "
             f"{self.lookups_rebuilt} rebuilt, "
             f"{self.lookups_evicted} evicted, "
-            f"{self.staleness_detections} staleness detections",
+            f"{self.staleness_detections} staleness detections, "
+            f"{self.lookup_build_seconds * 1e3:.1f}ms building",
             f"write-through: {self.write_through_inserts} inserts, "
             f"{self.write_through_deletes} deletes, "
-            f"{self.write_through_updates} updates, "
-            f"{self.write_through_fallbacks} rebuild fallbacks",
+            f"{self.write_through_updates} updates",
         ]
         if self.batch_calls:
             lines.append(

@@ -12,12 +12,12 @@ first foreign-key hop per distinct hop values.
 it stores walk results as interned code columns over a
 :class:`~repro.trace.columnar.ColumnarTrace` and answers Definition 7
 (mapping independence) and the per-key partition ids Definitions 5/6
-need, for views of that trace only. :class:`JoinPathEvaluator` memoizes
-results per (path, key) for the layers that place one tuple at a time —
-the router, the simulated cluster, the baselines' cost models and the
-skew report. Snapshot lookups go through a :class:`SnapshotIndex`, a
-per-table materialized live+tombstone index that can be shared across
-evaluators.
+need, for views of that trace only. The serving tier places live rows
+through :class:`~repro.core.placement.PlacementStore`, which fills whole
+columns on the same plans. :class:`JoinPathEvaluator` memoizes results
+per (path, key) for the callers that walk one tuple at a time — the
+baselines' design scoring and the referee tests. Snapshot lookups (the
+live row, else the tombstone) go through a :class:`SnapshotIndex`.
 """
 
 from __future__ import annotations
@@ -38,19 +38,17 @@ _MISS = object()
 
 
 class SnapshotIndex:
-    """Shared, lazily built per-table snapshot lookups for one database.
+    """Per-table snapshot lookups for one database, shared by walkers.
 
-    The trace is collected before partitioning starts, so the database is
-    static during the search: materializing each table's merged
-    live+tombstone view once is safe and turns every snapshot probe into a
-    single dict access. Evaluators that share one index build each
-    table's view once.
+    A snapshot is the live row, else the tombstone of a deleted one. Each
+    probe reads the table directly, so a holder that outlives writes (the
+    placement store) stays correct; the index only saves the database's
+    error-checked table lookup.
     """
 
     def __init__(self, database: Database) -> None:
         self.database = database
         self._tables: dict[str, Table] = {}
-        self._snapshots: dict[str, tuple[int, dict[tuple, dict[str, Any]]]] = {}
 
     def table(self, name: str) -> Table:
         """Cached table handle (skips the database's error-checked lookup)."""
@@ -61,18 +59,8 @@ class SnapshotIndex:
         return table
 
     def snapshot(self, table_name: str, key: tuple) -> dict[str, Any] | None:
-        """Row snapshot (live or tombstone) for *key*, or ``None``.
-
-        The materialized view is rebuilt whenever the table's mutation
-        counter moved, so long-lived holders (the router) stay correct if
-        the database keeps changing under them.
-        """
-        table = self.table(table_name)
-        cached = self._snapshots.get(table_name)
-        if cached is None or cached[0] != table.version:
-            cached = (table.version, table.snapshot_items())
-            self._snapshots[table_name] = cached
-        return cached[1].get(key)
+        """Row snapshot (live or tombstone) for *key*, or ``None``."""
+        return self.table(table_name).get_snapshot(key)
 
 
 class _PathPlan:
@@ -97,7 +85,9 @@ class _PathPlan:
     first-hop values shares one tail walk, which is what makes walks over
     fact tables (order lines funneling into a few districts) cheap. The
     memo is only as fresh as the data it read, so a plan lives exactly as
-    long as its holder's value memo.
+    long as its holder's value memo (the placement store clears it when
+    a write can change a walk). A hop into the referenced table's primary
+    key is one snapshot probe: the live row, else the tombstone.
     """
 
     __slots__ = (
@@ -156,17 +146,24 @@ class _PathPlan:
         """Root value for the source tuple *key*, or ``None``."""
         if len(key) != self.npk:
             return None
-        mode = self.mode
-        if mode == 0:
-            return key[self.arg]
-        if mode == 2:
-            values = tuple(key[i] for i in self.arg)
-        else:
+        row = None
+        if self.mode & 1:
             row = self.snapshots.snapshot(self.source, key)
             if row is None:
                 return None
-            if mode == 1:
-                return row.get(self.dest_col)
+        return self.row_value(key, row)
+
+    def row_value(self, key: tuple, row: Any) -> Any:
+        """Root value for *key* whose live source *row* is in hand (the
+        placement store's scan or write); modes 0 and 2 ignore *row*."""
+        mode = self.mode
+        if mode == 0:
+            return key[self.arg]
+        if mode == 1:
+            return row.get(self.dest_col)
+        if mode == 2:
+            values = tuple(key[i] for i in self.arg)
+        else:
             values = tuple(row.get(c) for c in self.arg)
         memo = self.tail_memo
         value = memo.get(values, _MISS)
@@ -182,23 +179,24 @@ class _PathPlan:
         failed hop yields ``None``.
         """
         row = None
+        snapshot = self.snapshots.snapshot
         for fk, ref_table, probe_pk in self.tail:
             vals = (
                 values
                 if row is None
                 else tuple(row.get(c) for c in fk.columns)
             )
-            if any(v is None for v in vals):
+            if None in vals:
                 return None
-            matches = ref_table.lookup(fk.ref_columns, vals)
-            if matches:
-                row = matches[0]
-            elif probe_pk:
-                row = self.snapshots.snapshot(fk.ref_table, vals)
+            if probe_pk:
+                row = snapshot(fk.ref_table, vals)
                 if row is None:
                     return None
             else:
-                return None
+                matches = ref_table.lookup(fk.ref_columns, vals)
+                if not matches:
+                    return None
+                row = matches[0]
         return row.get(self.dest_col)
 
 
@@ -207,9 +205,9 @@ class JoinPathEvaluator:
 
     Values are memoized per (path, key) until :meth:`clear_cache`;
     ``cache_stats`` counts hits/misses. This is the per-key walker of the
-    layers that place one tuple at a time (the router, the cluster, the
-    baselines' cost models); trace-driven decisions go through
-    :class:`ColumnarEngine`.
+    callers that place one tuple at a time (the baselines' design
+    scoring); trace-driven decisions go through :class:`ColumnarEngine`
+    and live placements through the placement store.
     """
 
     def __init__(

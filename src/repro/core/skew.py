@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.mapping import REPLICATED
-from repro.core.path_eval import JoinPathEvaluator
+from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning
 from repro.errors import PartitioningError
 from repro.storage.database import Database
@@ -28,15 +27,15 @@ def partition_heat(
     database: Database,
 ) -> dict[int, float]:
     """Per-partition load: one unit per transaction touching the partition."""
-    evaluator = JoinPathEvaluator(database)
+    pid_of = PlacementStore(database, partitioning).pid_of
     heat: dict[int, float] = {
         p: 0.0 for p in range(1, partitioning.num_partitions + 1)
     }
     for txn in trace:
         touched: set[int] = set()
         for table, key in txn.tuples:
-            pid = partitioning.partition_of(table, key, evaluator)
-            if pid is not None and pid != REPLICATED:
+            pid = pid_of(table, key)
+            if pid > 0:
                 touched.add(pid)
         for pid in touched:
             heat[pid] = heat.get(pid, 0.0) + 1.0

@@ -10,9 +10,10 @@
 * :class:`DatabasePartitioning` — Definition 11: one table solution per
   table; tables without one are replicated.
 
-:meth:`TableSolution.mutation_effect` is the one rule the router and the
-cluster share to decide what a write to a join-path table can do to the
-placements that read it (:class:`PathEffect`).
+:meth:`TableSolution.mutation_effect` is the rule the placement store
+(:mod:`repro.core.placement`) applies to decide what a write to a
+join-path table can do to the placements that read it
+(:class:`PathEffect`); the router's lookups and the cluster follow it.
 """
 
 from __future__ import annotations
@@ -107,9 +108,9 @@ class TableSolution:
         """Tables whose rows influence :meth:`partition_of`, in path order.
 
         A replicated table depends only on itself; a partitioned one
-        depends on every table its join path walks through. Materialized
-        views over placements (the router's lookup tables) watch exactly
-        these tables for staleness.
+        depends on every table its join path walks through. The placement
+        store's column for the table checks exactly these tables'
+        versions for staleness.
         """
         if self.path is None:
             return (self.table,)
@@ -266,10 +267,6 @@ class DatabasePartitioning:
         self, table: str, key: tuple, evaluator: JoinPathEvaluator
     ) -> int | None:
         return self.solution_for(table).partition_of(key, evaluator)
-
-    def dependencies_of(self, table: str) -> tuple[str, ...]:
-        """Tables that *table*'s placement reads (see ``TableSolution``)."""
-        return self.solution_for(table).dependency_tables
 
     # ------------------------------------------------------------------
     # constructors

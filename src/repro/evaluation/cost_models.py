@@ -15,9 +15,10 @@ provides a small spectrum so the ablation benches can compare them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.mapping import REPLICATED
-from repro.core.path_eval import JoinPathEvaluator
+from repro.core.placement import UNROUTABLE, PlacementStore
 from repro.core.solution import DatabasePartitioning
 from repro.storage.database import Database
 from repro.trace.events import Trace, TransactionTrace
@@ -47,18 +48,16 @@ class TransactionFootprint:
 
 
 def footprint(
-    txn: TransactionTrace,
-    partitioning: DatabasePartitioning,
-    evaluator: JoinPathEvaluator,
+    txn: TransactionTrace, pid_of: Callable[[str, tuple], int]
 ) -> TransactionFootprint:
+    """The partitions *txn* touches; *pid_of* places each access the way
+    :meth:`~repro.core.placement.PlacementStore.pid_of` does."""
     partitions: set[int] = set()
     writes_replicated = False
     unroutable = False
     for access in txn.accesses:
-        pid = partitioning.solution_for(access.table).partition_of(
-            access.key, evaluator
-        )
-        if pid is None:
+        pid = pid_of(access.table, access.key)
+        if pid == UNROUTABLE:
             unroutable = True
         elif pid == REPLICATED:
             if access.write:
@@ -141,6 +140,6 @@ def evaluate_model(
     database: Database,
 ) -> float:
     """Score *partitioning* on *trace* under *model*."""
-    evaluator = JoinPathEvaluator(database)
-    footprints = [footprint(txn, partitioning, evaluator) for txn in trace]
+    pid_of = PlacementStore(database, partitioning).pid_of
+    footprints = [footprint(txn, pid_of) for txn in trace]
     return model.score(footprints, partitioning.num_partitions)

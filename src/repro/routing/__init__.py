@@ -5,11 +5,12 @@ The router selects a *routing attribute* among the attributes bound to the
 procedure's parameters, consults a lookup table built over that attribute,
 and falls back to broadcast when no routable attribute exists.
 
-The tier is built for live workloads: lookup tables are maintained
-write-through from table-mutation hooks (with version-checked full-rebuild
-fallback), the lookup cache is LRU-bounded, calls can be routed in batches
-against one lookup generation, and a :class:`RoutingMetrics` block records
-what the tier did.
+The tier is built for live workloads: lookup tables are group-by views
+over a maintained placement store (:mod:`repro.core.placement`), which
+hands them every change to their rows (with a version-checked rebuild
+as the safety net); the lookup cache is LRU-bounded, calls can be routed
+in batches against one lookup generation, and a :class:`RoutingMetrics`
+block records what the tier did.
 """
 
 from repro.core.metrics import LatencyHistogram, RoutingMetrics

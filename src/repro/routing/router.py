@@ -1,14 +1,16 @@
 """The transaction router: procedure call -> target partitions.
 
-The routing tier is live: the router subscribes to every table's mutation
-feed, applies write-through maintenance to the lookup tables it has built
-(inserts/deletes on the routed attribute's own table), absorbs writes to
-the other tables on their join paths that cannot move a row (or can only
-place a row that had no root value), and invalidates the rest — so a
-routing decision is never served from a stale snapshot. A version check
-on every lookup access backstops the hooks, and :meth:`Router.route_batch`
-amortizes plan resolution and decision computation across many calls of
-one batch.
+The routing tier is live. Each lookup table is a view over a
+:class:`~repro.core.placement.PlacementStore` — the router's own, or the
+one a cluster shares with its router — and the store hands every view the
+changes to its table's rows: writes to the routed attribute's own table,
+and rows a write elsewhere moved along their join paths. So a routing
+decision is never served from a stale snapshot, and no write makes a view
+rebuild. A version check on every lookup access backstops the store's
+listeners, and :meth:`Router.route_batch` amortizes plan resolution and
+decision computation across many calls of one batch. Time spent building
+views is recorded apart from the routing latency of the call that needed
+them.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.mapping import stable_hash
 from repro.core.metrics import RoutingMetrics
-from repro.core.path_eval import JoinPathEvaluator
+from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning
 from repro.procedures.procedure import ProcedureCatalog
 from repro.routing.lookup_table import LookupTable
 from repro.schema.attribute import Attr
 from repro.sql.dataflow import analyze_dataflow
 from repro.storage.database import Database
-from repro.storage.table import Table
 
 #: Broadcast causes recorded in :class:`RoutingMetrics.broadcast_causes`.
 NO_BINDINGS = "no_bindings"
@@ -84,8 +85,9 @@ class Router:
     one that resolves to a bounded partition set.
 
     ``max_lookups`` bounds the lookup-table cache (LRU eviction);
-    ``metrics`` collects the tier's counters and latency histograms. Call
-    :meth:`close` to detach the router's mutation hooks from the database.
+    ``metrics`` collects the tier's counters and latency histograms.
+    ``store`` is the placement store the views read; without one the
+    router attaches its own, and :meth:`close` detaches it again.
     """
 
     def __init__(
@@ -95,6 +97,7 @@ class Router:
         partitioning: DatabasePartitioning,
         max_lookups: int = 64,
         metrics: RoutingMetrics | None = None,
+        store: PlacementStore | None = None,
     ) -> None:
         if max_lookups < 1:
             raise ValueError("max_lookups must be at least 1")
@@ -103,7 +106,8 @@ class Router:
         self.partitioning = partitioning
         self.max_lookups = max_lookups
         self.metrics = metrics or RoutingMetrics()
-        self._evaluator = JoinPathEvaluator(database)
+        self._owns_store = store is None
+        self.store = store or PlacementStore(database, partitioning).attach()
         self._bindings: dict[str, list[tuple[Attr, str]]] = {}
         for procedure in catalog:
             # The dataflow closure adds (attr, param) pairs proven by
@@ -117,104 +121,38 @@ class Router:
             )
         self._lookups: OrderedDict[Attr, LookupTable] = OrderedDict()
         self._built_once: set[Attr] = set()
-        self._hooks: list[tuple[Any, Any]] = []
-        self._attach_hooks()
-
-    # ------------------------------------------------------------------
-    # mutation hooks (write-through + invalidation)
-    # ------------------------------------------------------------------
-    def _attach_hooks(self) -> None:
-        for table in self.database:
-
-            def hook(
-                op: str,
-                key: tuple,
-                old: Mapping[str, Any] | None,
-                new: Mapping[str, Any] | None,
-                _table: Table = table,
-            ) -> None:
-                self._on_mutation(_table, op, old, new)
-
-            table.add_listener(hook)
-            self._hooks.append((table, hook))
 
     def close(self) -> None:
-        """Detach the router's mutation hooks; the router keeps working,
-        falling back to the per-access staleness check."""
-        for table, hook in self._hooks:
-            table.remove_listener(hook)
-        self._hooks.clear()
+        """Detach the router's own placement store from the database.
 
-    def _on_mutation(
-        self,
-        table: Table,
-        op: str,
-        old: Mapping[str, Any] | None,
-        new: Mapping[str, Any] | None,
-    ) -> None:
-        # Path evaluations memoized before this write may now be wrong
-        # (e.g. a foreign-key retarget); drop them before re-evaluating.
-        self._evaluator.clear_cache()
-        metrics = self.metrics
-        table_name = table.schema.name
-        for attribute, lookup in list(self._lookups.items()):
-            if attribute.table == table_name and not self._write_through(
-                lookup, op, old, new
-            ):
-                metrics.write_through_fallbacks += 1
-                metrics.staleness_detections += 1
-                del self._lookups[attribute]
-            elif table_name in lookup.hop_targets and not (
-                lookup.apply_dependency(table, op, old, new)
-            ):
-                metrics.staleness_detections += 1
-                del self._lookups[attribute]
-
-    def _write_through(
-        self,
-        lookup: LookupTable,
-        op: str,
-        old: Mapping[str, Any] | None,
-        new: Mapping[str, Any] | None,
-    ) -> bool:
-        """Apply a write of the lookup's own table to its written row."""
-        metrics = self.metrics
-        if op == "insert" and new is not None:
-            if lookup.apply_insert(new):
-                metrics.write_through_inserts += 1
-                return True
-        elif op == "delete" and old is not None:
-            if lookup.apply_delete(old):
-                metrics.write_through_deletes += 1
-                return True
-        elif op == "update" and old is not None and new is not None:
-            if lookup.apply_update(old, new):
-                metrics.write_through_updates += 1
-                return True
-        return False
+        The router keeps working, falling back to the per-access staleness
+        check. A store handed in by its owner (the cluster) stays attached.
+        """
+        if self._owns_store:
+            self.store.close()
 
     # ------------------------------------------------------------------
     # lookup-table cache
     # ------------------------------------------------------------------
+    def _drop(self, attribute: Attr) -> None:
+        self._lookups.pop(attribute).close()
+
     def _lookup(self, attribute: Attr) -> LookupTable:
         lookups = self._lookups
         table = lookups.get(attribute)
         if table is not None:
-            # Safety net under the hooks: one integer compare per
-            # dependency table catches mutations applied while detached.
-            if table.is_stale(self.database):
+            # Safety net under the store's listeners: one integer compare
+            # per dependency table catches writes made while detached.
+            if table.is_stale():
                 self.metrics.staleness_detections += 1
-                del lookups[attribute]
+                self._drop(attribute)
                 table = None
-                # The writes went past detached hooks, so walks memoized
-                # before them were never dropped; rebuild from fresh ones.
-                self._evaluator.clear_cache()
             else:
                 lookups.move_to_end(attribute)
         if table is None:
-            table = LookupTable.build(
-                attribute, self.database, self.partitioning, self._evaluator
-            )
+            started = time.perf_counter()
+            table = LookupTable.build(attribute, self.store, self.metrics)
+            self.metrics.lookup_build_seconds += time.perf_counter() - started
             if attribute in self._built_once:
                 self.metrics.lookups_rebuilt += 1
             else:
@@ -222,7 +160,7 @@ class Router:
                 self.metrics.lookups_built += 1
             lookups[attribute] = table
             while len(lookups) > self.max_lookups:
-                lookups.popitem(last=False)
+                self._drop(next(iter(lookups)))
                 self.metrics.lookups_evicted += 1
         return table
 
@@ -319,11 +257,15 @@ class Router:
     def route(
         self, procedure_name: str, arguments: Mapping[str, Any]
     ) -> RoutingDecision:
-        """Route one call; broadcast when nothing constrains it."""
+        """Route one call; broadcast when nothing constrains it.
+
+        The latency recorded is the decision's, taken once the call's
+        lookups are resolved: building one is timed apart
+        (:attr:`RoutingMetrics.lookup_build_seconds`).
+        """
+        plan = self._plan(procedure_name)
         started = time.perf_counter()
-        decision, cause = self._route_plan(
-            self._plan(procedure_name), arguments
-        )
+        decision, cause = self._route_plan(plan, arguments)
         self._observe(decision, cause, time.perf_counter() - started)
         return decision
 
@@ -344,11 +286,11 @@ class Router:
         memo: dict[tuple, tuple[RoutingDecision, str | None]] = {}
         decisions: list[RoutingDecision] = []
         for procedure_name, arguments in calls:
-            started = time.perf_counter()
             plan = plans.get(procedure_name)
             if plan is None:
                 plan = self._plan(procedure_name)
                 plans[procedure_name] = plan
+            started = time.perf_counter()
             key: tuple | None
             try:
                 key = (procedure_name,) + tuple(

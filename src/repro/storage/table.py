@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import StorageError
@@ -65,20 +66,48 @@ class Table:
         """
         if validate:
             self.schema.validate_row(row)
-        stored: Row = dict(row)
-        key = self.primary_key_of(stored)
-        if key in self._rows:
-            raise StorageError(
-                f"duplicate primary key {key} in table {self.schema.name}"
-            )
-        self._version += 1
-        self._rows[key] = stored
-        tombstone = self._graveyard.pop(key, None)
-        for columns, index in self._indexes.items():
-            index.setdefault(tuple(stored[c] for c in columns), []).append(key)
-        if self._listeners:
-            self._notify("insert", key, tombstone, dict(stored))
-        return key
+        self.insert_many((row,))
+        return self.primary_key_of(row)
+
+    def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
+        """Insert each row in turn; returns how many were inserted.
+
+        :meth:`insert` is this for one row. Per row: a duplicate key raises
+        :class:`StorageError` (the rows before it stay inserted), the
+        version bumps, the key's tombstone is popped, secondary indexes are
+        maintained and listeners hear one insert. The per-call lookups are
+        hoisted out of the loop; the cluster fills empty node tables with it.
+        """
+        live = self._rows
+        graveyard = self._graveyard
+        indexes = tuple(self._indexes.items())
+        primary_key = self.schema.primary_key
+        key_columns = itemgetter(*primary_key)
+        single = len(primary_key) == 1
+        count = 0
+        for row in rows:
+            stored: Row = dict(row)
+            try:
+                key = (
+                    (key_columns(stored),) if single else key_columns(stored)
+                )
+            except KeyError:
+                key = self.primary_key_of(stored)  # raises StorageError
+            if key in live:
+                raise StorageError(
+                    f"duplicate primary key {key} in table {self.schema.name}"
+                )
+            self._version += 1
+            live[key] = stored
+            tombstone = graveyard.pop(key, None)
+            for columns, index in indexes:
+                index.setdefault(tuple(stored[c] for c in columns), []).append(
+                    key
+                )
+            if self._listeners:
+                self._notify("insert", key, tombstone, dict(stored))
+            count += 1
+        return count
 
     def update(self, key: KeyValue, changes: Mapping[str, Any]) -> Row:
         """Apply *changes* to the row with primary key *key*.
@@ -196,18 +225,6 @@ class Table:
             return row
         return self._graveyard.get(key)
 
-    def snapshot_items(self) -> dict[KeyValue, Row]:
-        """One merged primary-key index over live rows and tombstones.
-
-        Live rows win over tombstones for the same key. The returned dict
-        is a point-in-time materialization — the join-path evaluator builds
-        it once per table and then answers every snapshot lookup with a
-        single dict probe instead of two.
-        """
-        merged: dict[KeyValue, Row] = dict(self._graveyard)
-        merged.update(self._rows)
-        return merged
-
     def ensure_index(self, columns: Sequence[str]) -> None:
         """Create a secondary hash index over *columns* if not present."""
         cols = tuple(columns)
@@ -251,13 +268,17 @@ class Table:
     def version(self) -> int:
         """Mutation counter; bumps on insert/update/delete.
 
-        Lets materialized views (:class:`SnapshotIndex`) detect staleness
-        with one integer compare instead of subscribing to changes.
+        Lets views over the table (the placement store's columns) detect
+        writes they were not told about with one integer compare.
         """
         return self._version
 
     def keys(self) -> Iterable[KeyValue]:
         return self._rows.keys()
+
+    def items(self) -> Iterable[tuple[KeyValue, Row]]:
+        """Live ``(primary key, row)`` pairs; the rows are the live dicts."""
+        return self._rows.items()
 
     def __len__(self) -> int:
         return len(self._rows)

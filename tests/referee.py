@@ -1,4 +1,4 @@
-"""Referees: Definitions 5 and 7 computed by object scans.
+"""Referees: Definitions 5 and 7 and the row placement, computed naively.
 
 The partitioner decides both definitions with vectorized kernels over an
 interned trace (:class:`~repro.core.path_eval.ColumnarEngine` and
@@ -7,16 +7,25 @@ here compute the same definitions one transaction and one access at a
 time through a :class:`~repro.core.path_eval.JoinPathEvaluator`, and the
 differential tests hold the kernels to them.
 
+The serving tier reads one maintained
+:class:`~repro.core.placement.PlacementStore`. :func:`naive_placement`
+places every live row again with an uncached walk per key
+(:func:`naive_root_value`), and :func:`naive_lookup` groups it by one
+attribute; the router and cluster tests hold the store and its lookup
+views to them after every write.
+
 :func:`intern` is how tests hand plain traces to the kernels.
 """
 
 from __future__ import annotations
 
+from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
 from repro.core.mapping import REPLICATED
 from repro.core.path_eval import ColumnarEngine, JoinPathEvaluator
 from repro.core.solution import DatabasePartitioning
 from repro.evaluation.evaluator import CostReport
+from repro.schema.attribute import Attr
 from repro.storage.database import Database
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import Trace, TransactionTrace
@@ -114,3 +123,94 @@ def cost_report(
                 report.per_class_distributed.get(name, 0) + 1
             )
     return report
+
+
+# ----------------------------------------------------------------------
+# placement
+# ----------------------------------------------------------------------
+def naive_root_value(database, path: JoinPath, key: tuple):
+    """Walk *path* from *key* with no cache and eager row fetches.
+
+    Mirrors the path semantics — primary-key columns are known for free
+    (so deleted rows with intra-key paths still evaluate), foreign-key
+    hops resolve against live rows first and tombstones second — but
+    shares none of the evaluator's laziness or memoization.
+    """
+    table = database.table(path.source_table)
+    primary_key = table.schema.primary_key
+    key = tuple(key)
+    if len(primary_key) != len(key):
+        return None
+    env = dict(zip(primary_key, key))
+    row = table.get_snapshot(key)
+    if row is not None:
+        env = {**row, **env}
+    for step, node in zip(path.steps, path.nodes[1:]):
+        if step.kind == "intra":
+            if not all(attr.column in env for attr in node):
+                return None
+            continue
+        fk = step.fk
+        values = tuple(env.get(column) for column in fk.columns)
+        if any(value is None for value in values):
+            return None
+        ref_table = database.table(fk.ref_table)
+        matches = ref_table.lookup(fk.ref_columns, values)
+        if matches:
+            env = dict(matches[0])
+        elif tuple(fk.ref_columns) == ref_table.schema.primary_key:
+            tombstone = ref_table.get_snapshot(values)
+            if tombstone is None:
+                return None
+            env = dict(tombstone)
+        else:
+            return None
+    return env.get(path.destination.column)
+
+
+def naive_placement(
+    database: Database, partitioning: DatabasePartitioning
+) -> dict[str, dict[tuple, int]]:
+    """Every live row's partition id, per partitioned table.
+
+    ``0`` value-replicated, ``-1`` unroutable; replicated tables are left
+    out (every row of one is everywhere).
+    """
+    out: dict[str, dict[tuple, int]] = {}
+    for table in database:
+        solution = partitioning.solution_for(table.schema.name)
+        if solution.replicated:
+            continue
+        assert solution.path is not None and solution.mapping is not None
+        column = {}
+        for key in table.keys():
+            value = naive_root_value(database, solution.path, key)
+            column[key] = -1 if value is None else solution.mapping(value)
+        out[table.schema.name] = column
+    return out
+
+
+def naive_lookup(
+    database: Database,
+    partitioning: DatabasePartitioning,
+    attribute: Attr,
+    placement: dict[str, dict[tuple, int]] | None = None,
+) -> dict:
+    """*attribute* value -> partitions of its singly-homed rows.
+
+    Every non-NULL value of a live row is a key; *placement* defaults to
+    :func:`naive_placement`.
+    """
+    if placement is None:
+        placement = naive_placement(database, partitioning)
+    pids = placement.get(attribute.table, {})
+    out: dict = {}
+    for key, row in database.table(attribute.table).items():
+        value = row.get(attribute.column)
+        if value is None:
+            continue
+        found = out.setdefault(value, set())
+        pid = pids.get(key, REPLICATED)
+        if pid > 0:
+            found.add(pid)
+    return {value: frozenset(found) for value, found in out.items()}

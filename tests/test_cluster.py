@@ -18,10 +18,14 @@ from repro.cluster import (
 )
 from repro.core.join_path import JoinPath
 from repro.core.mapping import IdentityModMapping
+from repro.core.placement import UNROUTABLE
 from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.procedures import ProcedureCatalog, StoredProcedure
+from repro.schema import Attr
 from repro.trace import Trace
 from repro.trace.events import TransactionTrace, TupleAccess
+
+from tests.test_path_effects import assert_cluster_exact
 
 
 @pytest.fixture
@@ -100,6 +104,63 @@ class TestPlacement:
         assert cluster.metrics.unroutable_tuples == 0
 
     def test_initial_conservation_holds(self, cluster):
+        assert cluster.check_conservation() == []
+
+    @staticmethod
+    def _retarget_past_the_store(database):
+        """Account 1 (customer 1) ends as a tombstone of customer 2: the
+        tombstone reaches no listener, so trades 1 and 7 should move from
+        node 2 to node 1 without the store hearing of it. A tombstone in
+        the replicated CUSTOMER table is missed too."""
+        database.delete("CUSTOMER_ACCOUNT", (1,))
+        database.table("CUSTOMER_ACCOUNT").restore_tombstone(
+            (1,), {"CA_ID": 1, "CA_C_ID": 2}
+        )
+        database.table("CUSTOMER").restore_tombstone(
+            (99,), {"C_ID": 99, "C_TAX_ID": 9099}
+        )
+
+    @staticmethod
+    def _node_rows(cluster, table):
+        return {
+            node_id: dict(node.database.table(table).items())
+            for node_id, node in cluster.nodes.items()
+        }
+
+    def test_conservation_check_reports_a_write_past_the_store(
+        self, figure1_db, cluster
+    ):
+        self._retarget_past_the_store(figure1_db)
+        before = self._node_rows(cluster, "TRADE")
+        problems = cluster.check_conservation()
+        assert sorted(problems) == [
+            "store column CUSTOMER out of step",
+            "store column CUSTOMER_ACCOUNT out of step",
+            "store column TRADE out of step",
+        ]
+        # The check repaired nothing.
+        assert cluster.check_conservation() == problems
+        assert self._node_rows(cluster, "TRADE") == before
+        # The next reads fill the columns again and resync the nodes.
+        for table in ("CUSTOMER", "CUSTOMER_ACCOUNT", "TRADE"):
+            cluster.store.pids(table)
+        assert cluster.nodes[1].database.get("TRADE", (1,)) is not None
+        assert cluster.check_conservation() == []
+
+    def test_a_refilled_column_leaves_down_nodes_divergent(
+        self, figure1_db, cluster
+    ):
+        cluster.nodes[1].crash()
+        self._retarget_past_the_store(figure1_db)
+        before = self._node_rows(cluster, "TRADE")
+        for table in ("CUSTOMER", "CUSTOMER_ACCOUNT", "TRADE"):
+            cluster.store.pids(table)
+        after = self._node_rows(cluster, "TRADE")
+        assert after[1] == before[1]
+        assert cluster.nodes[1].divergent == {
+            "CUSTOMER", "CUSTOMER_ACCOUNT", "TRADE"
+        }
+        assert (1,) not in after[2] and (7,) not in after[2]
         assert cluster.check_conservation() == []
 
     def test_ring_wrap_with_fewer_nodes_than_partitions(
@@ -310,6 +371,83 @@ class TestLiveExecution:
             assert cluster.metrics.crashes == 1
             assert cluster.metrics.recoveries == 1
             assert cluster.check_conservation() == []
+        finally:
+            cluster.close()
+
+    def test_moving_a_row_commits_on_its_old_and_new_node(
+        self, figure1_db, customer_partitioning
+    ):
+        # Account 7 moves from customer 2 (node 1) to customer 1 (node 2):
+        # node 1 still holds it when the transaction commits.
+        move = StoredProcedure(
+            "MoveAccount",
+            params=["ca_id", "c_id"],
+            statements={
+                "move": """
+                    UPDATE CUSTOMER_ACCOUNT SET CA_C_ID = @c_id
+                    WHERE CA_ID = @ca_id
+                """
+            },
+        )
+        cluster = Cluster(
+            figure1_db, ProcedureCatalog([move]), customer_partitioning
+        )
+        try:
+            assert cluster.execute("MoveAccount", {"ca_id": 7, "c_id": 1})
+            assert cluster.metrics.committed_distributed == 1
+            assert cluster.metrics.per_node_transactions == {1: 1, 2: 1}
+            assert cluster.nodes[2].database.get("CUSTOMER_ACCOUNT", (7,))
+            assert cluster.nodes[1].database.get("CUSTOMER_ACCOUNT", (7,)) is None
+            assert cluster.check_conservation() == []
+        finally:
+            cluster.close()
+
+    def test_aborted_fresh_insert_keeps_lookups_and_divergence(
+        self, figure1_db, customer_partitioning
+    ):
+        # NewOrder's shape: an insert of a new key into a table that other
+        # placements hop into. Node 1 is down from tick 0 to tick 2, so an
+        # account of customer 2 (node 1) cannot be opened until then.
+        open_account = StoredProcedure(
+            "OpenAccount",
+            params=["ca_id", "c_id"],
+            statements={
+                "insert": """
+                    INSERT INTO CUSTOMER_ACCOUNT (CA_ID, CA_C_ID)
+                    VALUES (@ca_id, @c_id)
+                """
+            },
+        )
+        cluster = Cluster(
+            figure1_db,
+            ProcedureCatalog([open_account]),
+            customer_partitioning,
+            fault_plan=FaultPlan().crash(node=1, at=0).recover(node=1, at=2),
+        )
+        try:
+            attribute = Attr("TRADE", "T_CA_ID")
+            lookup = cluster.router.lookup_table(attribute)
+            # tick 0: node 1 crashes
+            assert not cluster.execute("OpenAccount", {"ca_id": 41, "c_id": 2})
+            # Trade 60 names account 40, which does not exist: unroutable,
+            # it goes to every node, and node 1 misses it.
+            figure1_db.insert("TRADE", {"T_ID": 60, "T_CA_ID": 40, "T_QTY": 1})
+            assert cluster.nodes[1].divergent == {"TRADE"}
+            # tick 1: opening account 40 would place trade 60; it aborts
+            assert not cluster.execute("OpenAccount", {"ca_id": 40, "c_id": 2})
+            assert cluster.store.pid_of("TRADE", (60,)) == UNROUTABLE
+            assert cluster.nodes[1].divergent == {"TRADE"}
+            assert cluster.nodes[1].database.get("TRADE", (60,)) is None
+            assert cluster.check_conservation() == []
+            # tick 2: node 1 recovers and resyncs the one row it missed
+            assert cluster.execute("OpenAccount", {"ca_id": 42, "c_id": 1})
+            assert cluster.metrics.failed == 2
+            assert cluster.metrics.rows_resynced == 1
+            routing = cluster.router.metrics
+            assert routing.lookups_rebuilt == 0
+            assert routing.staleness_detections == 0
+            assert cluster.router.lookup_table(attribute) is lookup
+            assert_cluster_exact(cluster)
         finally:
             cluster.close()
 

@@ -34,7 +34,7 @@ from repro.workloads.tpcc import TpccBenchmark, TpccConfig
 from repro.workloads.tpce import TpceBenchmark, TpceConfig
 
 from tests import referee
-from tests.test_mi_oracle import naive_root_value
+from tests.referee import naive_root_value
 
 try:
     from hypothesis import given, settings

@@ -7,8 +7,8 @@ path plans that skip row fetches when the needed columns sit inside the
 primary key and share the walk past the first foreign-key hop. Any of
 those optimizations could silently change Definition 7's meaning. This
 module re-implements the definition as directly as possible — no cache,
-no short-circuit, eager row materialization, fresh snapshots on every
-probe — and Hypothesis cross-checks the kernel, the referee object scan
+no short-circuit, eager row materialization, a fresh live-or-tombstone
+probe per row (:func:`tests.referee.naive_root_value`) — and Hypothesis cross-checks the kernel, the referee object scan
 and every per-key walk against it on randomized schemas-with-tombstones
 and traces.
 """
@@ -26,51 +26,12 @@ from repro.trace.events import TransactionTrace, TupleAccess
 
 from tests import referee
 from tests.conftest import build_custinfo_schema, load_figure1_data
+from tests.referee import naive_root_value
 
 
 # ----------------------------------------------------------------------
 # the oracle: Definition 7, computed the slow and obvious way
 # ----------------------------------------------------------------------
-def naive_root_value(database, path: JoinPath, key: tuple):
-    """Walk *path* from *key* with no cache and eager row fetches.
-
-    Mirrors the path semantics — primary-key columns are known for free
-    (so deleted rows with intra-key paths still evaluate), foreign-key
-    hops resolve against live rows first and tombstones second — but
-    shares none of the evaluator's laziness or memoization.
-    """
-    table = database.table(path.source_table)
-    primary_key = table.schema.primary_key
-    key = tuple(key)
-    if len(primary_key) != len(key):
-        return None
-    env = dict(zip(primary_key, key))
-    row = table.snapshot_items().get(key)
-    if row is not None:
-        env = {**row, **env}
-    for step, node in zip(path.steps, path.nodes[1:]):
-        if step.kind == "intra":
-            if not all(attr.column in env for attr in node):
-                return None
-            continue
-        fk = step.fk
-        values = tuple(env.get(column) for column in fk.columns)
-        if any(value is None for value in values):
-            return None
-        ref_table = database.table(fk.ref_table)
-        matches = ref_table.lookup(fk.ref_columns, values)
-        if matches:
-            env = dict(matches[0])
-        elif tuple(fk.ref_columns) == ref_table.schema.primary_key:
-            tombstone = ref_table.snapshot_items().get(values)
-            if tombstone is None:
-                return None
-            env = dict(tombstone)
-        else:
-            return None
-    return env.get(path.destination.column)
-
-
 def brute_force_mapping_independent(
     database, tree: JoinTree, trace: Trace
 ) -> bool:

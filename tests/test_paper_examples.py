@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.join_graph import JoinGraph
 from repro.core.phase2 import Phase2Config, enumerate_trees
+from repro.core.placement import PlacementStore
 from repro.routing import LookupTable
 from repro.schema import Attr
 from repro.sql import analyze_procedure
@@ -136,12 +137,7 @@ class TestLookupTableCoarseness:
         result = JECBPartitioner(
             tpce.database, tpce.catalog, JECBConfig(num_partitions=8)
         ).run(tpce.trace)
-        fine = LookupTable.build(
-            Attr("TRADE", "T_ID"), tpce.database, result.partitioning
-        )
-        coarse = LookupTable.build(
-            Attr("CUSTOMER_ACCOUNT", "CA_C_ID"),
-            tpce.database,
-            result.partitioning,
-        )
+        store = PlacementStore(tpce.database, result.partitioning)
+        fine = LookupTable.build(Attr("TRADE", "T_ID"), store)
+        coarse = LookupTable.build(Attr("CUSTOMER_ACCOUNT", "CA_C_ID"), store)
         assert len(coarse) < len(fine)

@@ -1,11 +1,11 @@
 """Writes to join-path tables: the NONE / UNPLACED / ALL rule.
 
 ``TableSolution.mutation_effect`` decides what a write to a table on a
-join path can do to the placements that walk through it. The router's
-lookup tables and the cluster's placement map both act on it, so the
-differential checks here hold both to a fresh rebuild: cached lookups vs
-``LookupTable.build``, the maintained placement vs ``_compute_placement``,
-plus row conservation. TPC-C pins the cases that matter for JECB's
+join path can do to the placements that walk through it. The placement
+store acts on it, and the router's lookup views and the cluster's nodes
+follow the store, so the differential checks here hold all three to the
+referee (``tests.referee.naive_placement`` and ``naive_lookup``), plus
+row conservation. TPC-C pins the cases that matter for JECB's
 customer-rooted answer, and ``Cluster._rollback`` must put back the exact
 tombstone an aborted insert replaced.
 """
@@ -19,8 +19,10 @@ import repro
 from repro.cluster import Cluster
 from repro.core.join_path import JoinPath
 from repro.core.mapping import IdentityModMapping
+from repro.core.placement import UNROUTABLE, PlacementStore
 from repro.core.solution import DatabasePartitioning, PathEffect, TableSolution
-from repro.procedures import ProcedureCatalog
+from repro.cluster import FaultPlan
+from repro.procedures import ProcedureCatalog, StoredProcedure
 from repro.schema import Attr, DatabaseSchema, integer_table
 from repro.storage import Database
 from repro.workloads.tatp import TatpBenchmark, TatpConfig
@@ -31,48 +33,49 @@ from tests.conftest import (
     build_custinfo_schema,
     load_figure1_data,
 )
+from tests.referee import naive_placement
 from tests.test_routing import (
     _STORM,
     _apply_storm,
     _build_custinfo_partitioning,
-    assert_lookups_match_rebuild,
+    assert_lookups_match_referee,
 )
 
 NONE, UNPLACED, ALL = PathEffect.NONE, PathEffect.UNPLACED, PathEffect.ALL
 
 
-def _placement_state(placement):
-    """A PlacementMap as comparable plain data (empty buckets dropped)."""
-    return (
-        set(placement.replicated_tables),
-        {t: dict(homes) for t, homes in placement.homes.items() if homes},
-        {t: set(keys) for t, keys in placement.everywhere.items() if keys},
-        {t: set(keys) for t, keys in placement.unroutable.items() if keys},
-    )
+def assert_store_exact(store, database, partitioning):
+    """Every column of *store* followed every write and equals the referee."""
+    for table, pids in naive_placement(database, partitioning).items():
+        assert store.in_step(table), table
+        assert store.pids(table) == pids, table
 
 
 def assert_cluster_exact(cluster):
-    """Placement, node contents and lookups all equal a fresh rebuild."""
-    assert _placement_state(cluster.placement) == _placement_state(
-        cluster._compute_placement()
-    )
+    """Store, node contents and lookups all equal the referee."""
+    assert_store_exact(cluster.store, cluster.source, cluster.partitioning)
     assert cluster.check_conservation() == []
-    assert_lookups_match_rebuild(
+    assert_lookups_match_referee(
         cluster.router, cluster.source, cluster.partitioning
     )
 
 
+def _home(cluster, table, key):
+    """Node holding the singly-homed row *key*, per the store."""
+    return cluster.node_of(cluster.store.pid_of(table, key))
+
+
 @pytest.fixture
 def replacements(monkeypatch):
-    """Record every ``_replace_table_placement`` call as (table, full?)."""
+    """Record every store re-placement after a hop write as (table, full?)."""
     calls = []
-    original = Cluster._replace_table_placement
+    original = PlacementStore._replace
 
-    def spy(self, table, keys=None):
-        calls.append((table, keys is None))
-        return original(self, table, keys)
+    def spy(self, column, effect):
+        calls.append((column.name, effect is ALL))
+        return original(self, column, effect)
 
-    monkeypatch.setattr(Cluster, "_replace_table_placement", spy)
+    monkeypatch.setattr(PlacementStore, "_replace", spy)
     return calls
 
 
@@ -212,9 +215,12 @@ def test_cluster_storm_matches_fresh_placement(storm):
             for name, arguments in calls:
                 router.route(name, arguments)
 
-        route_all()
-        _apply_storm(database, storm, between=route_all)
-        assert_cluster_exact(cluster)
+        def step():
+            route_all()
+            assert_cluster_exact(cluster)
+
+        step()
+        _apply_storm(database, storm, between=step)
     finally:
         cluster.close()
 
@@ -346,9 +352,11 @@ class TestTpccWrites:
 
             database.update("ORDERS", order, {"O_C_ID": target})
             for key in lines:
-                assert cluster.placement.home_of("ORDER_LINE", key) == home
+                assert _home(cluster, "ORDER_LINE", key) == home
             assert ("ORDER_LINE", True) in replacements
-            assert cluster.router.metrics.staleness_detections >= 1
+            # The view followed the moved lines; nothing was rebuilt.
+            assert mapping(target) in lookup.partitions_for(1)
+            assert cluster.router.metrics.lookups_rebuilt == 0
             assert_cluster_exact(cluster)
         finally:
             cluster.close()
@@ -371,7 +379,7 @@ class TestTpccWrites:
                     "OL_QUANTITY": 1, "OL_AMOUNT": 1,
                 },
             )
-            assert cluster.placement.is_unroutable("ORDER_LINE", line)
+            assert cluster.store.pid_of("ORDER_LINE", line) == UNROUTABLE
             assert lookup.partitions_for(99) == frozenset()
 
             database.insert(
@@ -382,7 +390,7 @@ class TestTpccWrites:
                 },
             )
             mapping = cluster.partitioning.solution_for("ORDER_LINE").mapping
-            assert cluster.placement.home_of("ORDER_LINE", line) == (
+            assert _home(cluster, "ORDER_LINE", line) == (
                 cluster.node_of(mapping(1))
             )
             assert lookup.partitions_for(99) == frozenset({mapping(1)})
@@ -410,7 +418,7 @@ class TestRollbackTombstones:
             original = dict(table.get(key))
             database.delete("CALL_FORWARDING", key)
 
-            cluster._txn_ops = []
+            cluster._begin()
             aborted = dict(
                 original,
                 CF_END_TIME=original["CF_END_TIME"] + 1,
@@ -442,7 +450,7 @@ class TestRollbackTombstones:
         # tombstone. An aborted re-insert for customer 2 must not leave
         # customer 2 in the tombstone.
         figure1_db.delete("CUSTOMER_ACCOUNT", (1,))
-        cluster._txn_ops = []
+        cluster._begin()
         figure1_db.insert("CUSTOMER_ACCOUNT", {"CA_ID": 1, "CA_C_ID": 2})
         cluster._rollback()
         snapshot = figure1_db.table("CUSTOMER_ACCOUNT").get_snapshot((1,))
@@ -453,13 +461,48 @@ class TestRollbackTombstones:
         self, figure1_db, cluster
     ):
         figure1_db.insert("TRADE", {"T_ID": 50, "T_CA_ID": 40, "T_QTY": 1})
-        cluster._txn_ops = []
+        cluster._begin()
         figure1_db.insert("CUSTOMER_ACCOUNT", {"CA_ID": 40, "CA_C_ID": 2})
         cluster._rollback()
         table = figure1_db.table("CUSTOMER_ACCOUNT")
         assert table.get_snapshot((40,)) is None
-        assert cluster.placement.is_unroutable("TRADE", (50,))
+        assert cluster.store.pid_of("TRADE", (50,)) == UNROUTABLE
         assert_cluster_exact(cluster)
+
+    def test_aborted_insert_over_a_tombstone_leaves_the_store_exact(
+        self, figure1_db, custinfo_schema
+    ):
+        # Account 1 (customer 1, node 2) is deleted; its trades follow the
+        # tombstone. A live re-insert for customer 2 targets node 1, which
+        # is down: every attempt aborts, and each rollback restores the
+        # tombstone behind the store's listeners.
+        reopen = StoredProcedure(
+            "Reopen",
+            params=["ca_id", "c_id"],
+            statements={
+                "insert": """
+                    INSERT INTO CUSTOMER_ACCOUNT (CA_ID, CA_C_ID)
+                    VALUES (@ca_id, @c_id)
+                """
+            },
+        )
+        cluster = Cluster(
+            figure1_db,
+            ProcedureCatalog([reopen]),
+            _build_custinfo_partitioning(custinfo_schema),
+            fault_plan=FaultPlan().crash(node=1, at=0),
+        )
+        try:
+            figure1_db.delete("CUSTOMER_ACCOUNT", (1,))
+            assert not cluster.execute("Reopen", {"ca_id": 1, "c_id": 2})
+            assert cluster.metrics.failed == 1
+            table = figure1_db.table("CUSTOMER_ACCOUNT")
+            assert table.get((1,)) is None
+            assert table.get_snapshot((1,)) == {"CA_ID": 1, "CA_C_ID": 1}
+            assert _home(cluster, "TRADE", (1,)) == 2
+            assert_cluster_exact(cluster)
+        finally:
+            cluster.close()
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +549,7 @@ def test_path_back_into_its_source_table_moves_the_other_rows():
         # Head of department 1 moves region: the whole department follows.
         database.update("EMPLOYEE", (1,), {"E_REGION": 2})
         for employee in range(2, 11, 2):  # department 1
-            assert cluster.placement.home_of("EMPLOYEE", (employee,)) == 1
+            assert _home(cluster, "EMPLOYEE", (employee,)) == 1
         assert_cluster_exact(cluster)
     finally:
         cluster.close()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_path import JoinPath
 from repro.core.mapping import IdentityModMapping
+from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.procedures import ProcedureCatalog, StoredProcedure
 from repro.routing import LookupTable, Router
@@ -19,6 +20,7 @@ from tests.conftest import (
     build_custinfo_schema,
     load_figure1_data,
 )
+from tests.referee import naive_lookup, naive_placement
 
 
 @pytest.fixture
@@ -57,8 +59,7 @@ class TestLookupTable:
     def test_build_and_query(self, figure1_db, customer_partitioning):
         lookup = LookupTable.build(
             Attr("CUSTOMER_ACCOUNT", "CA_C_ID"),
-            figure1_db,
-            customer_partitioning,
+            PlacementStore(figure1_db, customer_partitioning),
         )
         # customer 1 -> partition 1 + 1 % 2 = 2; customer 2 -> 1
         assert lookup.partitions_for(1) == {2}
@@ -71,8 +72,7 @@ class TestLookupTable:
     ):
         lookup = LookupTable.build(
             Attr("CUSTOMER_ACCOUNT", "CA_C_ID"),
-            figure1_db,
-            customer_partitioning,
+            PlacementStore(figure1_db, customer_partitioning),
         )
         found = lookup.partitions_for(1)
         assert isinstance(found, frozenset)
@@ -84,51 +84,56 @@ class TestLookupTable:
         self, figure1_db, customer_partitioning
     ):
         lookup = LookupTable.build(
-            Attr("TRADE", "T_CA_ID"), figure1_db, customer_partitioning
+            Attr("TRADE", "T_CA_ID"),
+            PlacementStore(figure1_db, customer_partitioning),
         )
         # The TRADE placement walks TRADE -> CUSTOMER_ACCOUNT.
         assert lookup.dependencies == ("TRADE", "CUSTOMER_ACCOUNT")
-        assert not lookup.is_stale(figure1_db)
+        assert not lookup.is_stale()
+        # A detached store finds the write by the version check alone.
         figure1_db.insert("CUSTOMER_ACCOUNT", {"CA_ID": 77, "CA_C_ID": 1})
-        assert lookup.is_stale(figure1_db)
+        assert lookup.is_stale()
 
     def test_apply_insert_and_delete_roundtrip(
         self, figure1_db, customer_partitioning
     ):
         attribute = Attr("CUSTOMER_ACCOUNT", "CA_C_ID")
-        lookup = LookupTable.build(
-            attribute, figure1_db, customer_partitioning
-        )
-        row = {"CA_ID": 30, "CA_C_ID": 5}
-        figure1_db.insert("CUSTOMER_ACCOUNT", row)
-        assert lookup.apply_insert(row)
-        assert lookup.partitions_for(5) == {2}  # 1 + 5 % 2
-        assert not lookup.is_stale(figure1_db)
-        figure1_db.delete("CUSTOMER_ACCOUNT", (30,))
-        assert lookup.apply_delete(row)
-        assert lookup.partitions_for(5) is None
-        assert not lookup.is_stale(figure1_db)
+        store = PlacementStore(figure1_db, customer_partitioning).attach()
+        try:
+            lookup = LookupTable.build(attribute, store)
+            figure1_db.insert("CUSTOMER_ACCOUNT", {"CA_ID": 30, "CA_C_ID": 5})
+            assert lookup.partitions_for(5) == {2}  # 1 + 5 % 2
+            assert not lookup.is_stale()
+            figure1_db.delete("CUSTOMER_ACCOUNT", (30,))
+            assert lookup.partitions_for(5) is None
+            assert not lookup.is_stale()
+        finally:
+            store.close()
 
     def test_apply_update_detects_sensitive_columns(
         self, figure1_db, customer_partitioning
     ):
         attribute = Attr("CUSTOMER_ACCOUNT", "CA_C_ID")
-        lookup = LookupTable.build(
-            attribute, figure1_db, customer_partitioning
-        )
-        old = {"CA_ID": 7, "CA_C_ID": 2}
-        # Attribute/path column changed: incremental apply must refuse.
-        assert not lookup.apply_update(old, {"CA_ID": 7, "CA_C_ID": 1})
-        # Untouched routing columns: a cheap no-op.
-        assert lookup.apply_update(old, dict(old))
+        store = PlacementStore(figure1_db, customer_partitioning).attach()
+        try:
+            lookup = LookupTable.build(attribute, store)
+            # The attribute is also the path's root: account 7 moves from
+            # customer 2 (partition 1) to customer 1 (partition 2).
+            figure1_db.update("CUSTOMER_ACCOUNT", (7,), {"CA_C_ID": 1})
+            assert lookup.partitions_for(1) == {2}
+            assert lookup.partitions_for(2) == {1}  # account 10 stays
+            figure1_db.update("CUSTOMER_ACCOUNT", (10,), {"CA_C_ID": 1})
+            assert lookup.partitions_for(2) is None
+            assert not lookup.is_stale()
+        finally:
+            store.close()
 
     def test_replicated_table_contributes_no_constraint(
         self, figure1_db, customer_partitioning
     ):
         lookup = LookupTable.build(
             Attr("HOLDING_SUMMARY", "HS_CA_ID"),
-            figure1_db,
-            customer_partitioning,
+            PlacementStore(figure1_db, customer_partitioning),
         )
         assert lookup.partitions_for(1) == set()
 
@@ -136,7 +141,8 @@ class TestLookupTable:
         self, figure1_db, customer_partitioning
     ):
         lookup = LookupTable.build(
-            Attr("TRADE", "T_CA_ID"), figure1_db, customer_partitioning
+            Attr("TRADE", "T_CA_ID"),
+            PlacementStore(figure1_db, customer_partitioning),
         )
         # trades of account 1 belong to customer 1 -> partition 2
         assert lookup.partitions_for(1) == {2}
@@ -260,7 +266,7 @@ class TestWriteThrough:
         assert stale_check == fresh
         assert stale_check.broadcast  # customer 1 has no accounts left
 
-    def test_update_of_routing_column_triggers_rebuild(
+    def test_update_of_routing_column_is_absorbed(
         self, figure1_db, router, custinfo_procedure, customer_partitioning
     ):
         assert router.route("CustInfo", {"cust_id": 2}).partitions == {1}
@@ -269,10 +275,11 @@ class TestWriteThrough:
         decision = router.route("CustInfo", {"cust_id": 2})
         assert decision.broadcast  # customer 2 lost both accounts
         assert router.route("CustInfo", {"cust_id": 1}).partitions == {2}
-        assert router.metrics.write_through_fallbacks >= 1
-        assert router.metrics.lookups_rebuilt >= 1
+        # The views moved the accounts' counts; nothing was rebuilt.
+        assert router.metrics.write_through_updates >= 2
+        assert router.metrics.lookups_rebuilt == 0
 
-    def test_dependency_table_mutation_invalidates(
+    def test_dependency_table_mutation_moves_rows(
         self, figure1_db, router, custinfo_procedure, customer_partitioning
     ):
         # TRADE's placement walks through CUSTOMER_ACCOUNT: retargeting an
@@ -281,7 +288,9 @@ class TestWriteThrough:
         figure1_db.update("CUSTOMER_ACCOUNT", (1,), {"CA_C_ID": 2})
         decision = router.route("CustInfo", {"any_account": 1})
         assert decision.partitions == frozenset({1})  # now customer 2's
-        assert router.metrics.staleness_detections >= 1
+        # The store moved the trades and the T_CA_ID view followed.
+        assert router.metrics.lookups_rebuilt == 0
+        assert router.metrics.staleness_detections == 0
 
     def test_mutation_storm_matches_fresh_router(
         self, figure1_db, router, custinfo_procedure, customer_partitioning
@@ -311,6 +320,9 @@ class TestWriteThrough:
                 figure1_db, catalog, customer_partitioning
             )
             assert live == fresh
+            assert_lookups_match_referee(
+                router, figure1_db, customer_partitioning
+            )
 
     def test_non_sensitive_update_is_write_through_noop(
         self, figure1_db, router, custinfo_procedure, customer_partitioning
@@ -347,7 +359,7 @@ class TestWriteThrough:
         database.update("ORDERS", (1, 1, 1), {"O_C_ID": customer % 30 + 1})
         router.lookup_table(attribute)  # stale: rebuilt
         assert router.metrics.lookups_rebuilt == 1
-        assert_lookups_match_rebuild(router, database, partitioning)
+        assert_lookups_match_referee(router, database, partitioning)
 
 
 class TestReplicatedOnly:
@@ -566,6 +578,7 @@ def _apply_storm(database, storm, between=lambda: None):
     cache warm so each write meets a maintained lookup.
     """
     next_ca, next_trade = 20, 100
+    tombstoned: set[int] = set()  # deleted accounts not inserted again
     for kind, a, b in storm:
         if kind == "insert_ca":
             database.insert(
@@ -581,6 +594,7 @@ def _apply_storm(database, storm, between=lambda: None):
         elif kind == "delete_ca":
             if database.get("CUSTOMER_ACCOUNT", (a,)) is not None:
                 database.delete("CUSTOMER_ACCOUNT", (a,))
+                tombstoned.add(a)
         elif kind == "delete_trade":
             if database.get("TRADE", (a,)) is not None:
                 database.delete("TRADE", (a,))
@@ -591,34 +605,46 @@ def _apply_storm(database, storm, between=lambda: None):
             if database.get("TRADE", (a,)) is not None:
                 database.update("TRADE", (a,), {"T_CA_ID": b})
         elif kind == "reinsert_ca":
-            table = database.table("CUSTOMER_ACCOUNT")
-            dead = sorted(set(table.snapshot_items()) - set(table.keys()))
+            dead = sorted(tombstoned)
             if dead:
-                (ca_id,) = dead[a % len(dead)]
+                ca_id = dead[a % len(dead)]
                 database.insert(
                     "CUSTOMER_ACCOUNT", {"CA_ID": ca_id, "CA_C_ID": b}
                 )
+                tombstoned.discard(ca_id)
         else:  # touch_qty: routing-insensitive update
             if database.get("TRADE", (a,)) is not None:
                 database.update("TRADE", (a,), {"T_QTY": b})
         between()
 
 
-def assert_lookups_match_rebuild(router, database, partitioning):
-    """Every cached lookup equals one built from scratch."""
+def assert_lookups_match_referee(router, database, partitioning):
+    """The router's store and every cached lookup equal the referee's.
+
+    Each cached view's store column must have followed every write
+    (in step, so no refill hides a missed one) and hold the referee's
+    placement; each view must hold the referee's group-by.
+    """
+    placement = naive_placement(database, partitioning)
+    store = router.store
     for attribute, cached in router.cached_lookups().items():
-        rebuilt = LookupTable.build(attribute, database, partitioning)
-        assert len(cached) == len(rebuilt)
-        for value in set(cached) | set(rebuilt):
-            assert cached.partitions_for(value) == (
-                rebuilt.partitions_for(value)
-            ), (attribute, value)
+        table = attribute.table
+        assert store.in_step(table), table
+        if table in placement:
+            assert store.pids(table) == placement[table], table
+        expected = naive_lookup(database, partitioning, attribute, placement)
+        assert len(cached) == len(expected), attribute
+        for value, partitions in expected.items():
+            assert cached.partitions_for(value) == partitions, (
+                attribute, value
+            )
 
 
 class TestMetamorphicWriteThrough:
     """Metamorphic property: a write-through-maintained router is
-    indistinguishable from one built from scratch on the mutated database —
-    decision for decision, and lookup table for lookup table."""
+    indistinguishable from one built from scratch on the mutated database,
+    decision for decision; after every write its placement store and
+    lookup views equal the referee's."""
 
     @given(storm=_STORM)
     @settings(max_examples=50, deadline=None)
@@ -630,14 +656,18 @@ class TestMetamorphicWriteThrough:
         partitioning = _build_custinfo_partitioning(schema)
         router = Router(database, catalog, partitioning)
         try:
-            # route after every write, so each one meets warm lookups
-            _decisions(router)
-            _apply_storm(database, storm, between=lambda: _decisions(router))
+            # route after every write, so each one meets warm lookups,
+            # and hold the store and the views to the referee each time
+            def step():
+                _decisions(router)
+                assert_lookups_match_referee(router, database, partitioning)
+
+            step()
+            _apply_storm(database, storm, between=step)
 
             live = _decisions(router)
             fresh = _fresh_decisions(database, catalog, partitioning)
             assert live == fresh
-            assert_lookups_match_rebuild(router, database, partitioning)
         finally:
             router.close()
 

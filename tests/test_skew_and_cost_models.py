@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.schism import TupleMapSolution
 from repro.core.join_path import JoinPath
 from repro.core.mapping import IdentityModMapping
 from repro.core.skew import (
@@ -20,7 +21,7 @@ from repro.evaluation.cost_models import (
     evaluate_model,
     footprint,
 )
-from repro.core.path_eval import JoinPathEvaluator
+from repro.core.placement import PlacementStore
 from repro.trace.events import Trace, TransactionTrace
 
 
@@ -69,6 +70,22 @@ class TestPackPartitions:
             pack_partitions({1: 1.0}, 0)
 
 
+@pytest.fixture
+def tuple_map_partitioning():
+    """Schism's shape: a TRADE tuple map with no join path."""
+    partitioning = DatabasePartitioning(4)
+    partitioning.set(
+        TupleMapSolution(
+            "TRADE",
+            assignments={(1,): 2, (2,): 3, (3,): 3},
+            classifier=None,
+            num_partitions=4,
+        )
+    )
+    partitioning.set(TableSolution("CUSTOMER_ACCOUNT"))
+    return partitioning
+
+
 class TestPartitionHeat:
     def test_counts_touching_transactions(self, figure1_db, trade_partitioning):
         trace = Trace([
@@ -80,6 +97,14 @@ class TestPartitionHeat:
         assert heat[2] == 2.0
         assert heat[3] == 1.0
         assert heat[1] == 0.0
+
+    def test_tuple_map_partitioning(self, figure1_db, tuple_map_partitioning):
+        trace = Trace([
+            make_txn([("TRADE", (1,), False)], 0),    # partition 2
+            make_txn([("TRADE", (2,), False), ("TRADE", (3,), False)], 1),
+        ])
+        heat = partition_heat(tuple_map_partitioning, trace, figure1_db)
+        assert heat == {1: 0.0, 2: 1.0, 3: 1.0, 4: 0.0}
 
     def test_overpartition_requires_more_partitions(
         self, figure1_db, trade_partitioning
@@ -101,13 +126,13 @@ class TestPartitionHeat:
 
 class TestCostModels:
     def test_footprint(self, figure1_db, trade_partitioning):
-        evaluator = JoinPathEvaluator(figure1_db)
+        store = PlacementStore(figure1_db, trade_partitioning)
         txn = make_txn([
             ("TRADE", (1,), False),
             ("TRADE", (2,), False),
             ("CUSTOMER_ACCOUNT", (1,), True),
         ])
-        print_footprint = footprint(txn, trade_partitioning, evaluator)
+        print_footprint = footprint(txn, store.pid_of)
         assert print_footprint.distributed  # writes replicated CA
         assert print_footprint.writes_replicated
         assert len(print_footprint.partitions) == 2
@@ -147,6 +172,18 @@ class TestCostModels:
         ])
         score = evaluate_model(
             FractionDistributed(), trade_partitioning, trace, figure1_db
+        )
+        assert score == 0.5
+
+    def test_evaluate_model_on_a_tuple_map(
+        self, figure1_db, tuple_map_partitioning
+    ):
+        trace = Trace([
+            make_txn([("TRADE", (2,), False), ("TRADE", (3,), False)], 0),
+            make_txn([("TRADE", (1,), False), ("TRADE", (2,), False)], 1),
+        ])
+        score = evaluate_model(
+            FractionDistributed(), tuple_map_partitioning, trace, figure1_db
         )
         assert score == 0.5
 

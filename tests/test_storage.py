@@ -118,6 +118,66 @@ class TestTable:
         assert list(table.keys()) == [(1, 2)]
 
 
+def _prepared(schema_table):
+    """A table with an index, a listener, a live row and two tombstones."""
+    table = Table(schema_table)
+    calls = []
+    table.ensure_index(["C"])
+    table.add_listener(lambda *event: calls.append(event))
+    for a in (1, 2, 3):
+        table.insert({"A": a, "B": 0, "C": a % 2})
+    table.delete((1, 0))
+    table.delete((2, 0))
+    return table, calls
+
+
+def _state(table, calls):
+    return (
+        dict(table.items()),
+        table.version,
+        dict(table._graveyard),
+        {c: table.lookup(["C"], [c]) for c in (0, 1, 5, 7)},
+        calls,
+    )
+
+
+class TestInsertMany:
+    """``insert_many`` is a loop of ``insert``, observably."""
+
+    ROWS = [
+        {"A": 1, "B": 0, "C": 5},  # over a tombstone
+        {"A": 4, "B": 0, "C": 1},
+        {"A": 5, "B": 0, "C": 0},
+    ]
+
+    def test_equals_a_loop_of_insert(self, table):
+        batch, batch_calls = _prepared(table.schema)
+        loop, loop_calls = _prepared(table.schema)
+        assert batch.insert_many(iter(self.ROWS)) == len(self.ROWS)
+        for row in self.ROWS:
+            loop.insert(row)
+        assert _state(batch, batch_calls) == _state(loop, loop_calls)
+        # the listener's rows are copies, the stored rows too
+        assert batch_calls[-3][2] == {"A": 1, "B": 0, "C": 1}
+        assert batch.get((1, 0)) is not self.ROWS[0]
+
+    def test_duplicate_key_stops_where_the_loop_does(self, table):
+        batch, batch_calls = _prepared(table.schema)
+        loop, loop_calls = _prepared(table.schema)
+        rows = self.ROWS[:2] + [{"A": 3, "B": 0, "C": 7}] + self.ROWS[2:]
+        with pytest.raises(StorageError) as batch_error:
+            batch.insert_many(rows)
+        with pytest.raises(StorageError) as loop_error:
+            for row in rows:
+                loop.insert(row)
+        assert str(batch_error.value) == str(loop_error.value)
+        assert _state(batch, batch_calls) == _state(loop, loop_calls)
+
+    def test_missing_key_column_rejected(self, table):
+        with pytest.raises(StorageError):
+            table.insert_many([{"A": 1, "C": 3}])
+
+
 class TestDatabase:
     def make(self) -> Database:
         schema = DatabaseSchema("d")
