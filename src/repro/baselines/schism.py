@@ -52,9 +52,9 @@ class SchismConfig:
 class TupleMapSolution:
     """Per-table placement: seen tuples by lookup, unseen by classifier.
 
-    Answers what :class:`~repro.core.solution.TableSolution` answers for
-    the evaluator, the router and the cluster: :meth:`partition_of` per
-    key and :meth:`partition_ids` per interned key. The classifier runs on
+    Has no join path, so the placement store places its keys one at a
+    time through :meth:`partition_of`; the evaluator reads
+    :meth:`partition_ids` per interned key. The classifier runs on
     the tuple's full attribute vector (Schism classifies on attributes,
     not just keys), fetched from the database at routing time.
     """
@@ -77,7 +77,7 @@ class TupleMapSolution:
                 return _row_features(row, self.feature_columns)
         return _key_features(key)
 
-    def partition_of(self, key: tuple, evaluator: Any = None) -> int | None:
+    def partition_of(self, key: tuple) -> int | None:
         pid = self.assignments.get(tuple(key))
         if pid is not None:
             return pid

@@ -25,7 +25,7 @@ from repro.core.mapping import (
 )
 from repro.core.metrics import CacheStats, ClassMetrics, SearchMetrics
 from repro.core.partitioner import JECBConfig, JECBPartitioner, JECBResult
-from repro.core.path_eval import JoinPathEvaluator, SnapshotIndex
+from repro.core.path_eval import SnapshotIndex
 from repro.core.placement import UNROUTABLE, PlacementStore
 from repro.core.phase2 import ClassResult, Phase2Config, partition_class
 from repro.core.phase3 import Phase3Config, Phase3Result, combine
@@ -59,7 +59,6 @@ __all__ = [
     "JECBConfig",
     "JECBPartitioner",
     "JECBResult",
-    "JoinPathEvaluator",
     "SnapshotIndex",
     "UNROUTABLE",
     "PlacementStore",

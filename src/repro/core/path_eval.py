@@ -14,10 +14,9 @@ it stores walk results as interned code columns over a
 (mapping independence) and the per-key partition ids Definitions 5/6
 need, for views of that trace only. The serving tier places live rows
 through :class:`~repro.core.placement.PlacementStore`, which fills whole
-columns on the same plans. :class:`JoinPathEvaluator` memoizes results
-per (path, key) for the callers that walk one tuple at a time — the
-baselines' design scoring and the referee tests. Snapshot lookups (the
-live row, else the tombstone) go through a :class:`SnapshotIndex`.
+columns on the same plans and walks single keys on them too. Snapshot
+lookups (the live row, else the tombstone) go through a
+:class:`SnapshotIndex`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 
 from repro.core.join_path import JoinPath
 from repro.errors import PartitioningError
-from repro.core.metrics import CacheStats
 from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.trace.columnar import ColumnarClassTrace, ColumnarTrace
@@ -198,53 +196,6 @@ class _PathPlan:
                     return None
                 row = matches[0]
         return row.get(self.dest_col)
-
-
-class JoinPathEvaluator:
-    """Evaluates join paths against one :class:`Database`.
-
-    Values are memoized per (path, key) until :meth:`clear_cache`;
-    ``cache_stats`` counts hits/misses. This is the per-key walker of the
-    callers that place one tuple at a time (the baselines' design
-    scoring); trace-driven decisions go through :class:`ColumnarEngine`
-    and live placements through the placement store.
-    """
-
-    def __init__(
-        self, database: Database, snapshots: SnapshotIndex | None = None
-    ) -> None:
-        self.database = database
-        self.snapshots = snapshots or SnapshotIndex(database)
-        self.cache_stats = CacheStats()
-        self.evaluations = 0
-        self._cache: dict[tuple[JoinPath, tuple], Any] = {}
-        self._plans: dict[JoinPath, _PathPlan] = {}
-
-    def evaluate(self, path: JoinPath, key: tuple) -> Any:
-        """Value of the path's destination attribute for the tuple *key*.
-
-        *key* is the primary-key tuple of the path's source table. Returns
-        ``None`` when the walk cannot complete (missing row, NULL foreign
-        key) — callers treat that as "no root value".
-        """
-        self.evaluations += 1
-        key = tuple(key)
-        cache_key = (path, key)
-        value = self._cache.get(cache_key, _MISS)
-        if value is not _MISS:
-            self.cache_stats.hits += 1
-            return value
-        self.cache_stats.misses += 1
-        plan = self._plans.get(path)
-        if plan is None:
-            plan = self._plans[path] = _PathPlan(path, self.snapshots)
-        value = self._cache[cache_key] = plan.value(key)
-        return value
-
-    def clear_cache(self) -> None:
-        """Forget every memoized walk (call after the database changed)."""
-        self._cache.clear()
-        self._plans.clear()
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +431,7 @@ class ColumnarEngine:
         columns persist across calls), and ``mapping`` is invoked once per
         distinct value code — it is a deterministic pure function
         (process-independent ``stable_hash``), so this yields exactly the
-        ids :meth:`TableSolution.partition_of` computes per access. The
+        ids a walk per access would (``PlacementStore.pid_of``). The
         code -> pid table is cached per mapping identity; codes intern
         value equality, so the table is shared across every path that
         produces the same values.

@@ -29,8 +29,8 @@ from repro.errors import PartitioningError
 from repro.schema.attribute import Attr
 from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
-from repro.core.mapping import REPLICATED, HashMapping, MappingFunction
-from repro.core.path_eval import ColumnarEngine, JoinPathEvaluator
+from repro.core.mapping import HashMapping, MappingFunction
+from repro.core.path_eval import ColumnarEngine
 from repro.schema.table import TableSchema
 
 TOTAL = "total"
@@ -105,7 +105,7 @@ class TableSolution:
 
     @cached_property
     def dependency_tables(self) -> tuple[str, ...]:
-        """Tables whose rows influence :meth:`partition_of`, in path order.
+        """Tables whose rows influence the table's placement, in path order.
 
         A replicated table depends only on itself; a partitioned one
         depends on every table its join path walks through. The placement
@@ -125,7 +125,7 @@ class TableSolution:
 
         The union of the path's node attributes in each table: primary
         keys, foreign keys, intra-table targets and the destination —
-        exactly the values :meth:`JoinPathEvaluator.evaluate` consults.
+        exactly the values the compiled path walk consults.
         Empty for a replicated table.
         """
         columns: dict[str, set[str]] = {}
@@ -187,18 +187,8 @@ class TableSolution:
         assert new is not None
         return _same_columns(read, old, new)
 
-    def partition_of(self, key: tuple, evaluator: JoinPathEvaluator) -> int | None:
-        """Partition id for the tuple *key*: 0 replicated, None unroutable."""
-        if self.path is None:
-            return REPLICATED
-        value = evaluator.evaluate(self.path, key)
-        if value is None:
-            return None
-        assert self.mapping is not None
-        return self.mapping(value)
-
     def partition_ids(self, engine: ColumnarEngine, local_ids: Any) -> Any:
-        """:meth:`partition_of` for interned keys of this table, batched.
+        """Partition ids for interned keys of this table, batched.
 
         *local_ids* index the table's keys in *engine*'s interned trace;
         the result holds one id per key, ``-1`` for unroutable.
@@ -262,11 +252,6 @@ class DatabasePartitioning:
 
     def replicated_tables(self) -> list[str]:
         return [t for t, s in self._solutions.items() if s.replicated]
-
-    def partition_of(
-        self, table: str, key: tuple, evaluator: JoinPathEvaluator
-    ) -> int | None:
-        return self.solution_for(table).partition_of(key, evaluator)
 
     # ------------------------------------------------------------------
     # constructors

@@ -1,9 +1,11 @@
 """Statement execution against the in-memory database.
 
 The executor is deliberately simple — OLTP statements touch a handful of
-rows via keys — but general: it classifies WHERE predicates into per-table
-equality constraints (served by hash indexes), join conditions (served by
-index nested-loop joins), and residual filters.
+rows via keys. It runs statements in their bound form
+(:func:`repro.sql.bind.bind`), which already fixed every column and the
+plan: per table, in join order, the equality probes (served by hash
+indexes), the join probes (index nested-loop joins), the IN predicates and
+the residual filters. Executing only substitutes parameters and runs.
 
 Every row that contributes to a statement's result is reported through the
 ``on_access`` callback as ``(table, primary_key, is_write)``; this is the
@@ -14,12 +16,13 @@ procedures (Section 4 / Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, MutableMapping, Sequence
+from typing import Any, Callable, Mapping, MutableMapping
 
-from repro.errors import ExecutionError, SchemaError
+from repro.errors import ExecutionError
 from repro.engine import expression as ex
-from repro.schema.database import DatabaseSchema
+from repro.schema.attribute import Attr
 from repro.sql import ast
+from repro.sql.bind import BoundStatement, Scan
 from repro.storage.database import Database
 from repro.storage.table import KeyValue, Row
 
@@ -46,17 +49,8 @@ class ExecResult:
         return next(iter(first.values())) if first else None
 
 
-@dataclass
-class _TablePlan:
-    """Per-table pieces of a WHERE clause."""
-
-    eq: list[tuple[str, ast.Expr]] = field(default_factory=list)
-    in_preds: list[ast.InPredicate] = field(default_factory=list)
-    filters: list[ast.Predicate] = field(default_factory=list)
-
-
 class Executor:
-    """Runs parsed statements against one :class:`Database`."""
+    """Runs bound statements against one :class:`Database`."""
 
     def __init__(
         self, database: Database, on_access: AccessCallback | None = None
@@ -69,222 +63,79 @@ class Executor:
     # ------------------------------------------------------------------
     def execute(
         self,
-        statement: ast.Statement,
+        bound: BoundStatement,
         params: MutableMapping[str, Any] | None = None,
     ) -> ExecResult:
-        """Execute *statement* with parameter bindings *params*.
+        """Execute *bound* with parameter bindings *params*.
 
         ``@var =`` SELECT targets write back into *params*, so procedures
         can thread values between statements.
         """
         params = params if params is not None else {}
+        if bound.unsupported is not None:
+            raise ExecutionError(bound.unsupported)
+        statement = bound.statement
         if isinstance(statement, ast.Select):
-            return self._execute_select(statement, params)
+            return self._execute_select(bound, statement, params)
         if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, params)
+            return self._execute_insert(bound, statement, params)
+        rows = self._fetch(bound.scans[0], {}, params)
         if isinstance(statement, ast.Update):
-            return self._execute_update(statement, params)
-        if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement, params)
-        raise ExecutionError(f"unsupported statement {type(statement).__name__}")
-
-    # ------------------------------------------------------------------
-    # resolution helpers
-    # ------------------------------------------------------------------
-    @property
-    def _schema(self) -> DatabaseSchema:
-        return self.database.schema
-
-    def _resolve(self, ref: ast.ColumnRef, tables: Sequence[str]) -> tuple[str, str]:
-        if ref.table is not None:
-            if ref.table not in tables:
-                raise ExecutionError(f"{ref} references a table not in FROM")
-            return ref.table, ref.name
-        try:
-            attr = self._schema.resolve_column(ref.name, among_tables=tables)
-        except SchemaError as exc:
-            raise ExecutionError(str(exc)) from None
-        return attr.table, attr.column
-
-    @staticmethod
-    def _is_scalar(expr: ast.Expr) -> bool:
-        if isinstance(expr, ast.ColumnRef):
-            return False
-        if isinstance(expr, ast.BinaryOp):
-            return Executor._is_scalar(expr.left) and Executor._is_scalar(expr.right)
-        return True
+            return self._execute_update(statement, rows, params)
+        return self._execute_delete(statement, rows)
 
     # ------------------------------------------------------------------
     # SELECT
     # ------------------------------------------------------------------
     def _execute_select(
-        self, stmt: ast.Select, params: MutableMapping[str, Any]
+        self,
+        bound: BoundStatement,
+        stmt: ast.Select,
+        params: MutableMapping[str, Any],
     ) -> ExecResult:
-        stmt = ast.dealias(stmt)
-        tables = list(stmt.tables)
-        if len(set(tables)) != len(tables):
-            raise ExecutionError(
-                "self-joins are supported by the analyzer but not by the "
-                f"executor (FROM lists {', '.join(tables)})"
-            )
-        plans: dict[str, _TablePlan] = {t: _TablePlan() for t in tables}
-        join_conds: list[tuple[tuple[str, str], tuple[str, str]]] = []
-        for join in stmt.joins:
-            left = self._resolve(join.left, tables)
-            right = self._resolve(join.right, tables)
-            join_conds.append((left, right))
-        self._classify_predicates(stmt.where, tables, plans, join_conds)
-
-        combos = self._join(tables, plans, join_conds, params)
-        contributing: dict[str, set[KeyValue]] = {t: set() for t in tables}
-        for combo in combos:
-            for table_name, row in combo.items():
-                key = self.database.table(table_name).primary_key_of(row)
-                contributing[table_name].add(key)
-        for table_name, keys in contributing.items():
+        combos: list[dict[str, Row]] = [{}]
+        for scan in bound.scans:
+            combos = [
+                {**combo, scan.table: row}
+                for combo in combos
+                for row in self._fetch(scan, combo, params)
+            ]
+            if not combos:
+                break
+        for table_name in bound.tables:
+            table = self.database.table(table_name)
+            keys = {table.primary_key_of(c[table_name]) for c in combos}
             for key in sorted(keys, key=repr):
                 self._record(table_name, key, is_write=False)
-
-        rows = self._project(stmt, tables, combos, params)
-        return ExecResult(rows=rows)
-
-    def _classify_predicates(
-        self,
-        predicates: tuple[ast.Predicate, ...],
-        tables: Sequence[str],
-        plans: dict[str, _TablePlan],
-        join_conds: list[tuple[tuple[str, str], tuple[str, str]]],
-    ) -> None:
-        for pred in predicates:
-            if isinstance(pred, ast.Comparison):
-                left_col = isinstance(pred.left, ast.ColumnRef)
-                right_col = isinstance(pred.right, ast.ColumnRef)
-                if left_col and right_col:
-                    left = self._resolve(pred.left, tables)
-                    right = self._resolve(pred.right, tables)
-                    if pred.op == "=" and left[0] != right[0]:
-                        join_conds.append((left, right))
-                    else:
-                        # same-table column comparison: residual filter
-                        plans[left[0]].filters.append(pred)
-                    continue
-                if left_col or right_col:
-                    ref = pred.left if left_col else pred.right
-                    table, column = self._resolve(ref, tables)  # type: ignore[arg-type]
-                    other = pred.right if left_col else pred.left
-                    if pred.op == "=" and self._is_scalar(other):
-                        plans[table].eq.append((column, other))
-                    else:
-                        plans[table].filters.append(pred)
-                    continue
-                raise ExecutionError(f"predicate {pred} references no column")
-            elif isinstance(pred, ast.InPredicate):
-                table, _ = self._resolve(pred.column, tables)
-                plans[table].in_preds.append(pred)
-            else:  # Between
-                table, _ = self._resolve(pred.column, tables)
-                plans[table].filters.append(pred)
-
-    def _order_tables(
-        self,
-        tables: Sequence[str],
-        plans: dict[str, _TablePlan],
-        join_conds: list[tuple[tuple[str, str], tuple[str, str]]],
-    ) -> list[str]:
-        """Greedy join order: most-constrained table first, then connected."""
-
-        def constraint_score(name: str) -> tuple[int, int]:
-            plan = plans[name]
-            return (len(plan.eq), len(plan.in_preds))
-
-        remaining = list(tables)
-        remaining.sort(key=constraint_score, reverse=True)
-        ordered = [remaining.pop(0)]
-        while remaining:
-            placed = set(ordered)
-            for i, name in enumerate(remaining):
-                connected = any(
-                    (a[0] == name and b[0] in placed)
-                    or (b[0] == name and a[0] in placed)
-                    for a, b in join_conds
-                )
-                if connected:
-                    ordered.append(remaining.pop(i))
-                    break
-            else:
-                ordered.append(remaining.pop(0))
-        return ordered
-
-    def _join(
-        self,
-        tables: Sequence[str],
-        plans: dict[str, _TablePlan],
-        join_conds: list[tuple[tuple[str, str], tuple[str, str]]],
-        params: Mapping[str, Any],
-    ) -> list[dict[str, Row]]:
-        order = self._order_tables(tables, plans, join_conds)
-        combos: list[dict[str, Row]] = [{}]
-        for table_name in order:
-            next_combos: list[dict[str, Row]] = []
-            for combo in combos:
-                for row in self._fetch(table_name, plans[table_name], join_conds, combo, params):
-                    extended = dict(combo)
-                    extended[table_name] = row
-                    next_combos.append(extended)
-            combos = next_combos
-            if not combos:
-                return []
-        return combos
+        return ExecResult(rows=self._project(bound, stmt, combos, params))
 
     def _fetch(
-        self,
-        table_name: str,
-        plan: _TablePlan,
-        join_conds: list[tuple[tuple[str, str], tuple[str, str]]],
-        combo: dict[str, Row],
-        params: Mapping[str, Any],
-    ):
-        """Rows of *table_name* satisfying its constraints given *combo*."""
-        table = self.database.table(table_name)
-        eq_cols: list[str] = []
-        eq_vals: list[Any] = []
-        for column, expr in plan.eq:
-            eq_cols.append(column)
-            eq_vals.append(ex.eval_scalar(expr, params))
-        pending_joins: list[tuple[tuple[str, str], tuple[str, str]]] = []
-        for left, right in join_conds:
-            if left[0] == table_name and right[0] in combo:
-                eq_cols.append(left[1])
-                eq_vals.append(combo[right[0]][right[1]])
-            elif right[0] == table_name and left[0] in combo:
-                eq_cols.append(right[1])
-                eq_vals.append(combo[left[0]][left[1]])
-            elif table_name in (left[0], right[0]):
-                pending_joins.append((left, right))
-
-        if eq_cols:
-            candidates = table.lookup(tuple(eq_cols), tuple(eq_vals))
-        else:
-            candidates = self._fetch_by_in(table, plan, params)
-
-        for row in candidates:
-            if self._row_passes(row, plan, params):
-                yield row
-
-    def _fetch_by_in(self, table, plan: _TablePlan, params: Mapping[str, Any]):
-        """Serve an unanchored table from IN-predicate lookups if possible."""
-        for pred in plan.in_preds:
-            column = pred.column.name
-            values = self._in_candidates(pred, params)
-            rows: list[Row] = []
+        self, scan: Scan, combo: dict[str, Row], params: Mapping[str, Any]
+    ) -> list[Row]:
+        """Rows of *scan*'s table satisfying its constraints given *combo*."""
+        table = self.database.table(scan.table)
+        cols = [column for column, _ in scan.probes]
+        vals = [ex.eval_scalar(expr, params) for _, expr in scan.probes]
+        for column, attr in scan.join_probes:
+            cols.append(column)
+            vals.append(combo[attr.table][attr.column])
+        if cols:
+            candidates = table.lookup(tuple(cols), tuple(vals))
+        elif scan.in_preds:
+            # An unanchored table is served from its first IN predicate.
+            pred = scan.in_preds[0]
+            candidates = []
             seen: set[int] = set()
-            for value in values:
-                for row in table.lookup((column,), (value,)):
+            for value in self._in_candidates(pred, params):
+                for row in table.lookup((pred.column.name,), (value,)):
                     if id(row) not in seen:
                         seen.add(id(row))
-                        rows.append(row)
-            return rows
-        return list(table.scan())
+                        candidates.append(row)
+        else:
+            candidates = list(table.scan())
+        return [
+            row for row in candidates if self._row_passes(row, scan, params)
+        ]
 
     def _in_candidates(
         self, pred: ast.InPredicate, params: Mapping[str, Any]
@@ -300,12 +151,12 @@ class Executor:
         return [ex.eval_scalar(v, params) for v in pred.values or ()]
 
     def _row_passes(
-        self, row: Row, plan: _TablePlan, params: Mapping[str, Any]
+        self, row: Row, scan: Scan, params: Mapping[str, Any]
     ) -> bool:
-        for pred in plan.in_preds:
+        for pred in scan.in_preds:
             if not ex.in_values(row[pred.column.name], self._in_candidates(pred, params)):
                 return False
-        for pred in plan.filters:
+        for pred in scan.filters:
             if isinstance(pred, ast.Comparison):
                 left = self._pred_side(pred.left, row, params)
                 right = self._pred_side(pred.right, row, params)
@@ -330,40 +181,39 @@ class Executor:
     # ------------------------------------------------------------------
     def _project(
         self,
+        bound: BoundStatement,
         stmt: ast.Select,
-        tables: Sequence[str],
         combos: list[dict[str, Row]],
         params: MutableMapping[str, Any],
     ) -> list[dict[str, Any]]:
         if stmt.order_by is not None:
-            table, column = self._resolve(stmt.order_by.column, tables)
+            assert bound.order_by is not None
+            table, column = bound.order_by.table, bound.order_by.column
             combos = sorted(
                 combos,
                 key=lambda c: (c[table][column] is None, c[table][column]),
                 reverse=stmt.order_by.descending,
             )
-
-        has_aggregate = any(item.aggregate for item in stmt.items)
-        if has_aggregate:
-            row = self._aggregate_row(stmt, tables, combos, params)
-            rows = [row]
+        items = list(zip(stmt.items, bound.items))
+        if any(item.aggregate for item, _ in items):
+            rows = [self._aggregate_row(items, combos, params)]
         else:
             rows = []
             for combo in combos:
                 out: dict[str, Any] = {}
-                for item in stmt.items:
-                    if item.expr.name == "*":
-                        for table_name in tables:
+                for item, attr in items:
+                    if attr is None:
+                        for table_name in bound.tables:
                             out.update(combo[table_name])
-                    else:
-                        table, column = self._resolve(item.expr, tables)
-                        out[item.alias or column] = combo[table][column]
-                        if item.assign_to is not None:
-                            # last row wins, matching T-SQL semantics
-                            params[item.assign_to] = combo[table][column]
+                        continue
+                    value = combo[attr.table][attr.column]
+                    out[item.alias or attr.column] = value
+                    if item.assign_to is not None:
+                        # last row wins, matching T-SQL semantics
+                        params[item.assign_to] = value
                 rows.append(out)
             if not rows:
-                for item in stmt.items:
+                for item, _ in items:
                     if item.assign_to is not None:
                         params[item.assign_to] = None
             if stmt.distinct:
@@ -381,24 +231,24 @@ class Executor:
 
     def _aggregate_row(
         self,
-        stmt: ast.Select,
-        tables: Sequence[str],
+        items: list[tuple[ast.SelectItem, Attr | None]],
         combos: list[dict[str, Row]],
         params: MutableMapping[str, Any],
     ) -> dict[str, Any]:
         out: dict[str, Any] = {}
-        for item in stmt.items:
+        for item, attr in items:
             if not item.aggregate:
                 raise ExecutionError(
                     "mixing aggregates and plain columns is not supported"
                 )
             name = item.alias or f"{item.aggregate.lower()}"
-            if item.expr.name == "*":
+            if attr is None:
                 values = [1] * len(combos)
             else:
-                table, column = self._resolve(item.expr, tables)
                 values = [
-                    c[table][column] for c in combos if c[table][column] is not None
+                    c[attr.table][attr.column]
+                    for c in combos
+                    if c[attr.table][attr.column] is not None
                 ]
             value = self._apply_aggregate(item.aggregate, values)
             out[name] = value
@@ -426,55 +276,45 @@ class Executor:
     # writes
     # ------------------------------------------------------------------
     def _execute_insert(
-        self, stmt: ast.Insert, params: MutableMapping[str, Any]
+        self,
+        bound: BoundStatement,
+        stmt: ast.Insert,
+        params: MutableMapping[str, Any],
     ) -> ExecResult:
-        table = self.database.table(stmt.table)
-        if stmt.select is not None:
-            return self._execute_insert_select(stmt, table, params)
-        row: dict[str, Any] = {c: None for c in table.schema.column_names}
-        for column, expr in zip(stmt.columns, stmt.values):
-            if column not in row:
-                raise ExecutionError(f"no column {column} in {stmt.table}")
-            row[column] = ex.eval_scalar(expr, params)
-        key = table.insert(row)
-        self._record(stmt.table, key, is_write=True)
-        return ExecResult(affected=1)
-
-    def _execute_insert_select(
-        self, stmt: ast.Insert, table, params: MutableMapping[str, Any]
-    ) -> ExecResult:
-        """INSERT ... SELECT: run the source query, insert one row per result.
+        """INSERT ... VALUES, or INSERT ... SELECT: one row per result.
 
         The SELECT's projected column order matches the INSERT column list
         (the parser enforces equal lengths and forbids ``*``), so rows are
         mapped positionally — aliases in the source query do not matter.
         """
-        assert stmt.select is not None
-        source = self._execute_select(stmt.select, params)
-        count = 0
-        for out_row in source.rows:
-            values = list(out_row.values())
+        table = self.database.table(stmt.table)
+        if bound.source is None:
+            sources = [[ex.eval_scalar(expr, params) for expr in stmt.values]]
+        else:
+            assert isinstance(bound.source.statement, ast.Select)
+            result = self._execute_select(
+                bound.source, bound.source.statement, params
+            )
+            sources = [list(out_row.values()) for out_row in result.rows]
+        for values in sources:
             if len(values) != len(stmt.columns):
                 raise ExecutionError(
                     f"INSERT ... SELECT produced {len(values)} values for "
                     f"{len(stmt.columns)} columns"
                 )
             row: dict[str, Any] = {c: None for c in table.schema.column_names}
-            for column, value in zip(stmt.columns, values):
-                if column not in row:
-                    raise ExecutionError(f"no column {column} in {stmt.table}")
-                row[column] = value
+            row.update(zip(stmt.columns, values))
             key = table.insert(row)
             self._record(stmt.table, key, is_write=True)
-            count += 1
-        return ExecResult(affected=count)
+        return ExecResult(affected=len(sources))
 
     def _execute_update(
-        self, stmt: ast.Update, params: MutableMapping[str, Any]
+        self,
+        stmt: ast.Update,
+        matched: list[Row],
+        params: MutableMapping[str, Any],
     ) -> ExecResult:
-        matched = self._single_table_matches(stmt.table, stmt.where, params)
         table = self.database.table(stmt.table)
-        count = 0
         for row in matched:
             changes = {
                 column: ex.eval_in_row(expr, row, params)
@@ -483,32 +323,17 @@ class Executor:
             key = table.primary_key_of(row)
             table.update(key, changes)
             self._record(stmt.table, key, is_write=True)
-            count += 1
-        return ExecResult(affected=count)
+        return ExecResult(affected=len(matched))
 
     def _execute_delete(
-        self, stmt: ast.Delete, params: MutableMapping[str, Any]
+        self, stmt: ast.Delete, matched: list[Row]
     ) -> ExecResult:
-        matched = self._single_table_matches(stmt.table, stmt.where, params)
         table = self.database.table(stmt.table)
         keys = [table.primary_key_of(row) for row in matched]
         for key in keys:
             table.delete(key)
             self._record(stmt.table, key, is_write=True)
         return ExecResult(affected=len(keys))
-
-    def _single_table_matches(
-        self,
-        table_name: str,
-        where: tuple[ast.Predicate, ...],
-        params: Mapping[str, Any],
-    ) -> list[Row]:
-        plans = {table_name: _TablePlan()}
-        join_conds: list[tuple[tuple[str, str], tuple[str, str]]] = []
-        self._classify_predicates(where, [table_name], plans, join_conds)
-        if join_conds:
-            raise ExecutionError("join conditions are not allowed here")
-        return list(self._fetch(table_name, plans[table_name], [], {}, params))
 
     def _record(self, table: str, key: KeyValue, is_write: bool) -> None:
         if self.on_access is not None:

@@ -45,6 +45,15 @@ class AnalysisError(ReproError):
     """Static SQL analysis failed (e.g. unresolvable column reference)."""
 
 
+class BindError(AnalysisError, ExecutionError):
+    """A statement names a table or column outside its scope.
+
+    Binding serves both the analyzer and the executor, so the one error is
+    an :class:`AnalysisError` to the first and an :class:`ExecutionError`
+    to the second.
+    """
+
+
 class PartitioningError(ReproError):
     """A partitioning algorithm was misused or hit an unrecoverable state."""
 

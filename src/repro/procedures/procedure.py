@@ -5,7 +5,9 @@ parameterized SQL statements plus, optionally, a small piece of Python glue
 for control flow (loops over query results, branches). Crucially, **all SQL
 text is declared up front** — glue code runs statements by label — so the
 static analyzer sees exactly the same source code a DBA would hand to JECB,
-while the executor drives the same statements to generate traces.
+while the executor drives the same statements to generate traces. Each
+statement is bound once per schema (:meth:`StoredProcedure.bound`); the
+executor and the dataflow pass read that one bound form.
 
 This mirrors the paper's setting: OLTP workloads are a fixed set of stored
 procedures whose SQL can be inspected (Section 3).
@@ -17,7 +19,9 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import WorkloadError
 from repro.engine.executor import ExecResult, Executor
+from repro.schema.database import DatabaseSchema
 from repro.sql import ast
+from repro.sql.bind import BoundStatement, bind
 from repro.sql.parser import parse_statement
 
 
@@ -37,6 +41,7 @@ class ProcedureContext:
         self.procedure = procedure
         self.executor = executor
         self.env = env
+        self._schema = executor.database.schema
 
     def run(self, label: str, **extra: Any) -> ExecResult:
         """Execute the statement named *label* with the current environment.
@@ -44,9 +49,9 @@ class ProcedureContext:
         ``extra`` bindings are merged into the environment first (and stay,
         T-SQL variables are procedure-scoped).
         """
-        statement = self.procedure.statement(label)
+        bound = self.procedure.bound(label, self._schema)
         self.env.update(extra)
-        return self.executor.execute(statement, self.env)
+        return self.executor.execute(bound, self.env)
 
     def __getitem__(self, name: str) -> Any:
         return self.env[name]
@@ -98,6 +103,7 @@ class StoredProcedure:
         self.body = body
         self.weight = weight
         self._parsed: dict[str, ast.Statement] = {}
+        self._bound: dict[tuple[str, DatabaseSchema], BoundStatement] = {}
 
     # ------------------------------------------------------------------
     # static views (what JECB analyzes)
@@ -111,6 +117,17 @@ class StoredProcedure:
                 )
             self._parsed[label] = parse_statement(self.sql_text[label])
         return self._parsed[label]
+
+    def bound(self, label: str, schema: DatabaseSchema) -> BoundStatement:
+        """The statement named *label* bound to *schema* (cached per schema).
+
+        Execution and the dataflow pass both read this one bound form.
+        """
+        key = (label, schema)
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = self._bound[key] = bind(self.statement(label), schema)
+        return bound
 
     @property
     def statements(self) -> list[ast.Statement]:

@@ -5,9 +5,10 @@ parameterized SELECT (with joins, aggregates, ORDER BY/LIMIT and T-SQL style
 ``@var =`` assignment targets), INSERT, UPDATE, and DELETE, with conjunctive
 WHERE clauses over ``=, <, <=, >, >=, <>``, ``IN`` and ``BETWEEN``.
 
-Two consumers share this front-end:
+The binder (:func:`repro.sql.bind.bind`) resolves every column of a parsed
+statement once and plans it; two consumers share that bound form:
 
-* the query executor (:mod:`repro.engine`) runs parsed statements to drive
+* the query executor (:mod:`repro.engine`) runs bound statements to drive
   benchmarks and collect traces, and
 * the static analyzer (:mod:`repro.sql.analyzer`) extracts accessed tables,
   candidate partitioning attributes and explicit/implicit key--foreign-key

@@ -12,16 +12,22 @@ From the SQL text of a transaction class, the analyzer extracts:
 * **explicit joins** — column equalities in ON or WHERE clauses, and
 * which stored-procedure **parameters bind to which attributes**, used by
   the runtime router.
+
+It reads each statement through its bound form
+(:func:`repro.sql.bind.bind`), so every attribute it reports was resolved
+by the binder's scope rule; a reference outside the statement's FROM
+tables raises :class:`~repro.errors.BindError`, an ``AnalysisError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.errors import AnalysisError, SchemaError
 from repro.schema.attribute import Attr
 from repro.schema.database import DatabaseSchema
 from repro.sql import ast
+from repro.sql.bind import BoundStatement, bind
 
 
 @dataclass
@@ -57,119 +63,76 @@ class StatementAnalysis:
         return self.where_attrs | self.select_attrs
 
 
-def _resolve(
-    ref: ast.ColumnRef, schema: DatabaseSchema, tables: list[str]
-) -> Attr:
-    """Resolve a column reference against the statement's FROM tables.
-
-    Qualified references are checked directly — callers must substitute
-    table aliases away first (see :func:`repro.sql.ast.dealias`), so by the
-    time a reference reaches this function its qualifier is a real schema
-    table even for aliased self-joins with aliases on both ON-clause sides.
-    Bare names are looked up among the FROM tables first; if absent there
-    (the benchmarks never do this, but user SQL might), fall back to a
-    whole-schema lookup.
-    """
-    if ref.table is not None:
-        if not schema.has_table(ref.table):
-            raise AnalysisError(f"unknown table {ref.table!r} in {ref}")
-        if not schema.table(ref.table).has_column(ref.name):
-            raise AnalysisError(f"unknown column {ref}")
-        return Attr(ref.table, ref.name)
-    try:
-        return schema.resolve_column(ref.name, among_tables=tables)
-    except SchemaError:
-        try:
-            return schema.resolve_column(ref.name)
-        except SchemaError as exc:
-            raise AnalysisError(str(exc)) from None
-
-
 def _analyze_predicates(
     predicates: tuple[ast.Predicate, ...],
-    schema: DatabaseSchema,
-    tables: list[str],
+    attrs: Mapping[ast.ColumnRef, Attr],
     out: StatementAnalysis,
 ) -> None:
     for pred in predicates:
         if isinstance(pred, ast.Comparison):
-            left_col = isinstance(pred.left, ast.ColumnRef)
-            right_col = isinstance(pred.right, ast.ColumnRef)
-            if left_col:
-                left = _resolve(pred.left, schema, tables)
-                out.where_attrs.add(left)
-            elif isinstance(pred.left, ast.BinaryOp):
-                for ref in ast.expr_columns(pred.left):
-                    out.where_attrs.add(_resolve(ref, schema, tables))
-            if right_col:
-                right = _resolve(pred.right, schema, tables)
-                out.where_attrs.add(right)
-            elif isinstance(pred.right, ast.BinaryOp):
-                for ref in ast.expr_columns(pred.right):
-                    out.where_attrs.add(_resolve(ref, schema, tables))
-            if left_col and right_col and pred.op == "=" and left != right:
-                out.explicit_joins.add(frozenset({left, right}))
-            if pred.op == "=":
-                if left_col and isinstance(pred.right, ast.Param):
-                    out.param_bindings.add((left, pred.right.name))
-                elif right_col and isinstance(pred.left, ast.Param):
-                    out.param_bindings.add((right, pred.left.name))
+            for ref in ast.predicate_columns(pred):
+                out.where_attrs.add(attrs[ref])
+            if pred.op != "=":
+                continue
+            left, right = pred.left, pred.right
+            if isinstance(left, ast.ColumnRef):
+                if isinstance(right, ast.ColumnRef):
+                    if attrs[left] != attrs[right]:
+                        out.explicit_joins.add(
+                            frozenset({attrs[left], attrs[right]})
+                        )
+                elif isinstance(right, ast.Param):
+                    out.param_bindings.add((attrs[left], right.name))
+            elif isinstance(right, ast.ColumnRef):
+                if isinstance(left, ast.Param):
+                    out.param_bindings.add((attrs[right], left.name))
         elif isinstance(pred, ast.InPredicate):
-            attr = _resolve(pred.column, schema, tables)
+            attr = attrs[pred.column]
             out.where_attrs.add(attr)
             if pred.param is not None:
                 out.param_bindings.add((attr, pred.param.name))
             for value in pred.values or ():
                 if isinstance(value, ast.ColumnRef):
-                    out.where_attrs.add(_resolve(value, schema, tables))
+                    out.where_attrs.add(attrs[value])
                 elif isinstance(value, ast.Param):
                     # ``attr IN (1, @p, 2)``: @p constrains attr by equality
                     # on a match, so it can route the call like ``= @p``.
                     out.param_bindings.add((attr, value.name))
         else:  # BetweenPredicate
-            out.where_attrs.add(_resolve(pred.column, schema, tables))
+            out.where_attrs.add(attrs[pred.column])
 
 
 def analyze_statement(
     statement: ast.Statement, schema: DatabaseSchema
 ) -> StatementAnalysis:
     """Analyze one parsed statement against *schema*."""
-    out = StatementAnalysis()
+    return analyze_bound(bind(statement, schema))
+
+
+def analyze_bound(bound: BoundStatement) -> StatementAnalysis:
+    """Analyze a statement already bound to its schema."""
+    statement = bound.statement
+    out = StatementAnalysis(tables=set(bound.tables))
     if isinstance(statement, ast.Select):
-        statement = ast.dealias(statement)
-        tables = list(statement.tables)
-        out.tables |= set(tables)
-        for item in statement.items:
-            if item.expr.name != "*":
-                out.select_attrs.add(_resolve(item.expr, schema, tables))
+        out.select_attrs |= {attr for attr in bound.items if attr is not None}
         for join in statement.joins:
-            left = _resolve(join.left, schema, tables)
-            right = _resolve(join.right, schema, tables)
+            left, right = bound.attrs[join.left], bound.attrs[join.right]
             out.where_attrs |= {left, right}
             if left != right:
                 out.explicit_joins.add(frozenset({left, right}))
-        _analyze_predicates(statement.where, schema, tables, out)
-    elif isinstance(statement, ast.Insert):
-        out.tables.add(statement.table)
-        out.writes.add(statement.table)
-        table = schema.table(statement.table)
-        for col in statement.columns:
-            if not table.has_column(col):
-                raise AnalysisError(f"unknown column {statement.table}.{col}")
-        if statement.select is not None:
+        _analyze_predicates(statement.where, bound.attrs, out)
+        return out
+    out.writes.add(statement.table)
+    if isinstance(statement, ast.Insert):
+        if bound.source is not None:
             # INSERT ... SELECT: the source query is analyzed like any
             # SELECT, and each inserted column *equals* its source item —
             # an explicit value flow from source attribute to column.
-            out.merge(analyze_statement(statement.select, schema))
-            select = ast.dealias(statement.select)
-            sub_tables = list(select.tables)
-            for col, item in zip(statement.columns, select.items):
-                attr = Attr(statement.table, col)
+            out.merge(analyze_bound(bound.source))
+            for attr, src in bound.pairs:
                 out.where_attrs.add(attr)
-                if item.aggregate is None:
-                    src = _resolve(item.expr, schema, sub_tables)
-                    if src != attr:
-                        out.explicit_joins.add(frozenset({attr, src}))
+                if src is not None and src != attr:
+                    out.explicit_joins.add(frozenset({attr, src}))
         # The inserted key columns behave like WHERE attributes: the new
         # tuple's placement is decided by them.
         for col, value in zip(statement.columns, statement.values):
@@ -177,23 +140,12 @@ def analyze_statement(
             out.where_attrs.add(attr)
             if isinstance(value, ast.Param):
                 out.param_bindings.add((attr, value.name))
-    elif isinstance(statement, ast.Update):
-        out.tables.add(statement.table)
-        out.writes.add(statement.table)
-        _analyze_predicates(statement.where, schema, [statement.table], out)
-        for col, value in statement.assignments:
-            if not schema.table(statement.table).has_column(col):
-                raise AnalysisError(f"unknown column {statement.table}.{col}")
+        return out
+    _analyze_predicates(statement.where, bound.attrs, out)
+    if isinstance(statement, ast.Update):
+        for _, value in statement.assignments:
             for ref in ast.expr_columns(value):
-                out.select_attrs.add(
-                    _resolve(ref, schema, [statement.table])
-                )
-    elif isinstance(statement, ast.Delete):
-        out.tables.add(statement.table)
-        out.writes.add(statement.table)
-        _analyze_predicates(statement.where, schema, [statement.table], out)
-    else:  # pragma: no cover - exhaustive
-        raise AnalysisError(f"unsupported statement type {type(statement)!r}")
+                out.select_attrs.add(bound.attrs[ref])
     return out
 
 

@@ -2,7 +2,7 @@
 
 All nodes are immutable dataclasses. Column references may be qualified
 (``TRADE.T_ID``) or bare (``T_ID``); resolution against the schema happens
-in the analyzer/executor, not here.
+once, in the binder (:mod:`repro.sql.bind`), not here.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class Select:
 
     @property
     def alias_map(self) -> dict[str, str]:
-        """alias (or table name) -> real table name, for resolution."""
+        """alias (or table name) -> real table name: the binder's scope."""
         out = {self.table_alias or self.table: self.table}
         for join in self.joins:
             out[join.alias or join.table] = join.table
@@ -273,89 +273,6 @@ class Delete:
 
 
 Statement = Union[Select, Insert, Update, Delete]
-
-
-def _dealias_ref(ref: ColumnRef, amap: dict[str, str]) -> ColumnRef:
-    if ref.table is not None and amap.get(ref.table, ref.table) != ref.table:
-        return ColumnRef(ref.name, amap[ref.table])
-    return ref
-
-
-def _dealias_expr(expr: Expr, amap: dict[str, str]) -> Expr:
-    if isinstance(expr, ColumnRef):
-        return _dealias_ref(expr, amap)
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            _dealias_expr(expr.left, amap), expr.op, _dealias_expr(expr.right, amap)
-        )
-    return expr
-
-
-def _dealias_predicate(pred: Predicate, amap: dict[str, str]) -> Predicate:
-    if isinstance(pred, Comparison):
-        return Comparison(
-            _dealias_expr(pred.left, amap), pred.op, _dealias_expr(pred.right, amap)
-        )
-    if isinstance(pred, InPredicate):
-        values = (
-            None
-            if pred.values is None
-            else tuple(_dealias_expr(v, amap) for v in pred.values)
-        )
-        return InPredicate(_dealias_ref(pred.column, amap), values, pred.param)
-    return BetweenPredicate(
-        _dealias_ref(pred.column, amap),
-        _dealias_expr(pred.low, amap),
-        _dealias_expr(pred.high, amap),
-    )
-
-
-def dealias(select: Select) -> Select:
-    """Rewrite a SELECT so every qualified reference names a real table.
-
-    Table aliases introduced in FROM/JOIN (``FROM EMPLOYEE e JOIN EMPLOYEE
-    m ON e.MGR_ID = m.EMP_ID``) are substituted away and dropped, so the
-    analyzer and executor only ever see schema table names. References
-    qualified by a name that is not an alias are left untouched (they may
-    legitimately name a FROM table directly).
-    """
-    if select.table_alias is None and all(j.alias is None for j in select.joins):
-        return select
-    amap = select.alias_map
-    items = tuple(
-        SelectItem(
-            _dealias_ref(item.expr, amap),
-            aggregate=item.aggregate,
-            assign_to=item.assign_to,
-            alias=item.alias,
-        )
-        for item in select.items
-    )
-    joins = tuple(
-        Join(
-            j.table,
-            _dealias_ref(j.left, amap),
-            _dealias_ref(j.right, amap),
-        )
-        for j in select.joins
-    )
-    where = tuple(_dealias_predicate(p, amap) for p in select.where)
-    order_by = (
-        None
-        if select.order_by is None
-        else OrderBy(
-            _dealias_ref(select.order_by.column, amap), select.order_by.descending
-        )
-    )
-    return Select(
-        items,
-        select.table,
-        joins,
-        where,
-        order_by,
-        select.limit,
-        select.distinct,
-    )
 
 
 def predicate_columns(pred: Predicate) -> tuple[ColumnRef, ...]:

@@ -30,17 +30,25 @@ The same chains give the router a **sound transitive parameter closure**:
 ``SELECT @v = A ... WHERE A = @p`` proves ``@v = @p`` for every execution
 (zero rows leave ``@v`` NULL, which the router treats as unroutable), so a
 later ``WHERE B = @v`` binds ``B`` to the declared parameter ``p``.
+
+Every attribute the pass names comes from the statements' bound forms
+(:mod:`repro.sql.bind`); :func:`analyze_dataflow` reads the procedure's
+cached ones, so it resolves nothing its executions have not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.schema.attribute import Attr
 from repro.schema.database import DatabaseSchema
 from repro.sql import ast
-from repro.sql.analyzer import StatementAnalysis, _resolve, analyze_statement
+from repro.sql.analyzer import StatementAnalysis, analyze_bound
+from repro.sql.bind import BoundStatement, bind
+
+if TYPE_CHECKING:
+    from repro.procedures.procedure import StoredProcedure
 
 __all__ = [
     "Definition",
@@ -186,8 +194,7 @@ def _expr_params(expr: ast.Expr) -> tuple[str, ...]:
 
 def _predicate_uses(
     predicates: tuple[ast.Predicate, ...],
-    schema: DatabaseSchema,
-    tables: list[str],
+    attrs: Mapping[ast.ColumnRef, Attr],
     index: int,
     label: str,
 ) -> tuple[list[Use], list[frozenset[Attr]]]:
@@ -196,30 +203,26 @@ def _predicate_uses(
     equalities: list[frozenset[Attr]] = []
     for pred in predicates:
         if isinstance(pred, ast.Comparison):
-            left_col = isinstance(pred.left, ast.ColumnRef)
-            right_col = isinstance(pred.right, ast.ColumnRef)
-            if left_col and right_col and pred.op == "=":
-                a = _resolve(pred.left, schema, tables)
-                b = _resolve(pred.right, schema, tables)
-                if a != b:
-                    equalities.append(frozenset({a, b}))
+            ref, other = pred.left, pred.right
+            if not isinstance(ref, ast.ColumnRef):
+                ref, other = other, ref
+            if not isinstance(ref, ast.ColumnRef):
+                for side in (pred.left, pred.right):
+                    for name in _expr_params(side):
+                        uses.append(Use(name, index, label, None, EXPR))
                 continue
-            if left_col or right_col:
-                ref = pred.left if left_col else pred.right
-                other = pred.right if left_col else pred.left
-                attr = _resolve(ref, schema, tables)  # type: ignore[arg-type]
-                if isinstance(other, ast.Param):
-                    kind = EQ if pred.op == "=" else RANGE
-                    uses.append(Use(other.name, index, label, attr, kind))
-                else:
-                    for name in _expr_params(other):
-                        uses.append(Use(name, index, label, attr, EXPR))
-                continue
-            for side in (pred.left, pred.right):
-                for name in _expr_params(side):
-                    uses.append(Use(name, index, label, None, EXPR))
+            attr = attrs[ref]
+            if isinstance(other, ast.ColumnRef):
+                if pred.op == "=" and attrs[other] != attr:
+                    equalities.append(frozenset({attr, attrs[other]}))
+            elif isinstance(other, ast.Param):
+                kind = EQ if pred.op == "=" else RANGE
+                uses.append(Use(other.name, index, label, attr, kind))
+            else:
+                for name in _expr_params(other):
+                    uses.append(Use(name, index, label, attr, EXPR))
         elif isinstance(pred, ast.InPredicate):
-            attr = _resolve(pred.column, schema, tables)
+            attr = attrs[pred.column]
             if pred.param is not None:
                 uses.append(Use(pred.param.name, index, label, attr, IN_LIST))
             for value in pred.values or ():
@@ -227,7 +230,7 @@ def _predicate_uses(
                     # A scalar element of the list: equality on a match.
                     uses.append(Use(value.name, index, label, attr, EQ))
         else:  # BetweenPredicate
-            attr = _resolve(pred.column, schema, tables)
+            attr = attrs[pred.column]
             for side in (pred.low, pred.high):
                 for name in _expr_params(side):
                     uses.append(Use(name, index, label, attr, RANGE))
@@ -235,60 +238,45 @@ def _predicate_uses(
 
 
 def _statement_flows(
-    statement: ast.Statement,
-    schema: DatabaseSchema,
-    index: int,
-    label: str,
+    bound: BoundStatement, index: int, label: str
 ) -> tuple[list[Definition], list[Use], list[frozenset[Attr]]]:
     """Definitions, uses, and explicit equalities of one statement."""
+    statement = bound.statement
     defs: list[Definition] = []
     uses: list[Use] = []
     equalities: list[frozenset[Attr]] = []
     if isinstance(statement, ast.Select):
-        statement = ast.dealias(statement)
-        tables = list(statement.tables)
         for join in statement.joins:
-            a = _resolve(join.left, schema, tables)
-            b = _resolve(join.right, schema, tables)
+            a, b = bound.attrs[join.left], bound.attrs[join.right]
             if a != b:
                 equalities.append(frozenset({a, b}))
         w_uses, w_eq = _predicate_uses(
-            statement.where, schema, tables, index, label
+            statement.where, bound.attrs, index, label
         )
         uses.extend(w_uses)
         equalities.extend(w_eq)
-        for item in statement.items:
+        for item, source in zip(statement.items, bound.items):
             if item.assign_to is None:
                 continue
-            if item.expr.name == "*":
-                sources: tuple[Attr, ...] = ()
-            else:
-                sources = (_resolve(item.expr, schema, tables),)
             defs.append(
                 Definition(
                     item.assign_to,
                     index,
                     label,
-                    sources,
+                    () if source is None else (source,),
                     aggregate=item.aggregate is not None,
                 )
             )
     elif isinstance(statement, ast.Insert):
-        if statement.select is not None:
+        if bound.source is not None:
             sub_defs, sub_uses, sub_eq = _statement_flows(
-                statement.select, schema, index, label
+                bound.source, index, label
             )
             defs.extend(sub_defs)
             uses.extend(sub_uses)
             equalities.extend(sub_eq)
-            select = ast.dealias(statement.select)
-            sub_tables = list(select.tables)
-            for col, item in zip(statement.columns, select.items):
-                if item.aggregate is not None:
-                    continue
-                attr = Attr(statement.table, col)
-                src = _resolve(item.expr, schema, sub_tables)
-                if src != attr:
+            for attr, src in bound.pairs:
+                if src is not None and src != attr:
                     equalities.append(frozenset({attr, src}))
         for col, value in zip(statement.columns, statement.values):
             attr = Attr(statement.table, col)
@@ -297,25 +285,20 @@ def _statement_flows(
             else:
                 for name in _expr_params(value):
                     uses.append(Use(name, index, label, attr, EXPR))
-    elif isinstance(statement, ast.Update):
-        tables = [statement.table]
+    else:
         w_uses, w_eq = _predicate_uses(
-            statement.where, schema, tables, index, label
+            statement.where, bound.attrs, index, label
         )
         uses.extend(w_uses)
         equalities.extend(w_eq)
-        for col, value in statement.assignments:
-            attr = Attr(statement.table, col)
-            for name in _expr_params(value):
-                # SET col = f(@v) writes a transformed value: a read, but
-                # never an equality witness (col is not even a WHERE attr).
-                uses.append(Use(name, index, label, attr, EXPR))
-    elif isinstance(statement, ast.Delete):
-        w_uses, w_eq = _predicate_uses(
-            statement.where, schema, [statement.table], index, label
-        )
-        uses.extend(w_uses)
-        equalities.extend(w_eq)
+        if isinstance(statement, ast.Update):
+            for col, value in statement.assignments:
+                attr = Attr(statement.table, col)
+                for name in _expr_params(value):
+                    # SET col = f(@v) writes a transformed value: a read,
+                    # but never an equality witness (col is not even a
+                    # WHERE attr).
+                    uses.append(Use(name, index, label, attr, EXPR))
     return defs, uses, equalities
 
 
@@ -349,13 +332,27 @@ def analyze_statements_dataflow(
     )
     if len(labels) != len(statements):
         raise ValueError("labels/statements length mismatch")
-    analyses = tuple(analyze_statement(s, schema) for s in statements)
+    return _bound_dataflow(
+        [bind(statement, schema) for statement in statements],
+        params,
+        labels,
+        straight_line,
+        name,
+    )
 
+
+def _bound_dataflow(
+    bound: Sequence[BoundStatement],
+    params: Sequence[str],
+    labels: Sequence[str],
+    straight_line: bool,
+    name: str,
+) -> ProcedureDataflow:
+    analyses = tuple(analyze_bound(b) for b in bound)
     per_statement: list[
         tuple[list[Definition], list[Use], list[frozenset[Attr]]]
     ] = [
-        _statement_flows(statement, schema, i, labels[i])
-        for i, statement in enumerate(statements)
+        _statement_flows(b, i, labels[i]) for i, b in enumerate(bound)
     ]
     all_defs = [d for defs, _, _ in per_statement for d in defs]
     all_uses = [u for _, uses, _ in per_statement for u in uses]
@@ -432,7 +429,7 @@ def analyze_statements_dataflow(
         procedure_name=name,
         params=tuple(params),
         labels=tuple(labels),
-        statements=tuple(statements),
+        statements=tuple(b.statement for b in bound),
         analyses=analyses,
         straight_line=straight_line,
         definitions=tuple(all_defs),
@@ -569,14 +566,19 @@ def _dead_definitions(
     return tuple(dead)
 
 
-def analyze_dataflow(procedure, schema: DatabaseSchema) -> ProcedureDataflow:
-    """Def-use dataflow for a :class:`repro.procedures.StoredProcedure`."""
+def analyze_dataflow(
+    procedure: StoredProcedure, schema: DatabaseSchema
+) -> ProcedureDataflow:
+    """Def-use dataflow for a :class:`repro.procedures.StoredProcedure`.
+
+    Reads the procedure's cached bound statements, so the pass resolves
+    no column the procedure's executions have not already resolved.
+    """
     labels = list(procedure.sql_text)
-    return analyze_statements_dataflow(
-        procedure.statements,
-        schema,
-        params=procedure.params,
-        labels=labels,
-        straight_line=procedure.body is None,
-        name=procedure.name,
+    return _bound_dataflow(
+        [procedure.bound(label, schema) for label in labels],
+        procedure.params,
+        labels,
+        procedure.body is None,
+        procedure.name,
     )

@@ -4,7 +4,7 @@ The partitioner decides both definitions with vectorized kernels over an
 interned trace (:class:`~repro.core.path_eval.ColumnarEngine` and
 :class:`~repro.evaluation.evaluator.PartitioningEvaluator`). The scans
 here compute the same definitions one transaction and one access at a
-time through a :class:`~repro.core.path_eval.JoinPathEvaluator`, and the
+time with an uncached walk per key (:func:`naive_root_value`), and the
 differential tests hold the kernels to them.
 
 The serving tier reads one maintained
@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
 from repro.core.mapping import REPLICATED
-from repro.core.path_eval import ColumnarEngine, JoinPathEvaluator
+from repro.core.path_eval import ColumnarEngine
 from repro.core.solution import DatabasePartitioning
 from repro.evaluation.evaluator import CostReport
 from repro.schema.attribute import Attr
@@ -61,9 +61,7 @@ def intern(database: Database, *traces: Trace):
     return (engine, *views)
 
 
-def mapping_independent(
-    tree: JoinTree, trace, evaluator: JoinPathEvaluator
-) -> bool:
+def mapping_independent(tree: JoinTree, trace, database: Database) -> bool:
     """Definition 7: every transaction maps to exactly one root value.
 
     Stops at the first covered tuple whose root value is missing or
@@ -76,7 +74,7 @@ def mapping_independent(
             path = tree.paths.get(table)
             if path is None:
                 continue
-            value = evaluator.evaluate(path, key)
+            value = naive_root_value(database, path, key)
             if value is None or (
                 first is not _NO_VALUE
                 and value is not first
@@ -87,16 +85,29 @@ def mapping_independent(
     return True
 
 
+def naive_pid(database: Database, solution, key: tuple) -> int | None:
+    """Partition id of the tuple *key*: ``0`` replicated, None unroutable.
+
+    A tuple-map solution (Schism's, no join path) answers for itself.
+    """
+    if solution.replicated:
+        return REPLICATED
+    if solution.path is None:
+        return solution.partition_of(key)
+    value = naive_root_value(database, solution.path, key)
+    return None if value is None else solution.mapping(value)
+
+
 def transaction_is_distributed(
     txn: TransactionTrace,
     partitioning: DatabasePartitioning,
-    evaluator: JoinPathEvaluator,
+    database: Database,
 ) -> bool:
     """Definition 5 for a single transaction."""
     partitions: set[int] = set()
     for access in txn.accesses:
         solution = partitioning.solution_for(access.table)
-        pid = solution.partition_of(access.key, evaluator)
+        pid = naive_pid(database, solution, access.key)
         if pid is None:
             return True  # unroutable tuple: must broadcast
         if pid == REPLICATED:
@@ -111,13 +122,12 @@ def cost_report(
     partitioning: DatabasePartitioning, trace, database: Database
 ) -> CostReport:
     """Definition 6 with per-class breakdown, one transaction at a time."""
-    evaluator = JoinPathEvaluator(database)
     report = CostReport()
     for txn in trace:
         name = txn.class_name
         report.total_transactions += 1
         report.per_class_total[name] = report.per_class_total.get(name, 0) + 1
-        if transaction_is_distributed(txn, partitioning, evaluator):
+        if transaction_is_distributed(txn, partitioning, database):
             report.distributed_transactions += 1
             report.per_class_distributed[name] = (
                 report.per_class_distributed.get(name, 0) + 1

@@ -10,6 +10,7 @@ from repro.baselines import (
 )
 from repro.baselines.published import build_spec_partitioning, intra_table_path
 from repro.core.mapping import REPLICATED
+from repro.core.placement import PlacementStore
 from repro.errors import PartitioningError
 from repro.evaluation import PartitioningEvaluator
 from repro.trace import train_test_split
@@ -157,6 +158,6 @@ class TestPublishedSpecs:
         partitioning = build_spec_partitioning(
             schema, 4, {"SUBSCRIBER": None}
         )
-        solution = partitioning.solution_for("SUBSCRIBER")
-        assert solution.replicated
-        assert solution.partition_of((1,), None) == REPLICATED
+        assert partitioning.solution_for("SUBSCRIBER").replicated
+        store = PlacementStore(tatp_bundle.database, partitioning)
+        assert store.pid_of("SUBSCRIBER", (1,)) == REPLICATED

@@ -19,7 +19,7 @@ from repro.baselines.published import build_spec_partitioning
 from repro.baselines.schism import SchismConfig, SchismPartitioner
 from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_tree import JoinTree
-from repro.core.path_eval import ColumnarEngine, JoinPathEvaluator
+from repro.core.path_eval import ColumnarEngine
 from repro.core.phase2 import Phase2Config, enumerate_trees
 from repro.evaluation.evaluator import PartitioningEvaluator
 from repro.trace.columnar import ColumnarTrace
@@ -129,10 +129,9 @@ def _assert_mi_kernel_matches_referee(bundle) -> int:
         if class_result.read_only:
             continue
         view = engine.ctrace.class_view(class_result.class_name)
-        evaluator = JoinPathEvaluator(database)
         for tree in _search_trees(class_result):
             assert tree.is_mapping_independent(view, engine) == (
-                referee.mapping_independent(tree, view, evaluator)
+                referee.mapping_independent(tree, view, database)
             ), (class_result.class_name, str(tree))
             checked += 1
     return checked
@@ -365,7 +364,6 @@ def test_class_value_luts_match_scalar_evaluation(tatp_bundle):
     result = _run(tatp_bundle)
     ctrace = ColumnarTrace.from_trace(tatp_bundle.trace)
     engine = ColumnarEngine(tatp_bundle.database, ctrace)
-    evaluator = JoinPathEvaluator(tatp_bundle.database)
     paths = {
         table: result.partitioning.solution_for(table).path
         for table in result.partitioning.tables
@@ -379,7 +377,9 @@ def test_class_value_luts_match_scalar_evaluation(tatp_bundle):
                 path = paths.get(table)
                 if path is None:
                     continue
-                assert luts[table][key] == evaluator.evaluate(path, key)
+                assert luts[table][key] == naive_root_value(
+                    tatp_bundle.database, path, key
+                )
                 checked += 1
     assert checked > 0
 
@@ -401,14 +401,15 @@ def test_split_views_keep_their_own_chunks(tpcc_bundle):
     train, _test = view.split(0.5)
     assert len(train) == 64
     luts = engine.class_value_luts(train, tree.paths)
-    evaluator = JoinPathEvaluator(tpcc_bundle.database)
     checked = 0
     for txn in train:
         for table, key in txn.tuples:
             path = tree.paths.get(table)
             if path is None:
                 continue
-            assert luts[table][key] == evaluator.evaluate(path, key)
+            assert luts[table][key] == naive_root_value(
+                tpcc_bundle.database, path, key
+            )
             checked += 1
     assert checked > 0
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Executor
 from repro.errors import BindingError, ExecutionError
+from repro.sql.bind import bind
 from repro.sql.parser import parse_statement
 
 
@@ -12,8 +13,12 @@ def executor(figure1_db):
     return Executor(figure1_db)
 
 
+def bound(executor, sql):
+    return bind(parse_statement(sql), executor.database.schema)
+
+
 def run(executor, sql, **params):
-    return executor.execute(parse_statement(sql), params)
+    return executor.execute(bound(executor, sql), params)
 
 
 class TestSelect:
@@ -85,7 +90,7 @@ class TestSelect:
     def test_assignment_into_params(self, executor):
         params = {"t": 3}
         executor.execute(
-            parse_statement("SELECT @qty = T_QTY FROM TRADE WHERE T_ID = @t"),
+            bound(executor, "SELECT @qty = T_QTY FROM TRADE WHERE T_ID = @t"),
             params,
         )
         assert params["qty"] == 3
@@ -93,7 +98,7 @@ class TestSelect:
     def test_assignment_none_when_no_rows(self, executor):
         params = {"t": 99}
         executor.execute(
-            parse_statement("SELECT @qty = T_QTY FROM TRADE WHERE T_ID = @t"),
+            bound(executor, "SELECT @qty = T_QTY FROM TRADE WHERE T_ID = @t"),
             params,
         )
         assert params["qty"] is None
@@ -202,7 +207,7 @@ class TestAccessRecording:
             figure1_db, on_access=lambda t, k, w: accesses.append((t, k, w))
         )
         executor.execute(
-            parse_statement("SELECT T_QTY FROM TRADE WHERE T_ID = 1"), {}
+            bound(executor, "SELECT T_QTY FROM TRADE WHERE T_ID = 1"), {}
         )
         assert ("TRADE", (1,), False) in accesses
 
@@ -212,7 +217,8 @@ class TestAccessRecording:
             figure1_db, on_access=lambda t, k, w: accesses.append((t, k, w))
         )
         executor.execute(
-            parse_statement(
+            bound(
+                executor,
                 "SELECT T_ID FROM TRADE join CUSTOMER_ACCOUNT "
                 "on T_CA_ID = CA_ID WHERE CA_C_ID = 1"
             ),
@@ -227,7 +233,7 @@ class TestAccessRecording:
             figure1_db, on_access=lambda t, k, w: accesses.append((t, k, w))
         )
         executor.execute(
-            parse_statement("SELECT T_ID FROM TRADE WHERE T_ID = 99"), {}
+            bound(executor, "SELECT T_ID FROM TRADE WHERE T_ID = 99"), {}
         )
         assert accesses == []
 
@@ -237,13 +243,14 @@ class TestAccessRecording:
             figure1_db, on_access=lambda t, k, w: accesses.append((t, k, w))
         )
         executor.execute(
-            parse_statement("UPDATE TRADE SET T_QTY = 0 WHERE T_ID = 1"), {}
+            bound(executor, "UPDATE TRADE SET T_QTY = 0 WHERE T_ID = 1"), {}
         )
         executor.execute(
-            parse_statement("DELETE FROM TRADE WHERE T_ID = 2"), {}
+            bound(executor, "DELETE FROM TRADE WHERE T_ID = 2"), {}
         )
         executor.execute(
-            parse_statement(
+            bound(
+                executor,
                 "INSERT INTO TRADE (T_ID, T_CA_ID, T_QTY) VALUES (60, 1, 1)"
             ),
             {},

@@ -7,6 +7,7 @@ from repro.engine.expression import compare, eval_in_row, eval_scalar, in_values
 from repro.errors import ExecutionError
 from repro.schema import DatabaseSchema, integer_table
 from repro.sql import ast
+from repro.sql.bind import bind
 from repro.sql.parser import parse_statement
 from repro.storage import Database
 
@@ -16,8 +17,12 @@ def executor(figure1_db):
     return Executor(figure1_db)
 
 
+def bound(executor, sql):
+    return bind(parse_statement(sql), executor.database.schema)
+
+
 def run(executor, sql, **params):
-    return executor.execute(parse_statement(sql), params)
+    return executor.execute(bound(executor, sql), params)
 
 
 class TestJoinPlanning:
@@ -136,7 +141,7 @@ class TestMultiStatementScenario:
             "INSERT INTO LEDGER (L_ID, L_FROM, L_TO, L_AMT) "
             "VALUES (@lid, @src, @dst, @amt)",
         ):
-            executor.execute(parse_statement(sql), params)
+            executor.execute(bound(executor, sql), params)
         assert database.get("ACCOUNT", (1,))["A_BAL"] == 70
         assert database.get("ACCOUNT", (2,))["A_BAL"] == 80
         database.check_integrity()

@@ -15,7 +15,7 @@ from repro.lint import RULES, lint_workload, render_sarif
 from repro.lint.workloads import WORKLOADS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_WORKLOADS = ("tpcc", "tatp", "seats", "auctionmark")
+GOLDEN_WORKLOADS = ("tpcc", "tatp", "seats", "auctionmark", "tpce")
 
 
 @pytest.mark.parametrize("name", GOLDEN_WORKLOADS)

@@ -1,7 +1,7 @@
 """Unit tests for search instrumentation, caching, and config plumbing.
 
-Covers the :mod:`repro.core.metrics` dataclasses, the evaluator's (path,
-key) memo and shared :class:`SnapshotIndex`, config ``to_dict``/
+Covers the :mod:`repro.core.metrics` dataclasses, the placement store's
+per-key memo and shared :class:`SnapshotIndex`, config ``to_dict``/
 ``from_dict`` round-trips, and the :func:`repro.partition` facade with its
 algorithm registries.
 """
@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_path import JoinPath
+from repro.core.mapping import IdentityModMapping
 from repro.core.metrics import (
     CacheStats,
     ClassMetrics,
@@ -18,9 +19,11 @@ from repro.core.metrics import (
     RoutingMetrics,
     SearchMetrics,
 )
-from repro.core.path_eval import JoinPathEvaluator, SnapshotIndex
+from repro.core.path_eval import SnapshotIndex, _PathPlan
 from repro.core.phase2 import Phase2Config
 from repro.core.phase3 import Phase3Config
+from repro.core.placement import PlacementStore
+from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.evaluation.framework import (
     PartitioningExperiment,
     register_algorithm,
@@ -164,7 +167,7 @@ class TestRoutingMetrics:
 
 
 # ----------------------------------------------------------------------
-# Bounded evaluator cache and snapshot index
+# Per-key placement memo and snapshot index
 # ----------------------------------------------------------------------
 @pytest.fixture
 def trade_path(custinfo_schema):
@@ -177,34 +180,42 @@ def trade_path(custinfo_schema):
     )
 
 
+@pytest.fixture
+def trade_store(figure1_db, trade_path):
+    """A store placing TRADE by customer id (k=2), nothing filled yet."""
+    partitioning = DatabasePartitioning(2)
+    partitioning.set(TableSolution("TRADE", trade_path, IdentityModMapping(2)))
+    return PlacementStore(figure1_db, partitioning)
+
+
 class TestBoundedCache:
-    def test_repeat_lookup_hits(self, figure1_db, trade_path):
-        evaluator = JoinPathEvaluator(figure1_db)
-        first = evaluator.evaluate(trade_path, (1,))
-        second = evaluator.evaluate(trade_path, (1,))
-        assert first == second == 1
-        assert evaluator.cache_stats.hits == 1
-        assert evaluator.cache_stats.misses == 1
+    """The placement store memoizes each per-key walk (``pid_of``)."""
 
-    def test_unbounded_by_default(self, figure1_db, trade_path):
-        evaluator = JoinPathEvaluator(figure1_db)
-        for t_id in range(1, 9):
-            evaluator.evaluate(trade_path, (t_id,))
-        assert len(evaluator._cache) == 8
+    def test_repeat_lookup_hits(self, trade_store):
+        first = trade_store.pid_of("TRADE", (1,))
+        second = trade_store.pid_of("TRADE", (1,))
+        assert first == second == 2  # customer 1
+        assert trade_store.pid_computations == 1
 
-    def test_evaluation_counter(self, figure1_db, trade_path):
-        evaluator = JoinPathEvaluator(figure1_db)
-        evaluator.evaluate(trade_path, (1,))
-        evaluator.evaluate(trade_path, (1,))
-        assert evaluator.evaluations == 2
+    def test_unbounded_by_default(self, trade_store):
+        for _ in range(2):
+            for t_id in range(1, 9):
+                trade_store.pid_of("TRADE", (t_id,))
+        assert trade_store.pid_computations == 8
+
+    def test_evaluation_counter(self, trade_store):
+        # a filled column places each live row once; reads then hit it
+        assert len(trade_store.pids("TRADE")) == 8
+        trade_store.pid_of("TRADE", (1,))
+        assert trade_store.pid_computations == 8
 
 
 class TestSnapshotIndex:
     def test_shared_across_evaluators(self, figure1_db, trade_path):
         snapshots = SnapshotIndex(figure1_db)
-        a = JoinPathEvaluator(figure1_db, snapshots=snapshots)
-        b = JoinPathEvaluator(figure1_db, snapshots=snapshots)
-        assert a.evaluate(trade_path, (1,)) == b.evaluate(trade_path, (1,))
+        a = _PathPlan(trade_path, snapshots)
+        b = _PathPlan(trade_path, snapshots)
+        assert a.value((1,)) == b.value((1,)) == 1
         assert a.snapshots is b.snapshots
 
     def test_rebuilds_after_mutation(self, figure1_db):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
-from repro.core.path_eval import JoinPathEvaluator
+from repro.core.path_eval import SnapshotIndex, _PathPlan
 from repro.schema.attribute import Attr
 from repro.storage import Database
 from repro.trace import Trace
@@ -218,20 +218,19 @@ def test_optimized_checker_matches_brute_force(
     assert tree.is_mapping_independent(view, engine) == expected
     # run it twice: the filled code columns must not change the verdict
     assert tree.is_mapping_independent(view, engine) == expected
-    evaluator = JoinPathEvaluator(database)
-    assert referee.mapping_independent(tree, trace, evaluator) == expected
+    assert referee.mapping_independent(tree, trace, database) == expected
 
     # Per key, both holders of the compiled walk agree with the oracle:
-    # the engine on every key the trace touches, the per-key evaluator
-    # also on keys outside the trace — with dangling foreign keys,
-    # tombstoned accounts and keys that name no row at all.
+    # the engine on every key the trace touches, a fresh plan (the
+    # placement store's per-key walk) also on keys outside the trace —
+    # with dangling foreign keys, tombstoned accounts and keys that name
+    # no row at all.
     for table, lut in engine.class_value_luts(view, tree.paths).items():
         for key, value in lut.items():
             assert value == naive_root_value(database, tree.paths[table], key)
-    fresh = JoinPathEvaluator(database)
+    snapshots = SnapshotIndex(database)
     for table, top in (("TRADE", 12), ("CUSTOMER_ACCOUNT", 8)):
         path = tree.paths[table]
+        plan = _PathPlan(path, snapshots)
         for i in range(1, top + 1):
-            assert fresh.evaluate(path, (i,)) == naive_root_value(
-                database, path, (i,)
-            )
+            assert plan.value((i,)) == naive_root_value(database, path, (i,))

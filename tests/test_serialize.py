@@ -12,6 +12,7 @@ from repro.core.mapping import (
     RangeMapping,
     ReplicateMapping,
 )
+from repro.core.placement import PlacementStore
 from repro.core.serialize import (
     dump_partitioning,
     load_partitioning,
@@ -77,13 +78,10 @@ class TestPartitioningRoundTrip:
         restored = load_partitioning(
             database.schema, dump_partitioning(result.partitioning)
         )
-        from repro.core.path_eval import JoinPathEvaluator
-
-        evaluator = JoinPathEvaluator(database)
+        original = PlacementStore(database, result.partitioning)
+        loaded = PlacementStore(database, restored)
         for key in list(database.table("TRADE").keys())[:20]:
-            assert restored.partition_of(
-                "TRADE", key, evaluator
-            ) == result.partitioning.partition_of("TRADE", key, evaluator)
+            assert loaded.pid_of("TRADE", key) == original.pid_of("TRADE", key)
 
     def test_invalid_path_rejected_on_load(self, custinfo_schema):
         data = {

@@ -9,7 +9,7 @@ from repro.core.mapping import (
     IdentityModMapping,
     ReplicateMapping,
 )
-from repro.core.path_eval import JoinPathEvaluator
+from repro.core.placement import UNROUTABLE, PlacementStore
 from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.errors import PartitioningError
 from repro.evaluation.evaluator import PartitioningEvaluator
@@ -42,11 +42,12 @@ def customer_partitioning(custinfo_schema):
 
 
 class TestTableSolution:
-    def test_replicated(self):
-        solution = TableSolution("T")
+    def test_replicated(self, figure1_db):
+        solution = TableSolution("TRADE")
         assert solution.replicated
         assert solution.attribute is None
-        assert solution.partition_of((1,), None) == REPLICATED
+        store = PlacementStore(figure1_db, DatabasePartitioning(2, [solution]))
+        assert store.pid_of("TRADE", (1,)) == REPLICATED
 
     def test_partitioned_needs_mapping(self, custinfo_schema):
         p = path(custinfo_schema, "TRADE.T_ID")
@@ -64,10 +65,10 @@ class TestTableSolution:
             "CUSTOMER_ACCOUNT.CA_ID", "CUSTOMER_ACCOUNT.CA_C_ID",
         )
         solution = TableSolution("TRADE", p, IdentityModMapping(2))
-        evaluator = JoinPathEvaluator(figure1_db)
-        assert solution.partition_of((1,), evaluator) == 2  # customer 1
-        assert solution.partition_of((2,), evaluator) == 1  # customer 2
-        assert solution.partition_of((999,), evaluator) is None
+        store = PlacementStore(figure1_db, DatabasePartitioning(2, [solution]))
+        assert store.pid_of("TRADE", (1,)) == 2  # customer 1
+        assert store.pid_of("TRADE", (2,)) == 1  # customer 2
+        assert store.pid_of("TRADE", (999,)) == UNROUTABLE
 
 
 class TestDatabasePartitioning:

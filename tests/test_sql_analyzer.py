@@ -146,7 +146,7 @@ class TestProcedureAnalysis:
 
 
 class TestAliasResolution:
-    """Satellite audit: _resolve sees only dealiased references."""
+    """Aliases resolve in the binder, through the FROM clause's alias map."""
 
     def test_from_alias_qualifier(self, custinfo_schema):
         result = analyze(
