@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 KeyValue = tuple  # primary-key value tuple
 
 
-@dataclass(frozen=True)
-class TupleAccess:
+class TupleAccess(NamedTuple):
     """One tuple touched by a transaction.
 
     Matches the paper's trace record: table name, primary key, and whether
-    the access was a read or an update (Section 7.1).
+    the access was a read or an update (Section 7.1). A named tuple: a
+    trace holds one per access, and it is cheap to build and to keep.
     """
 
     table: str
