@@ -6,6 +6,11 @@ from hypothesis import strategies as st
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 
+#: the dialect's comparison operators and aggregates (also drawn by the
+#: executor differential, tests/test_executor_differential.py)
+COMPARISON_OPS = ("=", "<", "<=", ">", ">=", "<>")
+AGGREGATES = ("SUM", "AVG", "COUNT", "MIN", "MAX")
+
 identifier = st.from_regex(r"[A-Z][A-Z0-9_]{0,10}", fullmatch=True).filter(
     lambda s: s.upper() not in __import__("repro.sql.tokenizer", fromlist=["KEYWORDS"]).KEYWORDS
 )
@@ -27,7 +32,7 @@ expr = st.one_of(column_ref, scalar)
 comparison = st.builds(
     ast.Comparison,
     left=column_ref,
-    op=st.sampled_from(["=", "<", "<=", ">", ">=", "<>"]),
+    op=st.sampled_from(COMPARISON_OPS),
     right=st.one_of(scalar, column_ref),
 )
 in_predicate = st.builds(
@@ -44,7 +49,7 @@ select_item = st.builds(
     ast.SelectItem,
     expr=column_ref,
     aggregate=st.one_of(
-        st.none(), st.sampled_from(["SUM", "AVG", "COUNT", "MIN", "MAX"])
+        st.none(), st.sampled_from(AGGREGATES)
     ),
 )
 
