@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Executor
-from repro.engine.expression import compare, eval_in_row, eval_scalar, in_values
+from repro.engine.expression import comparator, in_row, in_values, scalar
 from repro.errors import ExecutionError
 from repro.schema import DatabaseSchema, integer_table
 from repro.sql import ast
@@ -81,32 +81,32 @@ class TestJoinPlanning:
 class TestExpressions:
     def test_eval_scalar_arithmetic(self):
         expr = ast.BinaryOp(ast.Literal(2), "+", ast.Param("p"))
-        assert eval_scalar(expr, {"p": 3}) == 5
+        assert scalar(expr)({"p": 3}) == 5
         expr = ast.BinaryOp(ast.Literal(2), "-", ast.Literal(5))
-        assert eval_scalar(expr, {}) == -3
+        assert scalar(expr)({}) == -3
 
     def test_eval_scalar_rejects_columns(self):
         with pytest.raises(ExecutionError):
-            eval_scalar(ast.ColumnRef("A"), {})
+            scalar(ast.ColumnRef("A"))({})
 
     def test_eval_in_row(self):
         expr = ast.BinaryOp(ast.ColumnRef("A"), "+", ast.Param("p"))
-        assert eval_in_row(expr, {"A": 1}, {"p": 2}) == 3
+        assert in_row(expr)({"A": 1}, {"p": 2}) == 3
         with pytest.raises(ExecutionError):
-            eval_in_row(ast.ColumnRef("Z"), {"A": 1}, {})
+            in_row(ast.ColumnRef("Z"))({"A": 1}, {})
 
     def test_compare_null_semantics(self):
-        assert not compare("=", None, 1)
-        assert not compare("<", 1, None)
-        assert compare("<>", 1, 2)
+        assert not comparator("=")(None, 1)
+        assert not comparator("<")(1, None)
+        assert comparator("<>")(1, 2)
 
     def test_compare_unknown_operator(self):
         with pytest.raises(ExecutionError):
-            compare("~", 1, 2)
+            comparator("~")(1, 2)
 
     def test_compare_incomparable(self):
         with pytest.raises(ExecutionError):
-            compare("<", 1, "a")
+            comparator("<")(1, "a")
 
     def test_in_values(self):
         assert in_values(1, [1, 2])
