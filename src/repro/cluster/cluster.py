@@ -32,8 +32,16 @@ migrates rows to their new homes, counting moved tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Iterable,
+    Mapping,
+    NoReturn,
+    Sequence,
+)
 
 from repro.cluster.faults import CRASH, RECOVER, REPARTITION, FaultPlan
 from repro.cluster.node import Node
@@ -84,19 +92,67 @@ class _Resolution:
     """Who must participate in one transaction, and why."""
 
     participants: set[int]
-    wrote_replicated: bool = False
     broadcast: bool = False
     failovers: int = 0
     #: (node_id, table) pairs that missed a replicated write while down
-    divergent: set[tuple[int, str]] = field(default_factory=set)
+    divergent: Collection[tuple[int, str]] = ()
 
 
 #: one buffered store change (see ``PlacementSubscriber.placement_changed``)
 _Change = tuple[
     str, str, KeyValue, "Row | None", "Row | None", "int | None", "int | None"
 ]
-#: "this transaction has not read the table's column yet"
+#: "this snapshot has not read the table's column yet"
 _UNREAD: Any = object()
+
+
+class _Snapshot:
+    """What resolving accesses reads: the store's pid columns and the
+    live nodes, as they stand while the snapshot is in use.
+
+    A replay takes one per :meth:`Cluster.run_trace` call and takes it
+    again whenever a fault event fires; live execution takes one per
+    transaction, after the procedure's writes. A column is read on its
+    table's first access and kept: nothing writes while the snapshot is in
+    use, so the store's version check would find it in step every time.
+    """
+
+    __slots__ = ("store", "columns", "up", "down", "moved")
+
+    def __init__(
+        self,
+        store: PlacementStore,
+        nodes: Collection[Node],
+        moved: Mapping[tuple[str, KeyValue], int] | None = None,
+    ) -> None:
+        self.store = store
+        #: table -> pid column read so far (``None``: replicated table)
+        self.columns: dict[str, dict[KeyValue, int] | None] = {}
+        # One plain loop: live execution takes a snapshot per transaction.
+        up: list[int] = []
+        down: list[int] = []
+        for node in nodes:
+            (up if node.up else down).append(node.node_id)
+        self.up = frozenset(up)
+        self.down = down
+        #: rows the running transaction moved: (table, key) -> pid before it
+        self.moved = moved
+
+    def pid(self, table: str, key: KeyValue) -> int:
+        """Partition id of *key* (a moved row's from before the transaction)."""
+        if self.moved:
+            pid = self.moved.get((table, key))
+            if pid is not None:
+                return pid
+        pids = self.columns.get(table, _UNREAD)
+        if pids is _UNREAD:
+            pids = self.columns[table] = self.store.pids(table)
+        if pids is None:
+            return REPLICATED
+        pid = pids.get(key)
+        if pid is None:  # not a live row
+            pid = self.store.pid_of(table, key)
+        return pid
 
 
 def _access_recorder(
@@ -305,14 +361,17 @@ class Cluster:
     # ------------------------------------------------------------------
     # fault schedule
     # ------------------------------------------------------------------
-    def _advance_faults(self) -> None:
+    def _advance_faults(self) -> bool:
+        """Fire every event due by the current tick; True if any fired."""
         events = self.fault_plan.events
+        fired = False
         while (
             self._fault_cursor < len(events)
             and events[self._fault_cursor].tick <= self._tick
         ):
             event = events[self._fault_cursor]
             self._fault_cursor += 1
+            fired = True
             if event.action == CRASH:
                 node = self.nodes[event.node]
                 if node.up:
@@ -330,6 +389,13 @@ class Cluster:
             elif event.action == REPARTITION:
                 assert event.partitioning is not None
                 self.install(event.partitioning)
+        return fired
+
+    def _snapshot(
+        self, moved: Mapping[tuple[str, KeyValue], int] | None = None
+    ) -> _Snapshot:
+        assert self.store is not None
+        return _Snapshot(self.store, self.nodes.values(), moved)
 
     # ------------------------------------------------------------------
     # trace replay (the accounting twin of the static evaluator)
@@ -341,19 +407,30 @@ class Cluster:
         resolves each access to its physical participants and charges the
         commit protocol — exactly what the acceptance tests compare
         against the static evaluator.
+
+        The call resolves against one snapshot of the placement and the
+        live nodes, taken again only when a fault event fires, so the
+        source must not be written while the call runs. Writes made
+        between two calls are seen by the second.
         """
+        snapshot: _Snapshot | None = None
         for txn in trace:
-            self._advance_faults()
-            self._replay_transaction(txn)
+            if self._advance_faults() or snapshot is None:
+                snapshot = self._snapshot()
+            self._replay_transaction(txn, snapshot)
             self._tick += 1
         return self.metrics
 
-    def _replay_transaction(self, txn: TransactionTrace) -> None:
+    def _replay_transaction(
+        self, txn: TransactionTrace, snapshot: _Snapshot
+    ) -> None:
         self.metrics.transactions += 1
         attempts = 0
         while True:
             try:
-                resolution = self._resolve_accesses(txn.accesses, txn.txn_id)
+                resolution = self._resolve_accesses(
+                    snapshot, txn.accesses, txn.txn_id
+                )
             except ClusterUnavailable:
                 self.metrics.aborts += 1
                 if attempts >= self.cost.max_retries:
@@ -371,79 +448,84 @@ class Cluster:
     # ------------------------------------------------------------------
     def _resolve_accesses(
         self,
-        accesses: Iterable[TupleAccess],
+        snapshot: _Snapshot,
+        accesses: Sequence[TupleAccess],
         txn_id: int,
         coordinator_hint: int | None = None,
-        changes: Mapping[tuple[str, KeyValue], list] | None = None,
     ) -> _Resolution:
         """Map recorded accesses to the set of participating nodes.
 
-        *changes* are the running transaction's (:meth:`_net_changes`):
-        until commit, the nodes hold a row it moved on its old partition.
-
-        Raises :class:`ClusterUnavailable` when a singly-homed row's node
-        is down — the transaction cannot proceed and must abort. Dead
-        replicas never abort a transaction: replicated reads fail over to
-        a live copy and replicated writes skip the dead node (recorded for
-        resync on recovery).
+        Each distinct partition id is mapped to its node once. Raises
+        :class:`ClusterUnavailable` when a singly-homed row's node is down
+        — the transaction cannot proceed and must abort. Dead replicas
+        never abort a transaction: replicated reads fail over to a live
+        copy and replicated writes skip the dead node (recorded for resync
+        on recovery).
         """
-        up = self.up_node_ids()
+        up = snapshot.up
         if not up:
             raise ClusterUnavailable("no live nodes in the cluster")
-        store = self.store
-        assert store is not None
-        # one version-checked column per table: no write happens here
-        columns: dict[str, Any] = {}
-        resolution = _Resolution(participants=set(), divergent=set())
-        replicated_read = False
-        for access in accesses:
-            table, key = access.table, access.key
-            change = changes.get((table, key)) if changes else None
-            if change is not None and change[0] is not None:
-                pid = change[0]
-            else:
-                pids = columns.get(table, _UNREAD)
-                if pids is _UNREAD:
-                    pids = columns[table] = store.pids(table)
-                if pids is None:
-                    pid = REPLICATED
-                else:
-                    pid = pids.get(key)
-                    if pid is None:  # not a live row
-                        pid = store.pid_of(table, key)
-            if pid == REPLICATED:
-                if access.write:
-                    resolution.wrote_replicated = True
-                    resolution.participants |= up
-                    for node in self.nodes.values():
-                        if not node.up:
-                            resolution.divergent.add((node.node_id, table))
-                else:
-                    replicated_read = True
-            elif pid == UNROUTABLE:
-                resolution.broadcast = True
-                resolution.participants |= up
-                if access.write:
-                    for node in self.nodes.values():
-                        if not node.up:
-                            resolution.divergent.add((node.node_id, table))
-            else:
-                home = self.node_of(pid)
-                if not self.nodes[home].up:
-                    raise ClusterUnavailable(
-                        f"node {home} holding {table}{key} is down"
-                    )
-                resolution.participants.add(home)
-        if not resolution.participants:
+        # A transaction that moved rows reads every pid through
+        # ``snapshot.pid``, which knows where the nodes still hold them.
+        columns = {} if snapshot.moved else snapshot.columns
+        homed: set[int] = set()
+        # tables with a replicated or unroutable row written
+        spread: list[str] = []
+        everywhere = broadcast = replicated_read = False
+        for table, key, write in accesses:
+            # ``snapshot.pid``'s common case, inlined: a hot path
+            pids = columns.get(table, _UNREAD)
+            if pids is None:
+                pid = REPLICATED
+            elif pids is _UNREAD or (pid := pids.get(key)) is None:
+                pid = snapshot.pid(table, key)
+            if pid > 0:
+                homed.add(pid)
+            elif pid == REPLICATED and not write:
+                replicated_read = True
+            else:  # a replicated write or an unroutable access
+                everywhere = True
+                if pid == UNROUTABLE:
+                    broadcast = True
+                if write:
+                    spread.append(table)
+        participants: set[int] = set()
+        num_nodes = self.num_nodes
+        for pid in homed:
+            participants.add(1 + (pid - 1) % num_nodes)  # node_of, inlined
+        if not participants <= up:
+            self._raise_down(snapshot, accesses)
+        resolution = _Resolution(participants, broadcast)
+        if everywhere:
+            participants |= up
+        elif not participants:
             coordinator, failed_over = self._pick_coordinator(
                 txn_id, up, coordinator_hint
             )
-            resolution.participants = {coordinator}
+            participants.add(coordinator)
             if failed_over and replicated_read:
                 resolution.failovers += 1
-        if resolution.divergent:
-            resolution.failovers += len({n for n, _ in resolution.divergent})
+        if spread and snapshot.down:
+            resolution.divergent = {
+                (node_id, table) for node_id in snapshot.down for table in spread
+            }
+            resolution.failovers += len(snapshot.down)
         return resolution
+
+    def _raise_down(
+        self, snapshot: _Snapshot, accesses: Sequence[TupleAccess]
+    ) -> NoReturn:
+        """Raise :class:`ClusterUnavailable` for the first access, in
+        order, whose home node is down."""
+        for table, key, _ in accesses:
+            pid = snapshot.pid(table, key)
+            if pid > 0:
+                home = self.node_of(pid)
+                if home not in snapshot.up:
+                    raise ClusterUnavailable(
+                        f"node {home} holding {table}{key} is down"
+                    )
+        raise AssertionError("no access has a down home node")
 
     def _pick_coordinator(
         self, txn_id: int, up: frozenset[int], hint: int | None
@@ -545,8 +627,16 @@ class Cluster:
             procedure.execute(self._executor, dict(arguments))
             log = self._txn_log
             changes = self._net_changes(log) if log else {}
+            moved = None
+            if changes:
+                # until commit, the nodes hold a moved row on its old partition
+                moved = {
+                    row: change[0]
+                    for row, change in changes.items()
+                    if change[0] is not None
+                }
             resolution = self._resolve_accesses(
-                self._txn_access, self._tick, hint, changes
+                self._snapshot(moved), self._txn_access, self._tick, hint
             )
             if log:
                 self._add_write_homes(log, resolution)

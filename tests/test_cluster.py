@@ -12,6 +12,7 @@ from repro.baselines.published import build_spec_partitioning
 from repro.cluster import (
     Cluster,
     ClusterError,
+    ClusterUnavailable,
     CostConfig,
     FaultEvent,
     FaultPlan,
@@ -59,6 +60,18 @@ def customer_partitioning(custinfo_schema):
     partitioning.set(TableSolution("HOLDING_SUMMARY"))
     partitioning.set(TableSolution("CUSTOMER"))
     return partitioning
+
+
+@pytest.fixture
+def by_account(custinfo_schema):
+    """By-account layout: account *a* -> partition ``1 + a % 2``."""
+    return build_spec_partitioning(
+        custinfo_schema,
+        2,
+        {"CUSTOMER_ACCOUNT": "CA_ID", "TRADE": "T_CA_ID"},
+        mapping=IdentityModMapping(2),
+        name="by-account",
+    )
 
 
 @pytest.fixture
@@ -310,6 +323,68 @@ class TestTraceReplay:
         finally:
             cluster.close()
 
+    def test_crash_mid_trace_changes_the_live_set(
+        self, figure1_db, custinfo_procedure, customer_partitioning
+    ):
+        # Node 1 crashes before transaction 1 and recovers before 3, all
+        # inside one call: each transaction sees the nodes as they are.
+        cluster = Cluster(
+            figure1_db,
+            ProcedureCatalog([custinfo_procedure]),
+            customer_partitioning,
+            fault_plan=FaultPlan().crash(node=1, at=1).recover(node=1, at=3),
+        )
+        try:
+            on_node1 = [TupleAccess("TRADE", (2,), True)]
+            metrics = cluster.run_trace(
+                Trace([
+                    self._txn(0, on_node1),
+                    self._txn(1, on_node1),  # its home is down: it fails
+                    self._txn(2, [TupleAccess("CUSTOMER", (1,), True)]),
+                    self._txn(3, on_node1),
+                ])
+            )
+            assert metrics.crashes == 1 and metrics.recoveries == 1
+            assert metrics.failed == 1
+            assert metrics.aborts == cluster.cost.max_retries + 1
+            # the replicated write skips the down node, which fails over
+            assert metrics.replica_failovers == 1
+            assert metrics.committed_local == 3
+            assert metrics.per_node_transactions == {1: 2, 2: 1}
+        finally:
+            cluster.close()
+
+    def test_unavailable_names_the_first_access_with_a_down_home(
+        self, figure1_db, custinfo_procedure, customer_partitioning
+    ):
+        cluster = Cluster(
+            figure1_db,
+            ProcedureCatalog([custinfo_procedure]),
+            customer_partitioning,
+            fault_plan=FaultPlan().crash(node=1, at=0),
+        )
+        try:
+            cluster._advance_faults()
+            accesses = [
+                TupleAccess("CUSTOMER", (1,), True),  # replicated
+                TupleAccess("TRADE", (1,), False),  # node 2, up
+                TupleAccess("TRADE", (6,), False),  # node 1, down
+                TupleAccess("CUSTOMER_ACCOUNT", (7,), True),  # node 1, down
+            ]
+            with pytest.raises(
+                ClusterUnavailable, match=r"^node 1 holding TRADE\(6,\) is down$"
+            ):
+                cluster._resolve_accesses(cluster._snapshot(), accesses, 0)
+            with pytest.raises(
+                ClusterUnavailable,
+                match=r"^node 1 holding CUSTOMER_ACCOUNT\(7,\) is down$",
+            ):
+                cluster._resolve_accesses(
+                    cluster._snapshot(), accesses[::-1], 0
+                )
+        finally:
+            cluster.close()
+
 
 class TestLiveExecution:
     def test_commit_applies_to_owning_node(self, figure1_db, cluster):
@@ -474,18 +549,45 @@ class TestLiveExecution:
         finally:
             cluster.close()
 
+    def test_unavailable_names_the_first_access_with_a_down_home(
+        self, figure1_db, customer_partitioning
+    ):
+        read_three = StoredProcedure(
+            "ReadThree",
+            params=["up_trade", "down_trade", "down_account"],
+            statements={
+                "up": "SELECT T_QTY FROM TRADE WHERE T_ID = @up_trade",
+                "down": "SELECT T_QTY FROM TRADE WHERE T_ID = @down_trade",
+                "account": """
+                    SELECT CA_C_ID FROM CUSTOMER_ACCOUNT
+                    WHERE CA_ID = @down_account
+                """,
+            },
+        )
+        cluster = Cluster(
+            figure1_db,
+            ProcedureCatalog([read_three]),
+            customer_partitioning,
+            fault_plan=FaultPlan().crash(node=1, at=0),
+        )
+        try:
+            cluster._advance_faults()
+            # trade 1 is on node 2; trade 6 and account 7 on node 1
+            arguments = {"up_trade": 1, "down_trade": 6, "down_account": 7}
+            with pytest.raises(
+                ClusterUnavailable, match=r"^node 1 holding TRADE\(6,\) is down$"
+            ):
+                cluster._execute_once(read_three, arguments, None)
+            assert not cluster.execute("ReadThree", arguments)
+            assert cluster.metrics.failed == 1
+        finally:
+            cluster.close()
+
 
 class TestRepartitioning:
     def test_install_migrates_rows_and_stays_conserved(
-        self, figure1_db, custinfo_schema, cluster
+        self, figure1_db, by_account, cluster
     ):
-        by_account = build_spec_partitioning(
-            custinfo_schema,
-            2,
-            {"CUSTOMER_ACCOUNT": "CA_ID", "TRADE": "T_CA_ID"},
-            mapping=IdentityModMapping(2),
-            name="by-account",
-        )
         moved = cluster.install(by_account)
         assert moved > 0
         assert cluster.metrics.repartitions == 1
@@ -495,16 +597,9 @@ class TestRepartitioning:
         assert cluster.nodes[2].database.get("CUSTOMER_ACCOUNT", (7,))
 
     def test_scheduled_repartition_fires_mid_trace(
-        self, figure1_db, custinfo_schema, custinfo_procedure,
+        self, figure1_db, by_account, custinfo_procedure,
         customer_partitioning,
     ):
-        by_account = build_spec_partitioning(
-            custinfo_schema,
-            2,
-            {"CUSTOMER_ACCOUNT": "CA_ID", "TRADE": "T_CA_ID"},
-            mapping=IdentityModMapping(2),
-            name="by-account",
-        )
         cluster = Cluster(
             figure1_db,
             ProcedureCatalog([custinfo_procedure]),
@@ -521,6 +616,38 @@ class TestRepartitioning:
             )
             assert cluster.metrics.repartitions == 1
             assert cluster.partitioning.name == "by-account"
+            assert cluster.check_conservation() == []
+        finally:
+            cluster.close()
+
+    def test_scheduled_repartition_fires_mid_replay(
+        self, figure1_db, by_account, custinfo_procedure,
+        customer_partitioning,
+    ):
+        cluster = Cluster(
+            figure1_db,
+            ProcedureCatalog([custinfo_procedure]),
+            customer_partitioning,
+            fault_plan=FaultPlan().repartition(by_account, at=1),
+        )
+        try:
+            # By customer, account 7 (customer 2) is on node 1 and account
+            # 1 (customer 1) on node 2; by account both hash to node 2.
+            accesses = [
+                TupleAccess("CUSTOMER_ACCOUNT", (7,), False),
+                TupleAccess("CUSTOMER_ACCOUNT", (1,), False),
+            ]
+            metrics = cluster.run_trace(
+                Trace([
+                    TransactionTrace(txn_id=i, class_name="T", accesses=accesses)
+                    for i in range(3)
+                ])
+            )
+            assert metrics.repartitions == 1
+            assert cluster.partitioning.name == "by-account"
+            assert metrics.committed_distributed == 1
+            assert metrics.committed_local == 2
+            assert metrics.per_node_transactions == {1: 1, 2: 3}
             assert cluster.check_conservation() == []
         finally:
             cluster.close()

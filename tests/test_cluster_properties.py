@@ -1,6 +1,6 @@
 """Property and acceptance tests for the cluster simulator.
 
-Two layers:
+Four layers:
 
 * **Exactness** — with faults off and one node per partition, replaying a
   workload's testing trace through the cluster must reproduce the static
@@ -11,18 +11,31 @@ Two layers:
   out-of-band mutations, node crashes and recoveries, no row may ever be
   lost or duplicated (modulo replication), and every transaction must be
   accounted committed or failed. Hypothesis drives the interleavings.
+* **Chunking** — a replay resolves each ``run_trace`` call against one
+  placement snapshot, so replaying a trace in one call, one transaction
+  per call or in random chunks must give equal ``ClusterMetrics`` under
+  any crash / recover / repartition schedule.
+* **Snapshot lifetime** — a write made between two ``run_trace`` calls
+  must be seen by the second: each call's outcome equals a fresh
+  cluster's over the database as it then stands.
 """
+
+import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.published import build_spec_partitioning
 from repro.cluster import Cluster, FaultPlan
 from repro.core import JECBConfig, JECBPartitioner
+from repro.core.mapping import IdentityModMapping
 from repro.evaluation import PartitioningEvaluator
 from repro.procedures import ProcedureCatalog
 from repro.storage import Database
 from repro.trace import train_test_split
+from repro.trace.events import TransactionTrace, TupleAccess
 from repro.workloads.tatp import TatpBenchmark, TatpConfig
 from repro.workloads.tpcc import TpccBenchmark, TpccConfig
 
@@ -217,3 +230,282 @@ def test_no_row_lost_or_duplicated_under_faults(ops, faults):
         assert metrics.transactions == executes + 1
     finally:
         cluster.close()
+
+
+# ----------------------------------------------------------------------
+# replay does not depend on how the trace is chunked
+# ----------------------------------------------------------------------
+def _by_account(schema):
+    return build_spec_partitioning(
+        schema,
+        2,
+        {"CUSTOMER_ACCOUNT": "CA_ID", "TRADE": "T_CA_ID"},
+        mapping=IdentityModMapping(2),
+        name="by-account",
+    )
+
+
+#: figure-1 rows, plus keys no row holds (trade 99 has no account: it is
+#: unroutable; account 50 and trade 100 exist only once written)
+_ROWS = (
+    [("TRADE", (t,)) for t in (1, 2, 3, 4, 6, 99, 100)]
+    + [("CUSTOMER_ACCOUNT", (a,)) for a in (1, 7, 8, 10, 50)]
+    + [("CUSTOMER", (1,)), ("CUSTOMER", (2,))]
+    + [("HOLDING_SUMMARY", (101, 1)), ("HOLDING_SUMMARY", (103, 7))]
+)
+_ACCESSES = st.builds(
+    lambda row, write: TupleAccess(*row, write),
+    st.sampled_from(_ROWS),
+    st.booleans(),
+)
+
+_TRACES = st.lists(
+    st.lists(_ACCESSES, min_size=1, max_size=5), min_size=1, max_size=10
+).map(
+    lambda txns: [
+        TransactionTrace(txn_id=i, class_name=f"C{i % 2}", accesses=accesses)
+        for i, accesses in enumerate(txns)
+    ]
+)
+
+_SCHEDULES = st.lists(
+    st.tuples(
+        st.sampled_from(["crash", "recover", "by-account", "by-customer"]),
+        st.integers(min_value=1, max_value=2),  # node
+        st.integers(min_value=0, max_value=10),  # tick
+    ),
+    max_size=5,
+)
+
+_CHUNKS = st.lists(st.integers(min_value=1, max_value=4), max_size=6)
+
+
+def _fault_plan(schema, schedule):
+    layouts = {
+        "by-account": _by_account(schema),
+        "by-customer": _build_partitioning(schema),
+    }
+    plan = FaultPlan()
+    for action, node, tick in schedule:
+        if action == "crash":
+            plan = plan.crash(node=node, at=tick)
+        elif action == "recover":
+            plan = plan.recover(node=node, at=tick)
+        else:
+            plan = plan.repartition(layouts[action], at=tick)
+    return plan
+
+
+def _chunked(trace, sizes):
+    """*trace* cut into chunks of *sizes*, the rest in one last chunk."""
+    chunks, start = [], 0
+    for size in sizes:
+        if start >= len(trace):
+            break
+        chunks.append(trace[start : start + size])
+        start += size
+    if start < len(trace):
+        chunks.append(trace[start:])
+    return chunks
+
+
+def _replay_in_chunks(trace, schedule, chunks):
+    """Metrics and node divergence after replaying *chunks* call by call
+    on a fresh figure-1 cluster under *schedule*."""
+    schema = build_custinfo_schema()
+    database = Database(schema)
+    load_figure1_data(database)
+    cluster = Cluster(
+        database,
+        ProcedureCatalog([build_custinfo_procedure()]),
+        _build_partitioning(schema),
+        fault_plan=_fault_plan(schema, schedule),
+    )
+    try:
+        for chunk in chunks:
+            cluster.run_trace(chunk)
+        assert cluster.check_conservation() == []
+        divergent = {n: set(node.divergent) for n, node in cluster.nodes.items()}
+        return dataclasses.asdict(cluster.metrics), divergent
+    finally:
+        cluster.close()
+
+
+def _assert_chunking_invariant(trace, schedule, sizes):
+    whole = _replay_in_chunks(trace, schedule, [trace])
+    assert whole[0]["transactions"] == len(trace)
+    one_by_one = _replay_in_chunks(trace, schedule, [[txn] for txn in trace])
+    assert one_by_one == whole
+    assert _replay_in_chunks(trace, schedule, _chunked(trace, sizes)) == whole
+
+
+@given(trace=_TRACES, schedule=_SCHEDULES, sizes=_CHUNKS)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_replay_does_not_depend_on_chunking(trace, schedule, sizes):
+    _assert_chunking_invariant(trace, schedule, sizes)
+
+
+def _txn(txn_id, *accesses):
+    return TransactionTrace(
+        txn_id=txn_id,
+        class_name="T",
+        accesses=[TupleAccess(t, k, w) for t, k, w in accesses],
+    )
+
+
+#: homed, replicated and unroutable rows, read and written, on both nodes;
+#: the one-call replay meets every event of each schedule mid-call
+_SMOKE_TRACE = [
+    _txn(0, ("TRADE", (2,), True), ("CUSTOMER_ACCOUNT", (1,), False)),
+    _txn(1, ("CUSTOMER", (1,), True), ("TRADE", (1,), False)),
+    _txn(2, ("TRADE", (2,), False), ("HOLDING_SUMMARY", (101, 1), False)),
+    _txn(3, ("TRADE", (99,), True), ("CUSTOMER_ACCOUNT", (7,), False)),
+    _txn(4, ("HOLDING_SUMMARY", (103, 7), False)),
+    _txn(5, ("CUSTOMER_ACCOUNT", (7,), False), ("CUSTOMER_ACCOUNT", (1,), False)),
+]
+
+
+@pytest.mark.smoke
+@pytest.mark.parametrize(
+    "schedule, sizes",
+    [
+        ([("crash", 1, 1), ("recover", 1, 4)], [3, 3]),
+        ([("by-account", 1, 2), ("crash", 2, 3)], [4]),
+        ([("crash", 2, 0), ("by-account", 1, 2), ("recover", 2, 5)], [2, 1, 2]),
+        ([("by-account", 1, 1), ("by-customer", 1, 4)], [5]),
+    ],
+)
+def test_replay_does_not_depend_on_chunking_smoke(schedule, sizes):
+    _assert_chunking_invariant(_SMOKE_TRACE, schedule, sizes)
+
+
+# ----------------------------------------------------------------------
+# no snapshot outlives its call
+# ----------------------------------------------------------------------
+_WRITES = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert_ca"), st.integers(1, 2), st.just(0)),
+        st.tuples(
+            st.just("insert_trade"), st.sampled_from([1, 7, 8, 50]), st.just(0)
+        ),
+        st.tuples(
+            st.just("delete_trade"), st.sampled_from([1, 2, 3, 100]), st.just(0)
+        ),
+        st.tuples(
+            st.just("retarget_ca"), st.sampled_from([1, 7, 50]), st.integers(1, 2)
+        ),
+        st.tuples(
+            st.just("tombstone_ca"), st.sampled_from([1, 7]), st.integers(1, 2)
+        ),
+    ),
+    max_size=3,
+)
+
+
+def _write(database, kind, a, b):
+    """One out-of-band write; account 50 and trade 100 are the keys
+    ``_ACCESSES`` names that no figure-1 row holds.
+
+    ``tombstone_ca`` deletes account *a* and makes its tombstone name
+    customer *b*: the store does not hear of the tombstone, so its next
+    read fills the account and trade columns again, as new objects.
+    """
+    if kind == "insert_ca":
+        if database.get("CUSTOMER_ACCOUNT", (50,)) is None:
+            database.insert("CUSTOMER_ACCOUNT", {"CA_ID": 50, "CA_C_ID": a})
+    elif kind == "insert_trade":
+        if database.get("TRADE", (100,)) is None:
+            database.insert("TRADE", {"T_ID": 100, "T_CA_ID": a, "T_QTY": 1})
+    elif kind == "delete_trade":
+        if database.get("TRADE", (a,)) is not None:
+            database.delete("TRADE", (a,))
+    elif database.get("CUSTOMER_ACCOUNT", (a,)) is None:
+        return
+    elif kind == "retarget_ca":
+        database.update("CUSTOMER_ACCOUNT", (a,), {"CA_C_ID": b})
+    else:  # tombstone_ca
+        database.delete("CUSTOMER_ACCOUNT", (a,))
+        database.table("CUSTOMER_ACCOUNT").restore_tombstone(
+            (a,), {"CA_ID": a, "CA_C_ID": b}
+        )
+
+
+def _outcome(metrics):
+    return (
+        metrics.transactions,
+        metrics.committed_local,
+        metrics.committed_distributed,
+        metrics.broadcasts,
+        metrics.prepare_messages,
+        Counter(metrics.per_node_transactions),
+    )
+
+
+def _assert_each_call_sees_prior_writes(steps):
+    """Writes between two calls reach the second: each call's outcome
+    equals a fresh cluster's over the database as it then stands."""
+    schema = build_custinfo_schema()
+    database = Database(schema)
+    load_figure1_data(database)
+    catalog = ProcedureCatalog([build_custinfo_procedure()])
+    partitioning = _build_partitioning(schema)
+    cluster = Cluster(database, catalog, partitioning)
+    try:
+        for writes, chunk in steps:
+            for write in writes:
+                _write(database, *write)
+            before = _outcome(cluster.metrics)
+            after = _outcome(cluster.run_trace(chunk))
+            fresh = Cluster(database, catalog, partitioning)
+            try:
+                expected = _outcome(fresh.run_trace(chunk))
+            finally:
+                fresh.close()
+            delta = tuple(now - then for now, then in zip(after, before))
+            assert delta == expected
+        for table in schema.table_names:  # bring every column in step
+            cluster.store.pids(table)
+        assert cluster.check_conservation() == []
+    finally:
+        cluster.close()
+
+
+@given(steps=st.lists(st.tuples(_WRITES, _TRACES), min_size=1, max_size=4))
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_each_replay_call_sees_writes_made_before_it(steps):
+    _assert_each_call_sees_prior_writes(steps)
+
+
+@pytest.mark.smoke
+def test_each_replay_call_sees_writes_made_before_it_smoke():
+    reads = [
+        _txn(0, ("CUSTOMER_ACCOUNT", (7,), False), ("TRADE", (1,), False)),
+        _txn(1, ("TRADE", (100,), False), ("CUSTOMER_ACCOUNT", (50,), False)),
+        _txn(2, ("TRADE", (2,), True), ("CUSTOMER_ACCOUNT", (1,), False)),
+    ]
+    _assert_each_call_sees_prior_writes(
+        [
+            ([], reads),
+            # account 7 and its trades move to customer 1's node; account
+            # 50 and trade 100 become live
+            (
+                [
+                    ("retarget_ca", 7, 1),
+                    ("insert_ca", 2, 0),
+                    ("insert_trade", 50, 0),
+                ],
+                reads,
+            ),
+            ([("delete_trade", 2, 0), ("retarget_ca", 50, 1)], reads),
+            # account 1's trades follow its tombstone to customer 2's node
+            ([("tombstone_ca", 1, 2)], reads),
+        ]
+    )
