@@ -9,37 +9,16 @@ Scaled stand-in: 16 warehouses, partitions 2..16, Schism coverage as a
 fraction of the training trace.
 """
 
-from repro.baselines import SchismConfig, SchismPartitioner
-from repro.core import JECBConfig, JECBPartitioner
-from repro.evaluation import PartitioningEvaluator
-from repro.trace import subsample
+from repro.experiments.runner import tpcc_sweep
 
-from conftest import pct, print_table, split
+from conftest import pct, print_table
 
 PARTITION_COUNTS = (2, 4, 8, 16)
 COVERAGES = (0.05, 0.2, 1.0)  # stand-ins for the paper's 1% / 5% / 10%
 
 
 def run_figure5(bundle):
-    train, test = split(bundle)
-    evaluator = PartitioningEvaluator(bundle.database)
-    series: dict[str, dict[int, float]] = {}
-    for coverage in COVERAGES:
-        label = f"schism {coverage:.0%}"
-        sub = subsample(train, coverage)
-        series[label] = {}
-        for k in PARTITION_COUNTS:
-            result = SchismPartitioner(
-                bundle.database, SchismConfig(num_partitions=k)
-            ).run(sub)
-            series[label][k] = evaluator.cost(result.partitioning, test)
-    series["jecb"] = {}
-    for k in PARTITION_COUNTS:
-        result = JECBPartitioner(
-            bundle.database, bundle.catalog, JECBConfig(num_partitions=k)
-        ).run(train)
-        series["jecb"][k] = evaluator.cost(result.partitioning, test)
-    return series
+    return tpcc_sweep(bundle, COVERAGES, PARTITION_COUNTS)
 
 
 def test_fig5(tpcc_small, benchmark):

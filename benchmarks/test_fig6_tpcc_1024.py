@@ -8,37 +8,16 @@ Scaled stand-in: 32 warehouses, Schism coverage 2% / 5% of the training
 trace, partitions 4..32.
 """
 
-from repro.baselines import SchismConfig, SchismPartitioner
-from repro.core import JECBConfig, JECBPartitioner
-from repro.evaluation import PartitioningEvaluator
-from repro.trace import subsample
+from repro.experiments.runner import tpcc_sweep
 
-from conftest import pct, print_table, split
+from conftest import pct, print_table
 
 PARTITION_COUNTS = (4, 8, 16, 32)
 COVERAGES = (0.02, 0.05)  # stand-ins for the paper's 0.1% / 0.2%
 
 
 def run_figure6(bundle):
-    train, test = split(bundle)
-    evaluator = PartitioningEvaluator(bundle.database)
-    series: dict[str, dict[int, float]] = {}
-    for coverage in COVERAGES:
-        label = f"schism {coverage:.0%}"
-        sub = subsample(train, coverage)
-        series[label] = {}
-        for k in PARTITION_COUNTS:
-            result = SchismPartitioner(
-                bundle.database, SchismConfig(num_partitions=k)
-            ).run(sub)
-            series[label][k] = evaluator.cost(result.partitioning, test)
-    series["jecb"] = {}
-    for k in PARTITION_COUNTS:
-        result = JECBPartitioner(
-            bundle.database, bundle.catalog, JECBConfig(num_partitions=k)
-        ).run(train)
-        series["jecb"][k] = evaluator.cost(result.partitioning, test)
-    return series
+    return tpcc_sweep(bundle, COVERAGES, PARTITION_COUNTS)
 
 
 def test_fig6(tpcc_large, benchmark):

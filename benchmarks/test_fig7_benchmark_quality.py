@@ -9,18 +9,12 @@ Horticulture is applied from its published designs where the paper did so
 (TPC-C, TATP, TPC-E) and searched with the LNS implementation elsewhere.
 """
 
-from repro.baselines import (
-    HorticultureConfig,
-    HorticulturePartitioner,
-    SchismConfig,
-    SchismPartitioner,
-)
+from repro.baselines import HorticultureConfig, SchismConfig
 from repro.baselines.published import build_spec_partitioning
-from repro.core import JECBConfig, JECBPartitioner
-from repro.evaluation import PartitioningEvaluator
-from repro.trace import subsample
+from repro.core import JECBConfig
+from repro.evaluation.framework import PartitioningExperiment
 
-from conftest import pct, print_table, split
+from conftest import pct, print_table
 from repro.workloads.tatp import HORTICULTURE_SPEC as TATP_HC
 from repro.workloads.tpcc import HORTICULTURE_SPEC as TPCC_HC
 from repro.workloads.tpce import HORTICULTURE_SPEC as TPCE_HC
@@ -30,26 +24,22 @@ SCHISM_COVERAGE = 0.5  # stand-in for the paper's "10% of the database"
 
 
 def evaluate_benchmark(bundle, hc_spec=None):
-    train, test = split(bundle)
-    evaluator = PartitioningEvaluator(bundle.database)
+    experiment = PartitioningExperiment(bundle)
     costs = {}
-    jecb = JECBPartitioner(
-        bundle.database, bundle.catalog, JECBConfig(num_partitions=K)
-    ).run(train)
-    costs["jecb"] = evaluator.cost(jecb.partitioning, test)
-    schism = SchismPartitioner(
-        bundle.database, SchismConfig(num_partitions=K)
-    ).run(subsample(train, SCHISM_COVERAGE))
-    costs["schism"] = evaluator.cost(schism.partitioning, test)
+    costs["jecb"] = experiment.run("jecb", JECBConfig(num_partitions=K)).cost
+    costs["schism"] = experiment.run(
+        "schism", SchismConfig(num_partitions=K), coverage=SCHISM_COVERAGE
+    ).cost
     if hc_spec is not None:
-        hc = build_spec_partitioning(bundle.database.schema, K, hc_spec)
+        hc = experiment.run_fixed(
+            build_spec_partitioning(bundle.database.schema, K, hc_spec)
+        )
     else:
-        hc = HorticulturePartitioner(
-            bundle.database,
-            bundle.catalog,
+        hc = experiment.run(
+            "horticulture",
             HorticultureConfig(num_partitions=K, iterations=40, seed=5),
-        ).run(train).partitioning
-    costs["horticulture"] = evaluator.cost(hc, test)
+        )
+    costs["horticulture"] = hc.cost
     return costs
 
 

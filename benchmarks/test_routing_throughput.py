@@ -12,6 +12,7 @@ identical decisions — speed never changes routing.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from pathlib import Path
@@ -49,11 +50,17 @@ def test_batch_routing_throughput(tatp_bundle):
         batch_decisions = router.route_batch(calls)
         assert batch_decisions == serial_decisions
 
+        # The batch window is short, and one full collection of the
+        # session's fixture bundles can take about as long; collect first
+        # so neither window absorbs a pause that earlier allocations made
+        # due.
+        gc.collect()
         started = time.perf_counter()
         for name, arguments in stream:
             router.route(name, arguments)
         serial_seconds = time.perf_counter() - started
 
+        gc.collect()
         started = time.perf_counter()
         router.route_batch(stream)
         batch_seconds = time.perf_counter() - started

@@ -7,9 +7,8 @@ dominate; the column-based solution wins when they do not; they cross
 over in the middle.
 """
 
-from repro.core import JECBConfig, JECBPartitioner
-from repro.evaluation import PartitioningEvaluator
-from repro.trace import train_test_split
+from repro.core import JECBConfig
+from repro.evaluation.framework import PartitioningExperiment
 from repro.workloads.synthetic import (
     SyntheticBenchmark,
     SyntheticConfig,
@@ -27,18 +26,17 @@ def run_sweep():
     jecb_costs = {}
     column_costs = {}
     for fraction in FRACTIONS:
-        bundle = SyntheticBenchmark(
-            SyntheticConfig(schema_join_fraction=fraction)
-        ).generate(1500, seed=9)
-        train, test = train_test_split(bundle.trace, 0.5)
-        result = JECBPartitioner(
-            bundle.database, bundle.catalog, JECBConfig(num_partitions=K)
-        ).run(train)
-        evaluator = PartitioningEvaluator(bundle.database)
-        jecb_costs[fraction] = evaluator.cost(result.partitioning, test)
-        column_costs[fraction] = evaluator.cost(
-            group_partitioning(bundle.database.schema, K), test
+        experiment = PartitioningExperiment(
+            SyntheticBenchmark(
+                SyntheticConfig(schema_join_fraction=fraction)
+            ).generate(1500, seed=9)
         )
+        jecb_costs[fraction] = experiment.run(
+            "jecb", JECBConfig(num_partitions=K)
+        ).cost
+        column_costs[fraction] = experiment.run_fixed(
+            group_partitioning(experiment.bundle.database.schema, K)
+        ).cost
         rows.append(
             [
                 f"{fraction:.0%} schema-respecting",

@@ -16,32 +16,29 @@ Schism's memory and CPU grow steeply with training coverage while JECB's
 stay small and flat.
 """
 
-from repro.baselines import SchismConfig, SchismPartitioner
-from repro.core import JECBConfig, JECBPartitioner
-from repro.trace import subsample
+from repro.baselines import SchismConfig
+from repro.core import JECBConfig
+from repro.evaluation.framework import PartitioningExperiment
 
-from conftest import print_table, split
+from conftest import print_table
 
 K = 8
 
 
 def measure(bundle, coverages):
-    train, _test = split(bundle)
+    experiment = PartitioningExperiment(bundle)
     rows = []
     usages = {}
     for coverage in coverages:
-        partitioner = SchismPartitioner(
-            bundle.database,
-            SchismConfig(num_partitions=K, meter_resources=True),
-        )
-        result = partitioner.run(subsample(train, coverage))
-        usages[f"schism {coverage:.0%}"] = result.resources
-    jecb = JECBPartitioner(
-        bundle.database,
-        bundle.catalog,
-        JECBConfig(num_partitions=K, meter_resources=True),
-    ).run(train)
-    usages["JECB"] = jecb.resources
+        usages[f"schism {coverage:.0%}"] = experiment.run(
+            "schism",
+            SchismConfig(num_partitions=K),
+            coverage=coverage,
+            meter=True,
+        ).resources
+    usages["JECB"] = experiment.run(
+        "jecb", JECBConfig(num_partitions=K), meter=True
+    ).resources
     for name, usage in usages.items():
         rows.append([name, f"{usage.peak_memory_mb:.1f}", f"{usage.cpu_seconds:.2f}"])
     return usages, rows

@@ -13,11 +13,11 @@
 """
 
 from repro.baselines.published import build_spec_partitioning
-from repro.core import JECBConfig, JECBPartitioner
-from repro.evaluation import PartitioningEvaluator
+from repro.core import JECBConfig
+from repro.evaluation.framework import PartitioningExperiment
 from repro.workloads.tpce import HORTICULTURE_SPEC
 
-from conftest import pct, print_table, split
+from conftest import pct, print_table
 
 K = 8
 
@@ -33,17 +33,14 @@ PAPER_TABLE4_JECB_PARTITIONED = {
 
 
 def run_case_study(bundle):
-    train, test = split(bundle)
-    result = JECBPartitioner(
-        bundle.database, bundle.catalog, JECBConfig(num_partitions=K)
-    ).run(train)
-    evaluator = PartitioningEvaluator(bundle.database)
-    jecb_report = evaluator.evaluate(result.partitioning, test)
-    hc = build_spec_partitioning(
-        bundle.database.schema, K, HORTICULTURE_SPEC, name="hc-published"
+    experiment = PartitioningExperiment(bundle)
+    jecb = experiment.run("jecb", JECBConfig(num_partitions=K))
+    hc = experiment.run_fixed(
+        build_spec_partitioning(
+            bundle.database.schema, K, HORTICULTURE_SPEC, name="hc-published"
+        )
     )
-    hc_report = evaluator.evaluate(hc, test)
-    return result, jecb_report, hc_report
+    return jecb.detail, jecb.report, hc.report
 
 
 def test_tab4_fig8_fig9(tpce_bundle, benchmark):

@@ -26,12 +26,13 @@ def main() -> None:
     for benchmark in benchmarks:
         bundle = benchmark.generate(num_transactions=2500, seed=17)
         experiment = PartitioningExperiment(bundle)
-        experiment.run_jecb(JECBConfig(num_partitions=PARTITIONS))
-        experiment.run_schism(
-            SchismConfig(num_partitions=PARTITIONS), coverage=0.5
+        experiment.run("jecb", JECBConfig(num_partitions=PARTITIONS))
+        experiment.run(
+            "schism", SchismConfig(num_partitions=PARTITIONS), coverage=0.5
         )
-        experiment.run_horticulture(
-            HorticultureConfig(num_partitions=PARTITIONS, iterations=40)
+        experiment.run(
+            "horticulture",
+            HorticultureConfig(num_partitions=PARTITIONS, iterations=40),
         )
         print(experiment.summary())
         print()

@@ -29,12 +29,7 @@ from repro.core.metrics import ClassMetrics, SearchMetrics
 from repro.core.partitioner import JECBConfig, JECBPartitioner, JECBResult
 from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.evaluation.evaluator import CostReport, PartitioningEvaluator
-from repro.evaluation.framework import (
-    ExperimentRun,
-    PartitioningExperiment,
-    register_algorithm,
-    registered_algorithms,
-)
+from repro.evaluation.framework import ExperimentRun, PartitioningExperiment
 from repro.schema import Attr, Column, DatabaseSchema, DataType, TableSchema
 from repro.storage import Database, Table
 from repro.procedures import ProcedureCatalog, StoredProcedure
@@ -46,8 +41,6 @@ __all__ = [
     "partition",
     "available_algorithms",
     "register_partitioner",
-    "register_algorithm",
-    "registered_algorithms",
     "SearchMetrics",
     "ClassMetrics",
     "JECBPartitioner",

@@ -1,4 +1,4 @@
-"""Top-level convenience API: one call from workload bundle to solution.
+"""Top-level convenience API and the one algorithm table.
 
 :func:`partition` is the front door for the common case — "partition this
 workload with JECB (or a baseline) and give me the result object":
@@ -15,6 +15,11 @@ Keyword arguments are algorithm-config fields (for JECB they round-trip
 through :meth:`JECBConfig.from_dict`, so nested ``phase2={...}`` dicts
 work too); unknown keys raise ``ValueError`` rather than being silently
 dropped.
+
+Algorithms live in one table: :func:`register_partitioner` adds one, and
+both :func:`partition` and
+:meth:`~repro.evaluation.framework.PartitioningExperiment.run` look names
+up in it.
 """
 
 from __future__ import annotations
@@ -27,23 +32,37 @@ from repro.baselines.horticulture import (
 )
 from repro.baselines.schism import SchismConfig, SchismPartitioner
 from repro.core.partitioner import JECBConfig, JECBPartitioner
+from repro.core.phase2 import config_from_dict
 from repro.trace.events import Trace
 from repro.workloads.base import WorkloadBundle
 
-#: name -> (bundle, trace, config dict) -> algorithm result object
-PartitionerAdapter = Callable[[WorkloadBundle, Trace, dict], Any]
+#: name -> (bundle, training trace, config) -> the algorithm's result
+#: object. *config* is ``None``, the algorithm's config instance or a
+#: plain dict; the built-in adapters coerce it with
+#: :func:`~repro.core.phase2.config_from_dict`.
+PartitionerAdapter = Callable[[WorkloadBundle, Trace, Any], Any]
 
 _PARTITIONERS: dict[str, PartitionerAdapter] = {}
 
 
 def register_partitioner(name: str, adapter: PartitionerAdapter) -> None:
-    """Expose an algorithm through :func:`partition` under *name*."""
+    """Register (or replace) an algorithm under *name*."""
     _PARTITIONERS[name.lower()] = adapter
 
 
 def available_algorithms() -> list[str]:
-    """Algorithm names :func:`partition` accepts (sorted)."""
+    """Registered algorithm names (sorted)."""
     return sorted(_PARTITIONERS)
+
+
+def partitioner(name: str) -> PartitionerAdapter:
+    """The adapter registered under *name*."""
+    try:
+        return _PARTITIONERS[name.lower()]
+    except KeyError:
+        raise KeyError(
+            f"unknown algorithm {name!r}; registered: {available_algorithms()}"
+        ) from None
 
 
 def partition(
@@ -64,52 +83,33 @@ def partition(
     partitioning, per-class solutions, ``metrics``; the baselines' result
     types for ``"schism"``/``"horticulture"``).
     """
-    try:
-        adapter = _PARTITIONERS[algorithm.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown algorithm {algorithm!r}; "
-            f"available: {available_algorithms()}"
-        ) from None
+    adapter = partitioner(algorithm)
     return adapter(bundle, trace if trace is not None else bundle.trace, config)
 
 
 # ----------------------------------------------------------------------
 # built-in adapters
 # ----------------------------------------------------------------------
-def _strict_config(cls, overrides: dict):
-    """Dataclass config from keyword overrides; unknown keys fail loudly."""
-    from dataclasses import fields
-
-    known = {f.name for f in fields(cls)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise ValueError(
-            f"unknown {cls.__name__} keys: {sorted(unknown)} "
-            f"(known: {sorted(known)})"
-        )
-    return cls(**overrides)
-
-
-def _run_jecb(bundle: WorkloadBundle, trace: Trace, config: dict) -> Any:
-    jecb_config = JECBConfig.from_dict(config)
-    return JECBPartitioner(bundle.database, bundle.catalog, jecb_config).run(
-        trace
-    )
-
-
-def _run_schism(bundle: WorkloadBundle, trace: Trace, config: dict) -> Any:
-    schism_config = _strict_config(SchismConfig, config)
-    return SchismPartitioner(bundle.database, schism_config).run(trace)
-
-
-def _run_horticulture(bundle: WorkloadBundle, trace: Trace, config: dict) -> Any:
-    hc_config = _strict_config(HorticultureConfig, config)
-    return HorticulturePartitioner(
-        bundle.database, bundle.catalog, hc_config
+def _jecb(bundle: WorkloadBundle, trace: Trace, config: Any) -> Any:
+    return JECBPartitioner(
+        bundle.database, bundle.catalog, JECBConfig.from_dict(config)
     ).run(trace)
 
 
-register_partitioner("jecb", _run_jecb)
-register_partitioner("schism", _run_schism)
-register_partitioner("horticulture", _run_horticulture)
+def _schism(bundle: WorkloadBundle, trace: Trace, config: Any) -> Any:
+    return SchismPartitioner(
+        bundle.database, config_from_dict(SchismConfig, config)
+    ).run(trace)
+
+
+def _horticulture(bundle: WorkloadBundle, trace: Trace, config: Any) -> Any:
+    return HorticulturePartitioner(
+        bundle.database,
+        bundle.catalog,
+        config_from_dict(HorticultureConfig, config),
+    ).run(trace)
+
+
+register_partitioner("jecb", _jecb)
+register_partitioner("schism", _schism)
+register_partitioner("horticulture", _horticulture)

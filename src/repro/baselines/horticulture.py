@@ -24,7 +24,6 @@ from repro.core.mapping import HashMapping
 from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.evaluation.cost_models import footprint
-from repro.evaluation.resources import ResourceMeter, ResourceUsage
 from repro.procedures.procedure import ProcedureCatalog
 from repro.sql.analyzer import analyze_procedure
 from repro.storage.database import Database
@@ -44,7 +43,6 @@ class HorticultureConfig:
     sample_transactions: int = 800
     skew_weight: float = 0.25
     sites_weight: float = 0.05
-    meter_resources: bool = False
 
 
 @dataclass
@@ -53,7 +51,6 @@ class HorticultureResult:
     table_usage: dict[str, TableUsage]
     design: dict[str, str | None] = field(default_factory=dict)
     cost_history: list[float] = field(default_factory=list)
-    resources: ResourceUsage | None = None
 
 
 class HorticulturePartitioner:
@@ -70,14 +67,6 @@ class HorticulturePartitioner:
         self.config = config or HorticultureConfig()
 
     def run(self, training_trace: Trace) -> HorticultureResult:
-        if self.config.meter_resources:
-            with ResourceMeter() as meter:
-                result = self._run(training_trace)
-            result.resources = meter.usage
-            return result
-        return self._run(training_trace)
-
-    def _run(self, training_trace: Trace) -> HorticultureResult:
         config = self.config
         rng = random.Random(config.seed)
         schema = self.database.schema

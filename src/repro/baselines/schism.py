@@ -26,7 +26,6 @@ from repro.baselines.classifier import DecisionTree
 from repro.core.mapping import REPLICATED, stable_hash
 from repro.core.path_eval import ColumnarEngine
 from repro.core.solution import DatabasePartitioning, TableSolution
-from repro.evaluation.resources import ResourceMeter, ResourceUsage
 from repro.graphs.mincut import Graph, partition_graph
 from repro.schema.attribute import Attr
 from repro.storage.database import Database
@@ -45,7 +44,6 @@ class SchismConfig:
     classifier_max_depth: int = 14
     classifier_min_samples: int = 2
     balance: float = 1.20
-    meter_resources: bool = False
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,6 @@ class SchismResult:
     table_usage: dict[str, TableUsage]
     graph_nodes: int = 0
     graph_edges: int = 0
-    resources: ResourceUsage | None = None
 
 
 class SchismPartitioner:
@@ -154,14 +151,6 @@ class SchismPartitioner:
         self.config = config or SchismConfig()
 
     def run(self, training_trace: Trace) -> SchismResult:
-        if self.config.meter_resources:
-            with ResourceMeter() as meter:
-                result = self._run(training_trace)
-            result.resources = meter.usage
-            return result
-        return self._run(training_trace)
-
-    def _run(self, training_trace: Trace) -> SchismResult:
         config = self.config
         usage = classify_tables(
             training_trace, self.database.schema, config.read_mostly_threshold

@@ -29,12 +29,11 @@ from repro.core.path_eval import ColumnarEngine
 from repro.core.phase2 import (
     ClassResult,
     Phase2Config,
-    _config_from_dict,
+    config_from_dict,
     partition_class,
 )
 from repro.core.phase3 import Phase3Config, Phase3Result, combine
 from repro.core.solution import DatabasePartitioning
-from repro.evaluation.resources import ResourceMeter, ResourceUsage
 
 
 @dataclass
@@ -45,7 +44,6 @@ class JECBConfig:
     read_mostly_threshold: float = 0.02
     phase2: Phase2Config = field(default_factory=Phase2Config)
     phase3: Phase3Config = field(default_factory=Phase3Config)
-    meter_resources: bool = False
 
     def to_dict(self) -> dict:
         """Plain-JSON form (nested phase configs become dicts)."""
@@ -54,7 +52,6 @@ class JECBConfig:
             "read_mostly_threshold": self.read_mostly_threshold,
             "phase2": self.phase2.to_dict(),
             "phase3": self.phase3.to_dict(),
-            "meter_resources": self.meter_resources,
         }
 
     @classmethod
@@ -71,7 +68,7 @@ class JECBConfig:
         data = dict(data)
         phase2 = Phase2Config.from_dict(data.pop("phase2", None))
         phase3 = Phase3Config.from_dict(data.pop("phase3", None))
-        config = _config_from_dict(cls, data)
+        config = config_from_dict(cls, data)
         config.phase2 = phase2
         config.phase3 = phase3
         return config
@@ -85,7 +82,6 @@ class JECBResult:
     table_usage: dict[str, TableUsage]
     class_results: list[ClassResult]
     phase3: Phase3Result
-    resources: ResourceUsage | None = None
     metrics: SearchMetrics | None = None
 
     @property
@@ -124,14 +120,6 @@ class JECBPartitioner:
 
     def run(self, training_trace: Trace) -> JECBResult:
         """Execute the three phases over *training_trace*."""
-        if self.config.meter_resources:
-            with ResourceMeter() as meter:
-                result = self._run(training_trace)
-            result.resources = meter.usage
-            return result
-        return self._run(training_trace)
-
-    def _run(self, training_trace: Trace) -> JECBResult:
         config = self.config
         metrics = SearchMetrics()
         with Stopwatch() as total_clock:

@@ -51,11 +51,15 @@ class Phase2Config:
 
     @classmethod
     def from_dict(cls, data: dict | None) -> "Phase2Config":
-        return _config_from_dict(cls, data)
+        return config_from_dict(cls, data)
 
 
-def _config_from_dict(cls, data):
-    """Build a config dataclass from a (partial) plain dict, strictly."""
+def config_from_dict(cls, data):
+    """*cls* from ``None``, an instance, or a (partial) plain dict.
+
+    The one config coercion of the repo: unknown dict keys raise
+    ``ValueError`` so typos and removed settings fail loudly.
+    """
     if data is None:
         return cls()
     if isinstance(data, cls):

@@ -33,7 +33,7 @@ from repro.core.join_path import JoinPath, paths_compatible
 from repro.core.mapping import HashMapping, MappingFunction
 from repro.core.path_eval import ColumnarEngine
 from repro.core.pathfinder import shortest_path
-from repro.core.phase2 import ClassResult, _config_from_dict
+from repro.core.phase2 import ClassResult, config_from_dict
 from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.evaluation.evaluator import CostReport, PartitioningEvaluator
 
@@ -62,7 +62,7 @@ class Phase3Config:
 
     @classmethod
     def from_dict(cls, data: dict | None) -> "Phase3Config":
-        return _config_from_dict(cls, data)
+        return config_from_dict(cls, data)
 
 
 @dataclass

@@ -3,14 +3,17 @@
 One object wires the whole experiment together: generate (or accept) a
 workload bundle, split its trace into training and testing halves, run any
 number of partitioners on the training half, and score every resulting
-partitioning on the testing half — with optional resource metering.
+partitioning on the testing half, optionally metering the partitioner's
+resources, routing the testing call log and replaying the testing trace
+on a simulated cluster.
 
-Partitioners are looked up in an **algorithm registry**:
+Partitioners are looked up by name in :mod:`repro.api`'s algorithm table:
 ``experiment.run("jecb")``, ``experiment.run("schism", coverage=0.5)``,
-``experiment.run("horticulture")``. New algorithms plug in with
-:func:`register_algorithm` without touching this class; the historical
-``run_jecb``/``run_schism``/``run_horticulture`` methods are thin wrappers
-over the registry.
+``experiment.run("horticulture")``. An algorithm added with
+:func:`repro.register_partitioner` runs here without touching this class.
+This is the only code that wires train -> partition -> evaluate -> route
+-> simulate; the experiments CLI and the paper-table benchmarks are loops
+over it.
 """
 
 from __future__ import annotations
@@ -18,39 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.api import partitioner
 from repro.cluster import Cluster, CostConfig, FaultPlan
 from repro.core.metrics import ClusterMetrics
-from repro.core.partitioner import JECBConfig, JECBPartitioner
 from repro.core.solution import DatabasePartitioning
-from repro.baselines.horticulture import (
-    HorticultureConfig,
-    HorticulturePartitioner,
-)
-from repro.baselines.schism import SchismConfig, SchismPartitioner
 from repro.evaluation.evaluator import CostReport, PartitioningEvaluator
 from repro.evaluation.resources import ResourceMeter, ResourceUsage
 from repro.routing.router import Router, RouteSummary
-from repro.trace.events import Trace
 from repro.trace.splitter import subsample, train_test_split
 from repro.workloads.base import WorkloadBundle
-
-#: An algorithm adapter: given the experiment, an optional config object
-#: (or plain dict) and adapter-specific keyword arguments, return the
-#: default run label and a thunk producing the partitioning. The thunk is
-#: what gets metered, so adapters should defer all real work into it.
-AlgorithmAdapter = Callable[..., tuple[str, Callable[[], DatabasePartitioning]]]
-
-_ALGORITHMS: dict[str, AlgorithmAdapter] = {}
-
-
-def register_algorithm(name: str, adapter: AlgorithmAdapter) -> None:
-    """Register (or replace) a partitioning algorithm under *name*."""
-    _ALGORITHMS[name.lower()] = adapter
-
-
-def registered_algorithms() -> list[str]:
-    """Names currently in the registry (sorted)."""
-    return sorted(_ALGORITHMS)
 
 
 @dataclass
@@ -76,7 +55,18 @@ class ExperimentRun:
 
 @dataclass
 class PartitioningExperiment:
-    """Figure 4: trace collector -> partitioner -> partitioning evaluator."""
+    """Figure 4: trace collector -> partitioner -> partitioning evaluator.
+
+    Each run evaluates its partitioning on the testing half, then (when
+    asked) routes the testing call log through a :class:`Router` that is
+    closed again, then replays the testing trace on a :class:`Cluster`
+    that is closed again. The two deployments each build their own
+    placement store and never overlap. Sharing one store between them
+    keeps the router's lookup views alive while the cluster fills its
+    nodes; when the placement store was introduced that raised
+    ``tpce-offline``'s peak RSS by about 12%, over the 10% bound the
+    benchmark holds it to. Two short-lived stores cost less memory.
+    """
 
     bundle: WorkloadBundle
     train_fraction: float = 0.5
@@ -88,72 +78,46 @@ class PartitioningExperiment:
         )
         self.evaluator = PartitioningEvaluator(self.bundle.database)
 
-    # ------------------------------------------------------------------
-    # registry-driven runner
-    # ------------------------------------------------------------------
     def run(
         self,
         algorithm: str,
         config: Any = None,
+        *,
         name: str | None = None,
+        coverage: float = 1.0,
         meter: bool = False,
         route: bool = False,
         execute: bool = False,
-        **kwargs: Any,
     ) -> ExperimentRun:
         """Run the registered *algorithm* and score its partitioning.
 
-        *config* may be the algorithm's config object or a plain dict
-        (adapters convert); extra keyword arguments are adapter-specific
-        (e.g. ``coverage=`` for Schism's trace subsampling). With
-        ``route=True`` the testing trace's call log is additionally routed
-        through a :class:`~repro.routing.router.Router` over the produced
+        *config* may be the algorithm's config object, a plain dict or
+        ``None``. With ``coverage`` below 1 the algorithm trains on that
+        fraction of the training half (:func:`subsample`, taken before
+        metering starts) and the run is labelled e.g. ``schism-50%``.
+        ``meter=True`` records the partitioner's CPU time and peak memory
+        on :attr:`ExperimentRun.resources`. With ``route=True`` the
+        testing trace's call log is additionally routed through a
+        :class:`~repro.routing.router.Router` over the produced
         partitioning, and the outcome summary lands on the run. With
         ``execute=True`` the testing trace is also replayed against a
         simulated :class:`~repro.cluster.Cluster` (one node per
         partition), putting simulated distributed-commit overhead next to
         the static distributed-transaction fraction.
         """
-        try:
-            adapter = _ALGORITHMS[algorithm.lower()]
-        except KeyError:
-            raise KeyError(
-                f"unknown algorithm {algorithm!r}; "
-                f"registered: {registered_algorithms()}"
-            ) from None
-        label, produce = adapter(self, config, **kwargs)
-        return self._run(name or label, produce, meter, route, execute)
-
-    # ------------------------------------------------------------------
-    # historical wrappers (kept for existing tests and examples)
-    # ------------------------------------------------------------------
-    def run_jecb(
-        self,
-        config: JECBConfig | None = None,
-        name: str = "jecb",
-        meter: bool = False,
-        route: bool = False,
-    ) -> ExperimentRun:
-        return self.run("jecb", config, name=name, meter=meter, route=route)
-
-    def run_schism(
-        self,
-        config: SchismConfig | None = None,
-        coverage: float = 1.0,
-        name: str | None = None,
-        meter: bool = False,
-    ) -> ExperimentRun:
-        return self.run(
-            "schism", config, name=name, meter=meter, coverage=coverage
+        adapter = partitioner(algorithm)
+        trace = self.training_trace
+        label = algorithm
+        if coverage != 1.0:
+            trace = subsample(trace, coverage)
+            label = f"{algorithm}-{coverage:.0%}"
+        return self._run(
+            name or label,
+            lambda: adapter(self.bundle, trace, config),
+            meter,
+            route,
+            execute,
         )
-
-    def run_horticulture(
-        self,
-        config: HorticultureConfig | None = None,
-        name: str = "horticulture",
-        meter: bool = False,
-    ) -> ExperimentRun:
-        return self.run("horticulture", config, name=name, meter=meter)
 
     def run_fixed(
         self,
@@ -217,7 +181,7 @@ class PartitioningExperiment:
     def _run(
         self,
         name: str,
-        produce: Callable[[], DatabasePartitioning],
+        produce: Callable[[], Any],
         meter: bool,
         route: bool = False,
         execute: bool = False,
@@ -278,57 +242,3 @@ def _unwrap(produced: Any) -> tuple[DatabasePartitioning, Any]:
         f"algorithm produced {type(produced).__name__}, expected a "
         "DatabasePartitioning or a result object with a .partitioning"
     )
-
-
-# ----------------------------------------------------------------------
-# built-in algorithm adapters
-# ----------------------------------------------------------------------
-def _coerce_config(config: Any, cls: type) -> Any:
-    """dict/None/instance -> config instance (JECB uses its own from_dict)."""
-    if config is None:
-        return None
-    if isinstance(config, cls):
-        return config
-    if isinstance(config, dict):
-        if hasattr(cls, "from_dict"):
-            return cls.from_dict(config)
-        return cls(**config)
-    raise TypeError(
-        f"expected {cls.__name__}, dict, or None, got {type(config).__name__}"
-    )
-
-
-def _jecb_adapter(
-    experiment: PartitioningExperiment, config: Any = None
-) -> tuple[str, Callable[[], Any]]:
-    jecb_config = _coerce_config(config, JECBConfig)
-    partitioner = JECBPartitioner(
-        experiment.bundle.database, experiment.bundle.catalog, jecb_config
-    )
-    return "jecb", lambda: partitioner.run(experiment.training_trace)
-
-
-def _schism_adapter(
-    experiment: PartitioningExperiment,
-    config: Any = None,
-    coverage: float = 1.0,
-) -> tuple[str, Callable[[], Any]]:
-    schism_config = _coerce_config(config, SchismConfig)
-    partitioner = SchismPartitioner(experiment.bundle.database, schism_config)
-    trace = subsample(experiment.training_trace, coverage)
-    return f"schism-{coverage:.0%}", lambda: partitioner.run(trace)
-
-
-def _horticulture_adapter(
-    experiment: PartitioningExperiment, config: Any = None
-) -> tuple[str, Callable[[], Any]]:
-    hc_config = _coerce_config(config, HorticultureConfig)
-    partitioner = HorticulturePartitioner(
-        experiment.bundle.database, experiment.bundle.catalog, hc_config
-    )
-    return "horticulture", lambda: partitioner.run(experiment.training_trace)
-
-
-register_algorithm("jecb", _jecb_adapter)
-register_algorithm("schism", _schism_adapter)
-register_algorithm("horticulture", _horticulture_adapter)

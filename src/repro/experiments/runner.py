@@ -5,15 +5,19 @@ plain data; the CLI in :mod:`repro.experiments.__main__` renders them.
 ``scale`` multiplies the default transaction counts, so ``scale=0.25``
 gives a fast smoke run and ``scale=2.0`` a higher-fidelity one.
 
+This module only chooses bundles and lays out tables. Every partitioner
+run, score, route and simulation goes through
+:class:`~repro.evaluation.framework.PartitioningExperiment`.
+
 All runners accept ``jecb_config`` (a partial
 :meth:`JECBConfig.from_dict` dict applied under each
 experiment's own partition count), and with ``show_metrics=True`` print
 every JECB run's :class:`~repro.core.metrics.SearchMetrics` summary.
-``show_routing=True`` additionally replays the testing trace's call log
-through the runtime :class:`~repro.routing.Router` and prints the route
-summary plus its :class:`~repro.core.metrics.RoutingMetrics` block.
-``show_cluster=True`` replays the testing trace on a simulated
-:class:`~repro.cluster.Cluster` (one node per partition) so simulated
+``show_routing=True`` additionally routes the testing trace's call log
+(``run(..., route=True)``) and prints the route summary plus its
+:class:`~repro.core.metrics.RoutingMetrics` block.
+``show_cluster=True`` replays the testing trace on a simulated cluster
+(``run(..., execute=True)``, one node per partition) so simulated
 distributed-commit overhead appears next to the static distributed
 fraction; ``sec76`` accepts the flag for CLI uniformity but skips the
 simulation (its k=100 synthetic sweep would dwarf the table).
@@ -21,17 +25,10 @@ simulation (its k=100 synthetic sweep would dwarf the table).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.baselines import SchismConfig, SchismPartitioner
 from repro.baselines.published import build_spec_partitioning
-from repro.cluster import Cluster
-from repro.core import JECBConfig, JECBPartitioner, JECBResult
-from repro.core.metrics import ClusterMetrics
-from repro.core.solution import DatabasePartitioning
-from repro.evaluation import PartitioningEvaluator
-from repro.routing import Router
-from repro.trace import Trace, subsample, train_test_split
+from repro.evaluation.framework import ExperimentRun, PartitioningExperiment
 from repro.workloads.auctionmark import AuctionMarkBenchmark, AuctionMarkConfig
 from repro.workloads.base import WorkloadBundle
 from repro.workloads.seats import SeatsBenchmark, SeatsConfig
@@ -51,75 +48,78 @@ def _count(base: int, scale: float) -> int:
     return max(int(base * scale), 100)
 
 
-def _jecb_config(k: int, overrides: dict | None = None) -> JECBConfig:
-    """Experiment JECB config: CLI overrides under the experiment's k."""
-    data = dict(overrides or {})
-    data["num_partitions"] = k
-    return JECBConfig.from_dict(data)
+def _print_block(label: str, text: str) -> None:
+    indented = "\n".join(f"    {line}" for line in text.splitlines())
+    print(f"  [{label}]\n{indented}")
 
 
-def _report_metrics(
-    label: str, result: JECBResult, show_metrics: bool
-) -> None:
-    if show_metrics and result.metrics is not None:
-        indented = "\n".join(
-            f"    {line}" for line in result.metrics.summary().splitlines()
-        )
-        print(f"  [{label}]\n{indented}")
-
-
-def _report_routing(
+def _partition_jecb(
+    experiment: PartitioningExperiment,
     label: str,
-    bundle: WorkloadBundle,
-    partitioning: DatabasePartitioning,
-    test_trace: Trace,
-    show_routing: bool,
-) -> None:
-    """Replay the testing call log through the router and print outcomes."""
-    if not show_routing:
-        return
-    calls = test_trace.calls()
-    if not calls:
-        return
-    router = Router(bundle.database, bundle.catalog, partitioning)
-    try:
-        summary = router.route_summary(calls)
-    finally:
-        router.close()
-    lines = [str(summary)] + summary.metrics.summary().splitlines()
-    indented = "\n".join(f"    {line}" for line in lines)
-    print(f"  [{label} routing]\n{indented}")
-
-
-def _simulate_cluster(
-    bundle: WorkloadBundle,
-    partitioning: DatabasePartitioning,
-    test_trace: Trace,
-) -> ClusterMetrics:
-    """Replay *test_trace* against a simulated cluster (one node/partition)."""
-    cluster = Cluster(bundle.database, bundle.catalog, partitioning)
-    try:
-        return cluster.run_trace(test_trace)
-    finally:
-        cluster.close()
-
-
-def _report_cluster(
-    label: str,
-    bundle: WorkloadBundle,
-    partitioning: DatabasePartitioning,
-    test_trace: Trace,
-    show_cluster: bool,
-) -> ClusterMetrics | None:
-    """Simulate the cluster replay and print its metrics block."""
-    if not show_cluster:
-        return None
-    metrics = _simulate_cluster(bundle, partitioning, test_trace)
-    indented = "\n".join(
-        f"    {line}" for line in metrics.summary().splitlines()
+    k: int,
+    jecb_config: dict | None,
+    show_metrics: bool,
+    route: bool = False,
+    execute: bool = False,
+) -> ExperimentRun:
+    """JECB at *k* partitions under the CLI's overrides; print its blocks."""
+    run = experiment.run(
+        "jecb",
+        {**(jecb_config or {}), "num_partitions": k},
+        route=route,
+        execute=execute,
     )
-    print(f"  [{label} cluster]\n{indented}")
-    return metrics
+    if show_metrics and run.detail.metrics is not None:
+        _print_block(label, run.detail.metrics.summary())
+    if run.route_summary is not None:
+        summary = run.route_summary
+        _print_block(
+            f"{label} routing", f"{summary}\n{summary.metrics.summary()}"
+        )
+    return run
+
+
+def tpcc_sweep(
+    bundle: WorkloadBundle,
+    coverages: Sequence[float],
+    partition_counts: Sequence[int],
+    jecb_config: dict | None = None,
+    show_metrics: bool = False,
+    show_routing: bool = False,
+    show_cluster: bool = False,
+) -> dict[str, dict[int, float]]:
+    """Figures 5 and 6: Schism per training coverage and JECB, per k.
+
+    Returns series label (``"schism 5%"``, ..., ``"jecb"``) -> partition
+    count -> % distributed on the testing half. Routing and the cluster
+    replay, when asked for, run on JECB at the largest partition count.
+    """
+    experiment = PartitioningExperiment(bundle)
+    series: dict[str, dict[int, float]] = {}
+    for coverage in coverages:
+        series[f"schism {coverage:.0%}"] = {
+            k: experiment.run(
+                "schism", {"num_partitions": k}, coverage=coverage
+            ).cost
+            for k in partition_counts
+        }
+    series["jecb"] = {}
+    for k in partition_counts:
+        last = k == partition_counts[-1]
+        label = f"jecb k={k}"
+        run = _partition_jecb(
+            experiment,
+            label,
+            k,
+            jecb_config,
+            show_metrics,
+            route=show_routing and last,
+            execute=show_cluster and last,
+        )
+        if run.cluster_metrics is not None:
+            _print_block(f"{label} cluster", run.cluster_metrics.summary())
+        series["jecb"][k] = run.cost
+    return series
 
 
 def figure5(
@@ -134,36 +134,20 @@ def figure5(
     bundle = TpccBenchmark(TpccConfig(warehouses=16)).generate(
         _count(4000, scale), seed=seed
     )
-    train, test = train_test_split(bundle.trace, 0.5)
-    evaluator = PartitioningEvaluator(bundle.database)
     partition_counts = (2, 4, 8, 16)
-    rows: list[Row] = []
-    for coverage in (0.05, 0.2, 1.0):
-        row: Row = [f"schism {coverage:.0%}"]
-        sub = subsample(train, coverage)
-        for k in partition_counts:
-            result = SchismPartitioner(
-                bundle.database, SchismConfig(num_partitions=k)
-            ).run(sub)
-            row.append(f"{evaluator.cost(result.partitioning, test):.1%}")
-        rows.append(row)
-    row = ["jecb"]
-    for k in partition_counts:
-        result = JECBPartitioner(
-            bundle.database,
-            bundle.catalog,
-            _jecb_config(k, jecb_config),
-        ).run(train)
-        _report_metrics(f"jecb k={k}", result, show_metrics)
-        if k == partition_counts[-1]:
-            _report_routing(
-                f"jecb k={k}", bundle, result.partitioning, test, show_routing
-            )
-            _report_cluster(
-                f"jecb k={k}", bundle, result.partitioning, test, show_cluster
-            )
-        row.append(f"{evaluator.cost(result.partitioning, test):.1%}")
-    rows.append(row)
+    series = tpcc_sweep(
+        bundle,
+        (0.05, 0.2, 1.0),
+        partition_counts,
+        jecb_config,
+        show_metrics,
+        show_routing,
+        show_cluster,
+    )
+    rows = [
+        [label] + [f"{costs[k]:.1%}" for k in partition_counts]
+        for label, costs in series.items()
+    ]
     headers = ["series"] + [f"k={k}" for k in partition_counts]
     return headers, rows
 
@@ -197,28 +181,22 @@ def figure7(
     ]
     rows: list[Row] = []
     for name, benchmark, count in benchmarks:
-        bundle = benchmark.generate(count, seed=seed)
-        train, test = train_test_split(bundle.trace, 0.5)
-        evaluator = PartitioningEvaluator(bundle.database)
-        jecb = JECBPartitioner(
-            bundle.database,
-            bundle.catalog,
-            _jecb_config(k, jecb_config),
-        ).run(train)
-        _report_metrics(f"jecb {name}", jecb, show_metrics)
-        _report_routing(
-            f"jecb {name}", bundle, jecb.partitioning, test, show_routing
+        experiment = PartitioningExperiment(
+            benchmark.generate(count, seed=seed)
         )
-        schism = SchismPartitioner(
-            bundle.database, SchismConfig(num_partitions=k)
-        ).run(subsample(train, 0.5))
-        row = [
-            name,
-            f"{evaluator.cost(jecb.partitioning, test):.1%}",
-            f"{evaluator.cost(schism.partitioning, test):.1%}",
-        ]
+        jecb = _partition_jecb(
+            experiment,
+            f"jecb {name}",
+            k,
+            jecb_config,
+            show_metrics,
+            route=show_routing,
+            execute=show_cluster,
+        )
+        schism = experiment.run("schism", {"num_partitions": k}, coverage=0.5)
+        row = [name, f"{jecb.cost:.1%}", f"{schism.cost:.1%}"]
         if show_cluster:
-            sim = _simulate_cluster(bundle, jecb.partitioning, test)
+            sim = jecb.cluster_metrics
             row.append(
                 f"{sim.distributed_fraction:.1%} @ "
                 f"{sim.cost_per_transaction:.2f} units/txn"
@@ -245,37 +223,35 @@ def tpce_case_study(
     distributed-commit overhead (2PC cost units per transaction) next to
     the static distributed-transaction fractions above.
     """
-    bundle = TpceBenchmark(TpceConfig()).generate(
-        _count(3000, scale), seed=seed
+    experiment = PartitioningExperiment(
+        TpceBenchmark(TpceConfig()).generate(_count(3000, scale), seed=seed)
     )
-    train, test = train_test_split(bundle.trace, 0.5)
-    evaluator = PartitioningEvaluator(bundle.database)
-    result = JECBPartitioner(
-        bundle.database,
-        bundle.catalog,
-        _jecb_config(8, jecb_config),
-    ).run(train)
-    _report_metrics("jecb tpce", result, show_metrics)
-    _report_routing(
-        "jecb tpce", bundle, result.partitioning, test, show_routing
+    jecb = _partition_jecb(
+        experiment,
+        "jecb tpce",
+        8,
+        jecb_config,
+        show_metrics,
+        route=show_routing,
+        execute=show_cluster,
     )
-    hc_partitioning = build_spec_partitioning(
-        bundle.database.schema, 8, HORTICULTURE_SPEC
+    hc = experiment.run_fixed(
+        build_spec_partitioning(
+            experiment.bundle.database.schema, 8, HORTICULTURE_SPEC
+        ),
+        execute=show_cluster,
     )
-    jecb_report = evaluator.evaluate(result.partitioning, test)
-    hc_report = evaluator.evaluate(hc_partitioning, test)
     rows = [
         [
             name,
-            f"{jecb_report.class_cost(name):.0%}",
-            f"{hc_report.class_cost(name):.0%}",
+            f"{jecb.report.class_cost(name):.0%}",
+            f"{hc.report.class_cost(name):.0%}",
         ]
-        for name in sorted(jecb_report.per_class_total)
+        for name in sorted(jecb.report.per_class_total)
     ]
-    rows.append(["TOTAL", f"{jecb_report.cost:.1%}", f"{hc_report.cost:.1%}"])
+    rows.append(["TOTAL", f"{jecb.cost:.1%}", f"{hc.cost:.1%}"])
     if show_cluster:
-        jecb_sim = _simulate_cluster(bundle, result.partitioning, test)
-        hc_sim = _simulate_cluster(bundle, hc_partitioning, test)
+        jecb_sim, hc_sim = jecb.cluster_metrics, hc.cluster_metrics
         rows.append(
             [
                 "SIM distributed",
@@ -305,26 +281,19 @@ def section76(
     k = 100
     rows: list[Row] = []
     for fraction in (1.0, 0.75, 0.5, 0.25, 0.0):
-        bundle = SyntheticBenchmark(
-            SyntheticConfig(schema_join_fraction=fraction)
-        ).generate(_count(1500, scale), seed=seed)
-        train, test = train_test_split(bundle.trace, 0.5)
-        evaluator = PartitioningEvaluator(bundle.database)
-        result = JECBPartitioner(
-            bundle.database,
-            bundle.catalog,
-            _jecb_config(k, jecb_config),
-        ).run(train)
-        _report_metrics(
-            f"jecb {fraction:.0%} schema-respecting", result, show_metrics
+        mix = f"{fraction:.0%} schema-respecting"
+        experiment = PartitioningExperiment(
+            SyntheticBenchmark(
+                SyntheticConfig(schema_join_fraction=fraction)
+            ).generate(_count(1500, scale), seed=seed)
         )
-        rows.append(
-            [
-                f"{fraction:.0%} schema-respecting",
-                f"{evaluator.cost(result.partitioning, test):.1%}",
-                f"{evaluator.cost(group_partitioning(bundle.database.schema, k), test):.1%}",
-            ]
+        jecb = _partition_jecb(
+            experiment, f"jecb {mix}", k, jecb_config, show_metrics
         )
+        column = experiment.run_fixed(
+            group_partitioning(experiment.bundle.database.schema, k)
+        )
+        rows.append([mix, f"{jecb.cost:.1%}", f"{column.cost:.1%}"])
     return ["mix", "JECB", "column-based"], rows
 
 

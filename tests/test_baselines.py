@@ -13,6 +13,7 @@ from repro.core.mapping import REPLICATED
 from repro.core.placement import PlacementStore
 from repro.errors import PartitioningError
 from repro.evaluation import PartitioningEvaluator
+from repro.evaluation.framework import PartitioningExperiment
 from repro.trace import train_test_split
 from repro.workloads.tatp import SUBSCRIBER_SPEC, TatpBenchmark, TatpConfig
 
@@ -75,13 +76,11 @@ class TestSchism:
         assert 1 <= pid <= 4
 
     def test_resource_metering(self, tatp_bundle):
-        train, _ = train_test_split(tatp_bundle.trace, 0.5)
-        result = SchismPartitioner(
-            tatp_bundle.database,
-            SchismConfig(num_partitions=4, meter_resources=True),
-        ).run(train)
-        assert result.resources is not None
-        assert result.resources.peak_memory_bytes > 0
+        run = PartitioningExperiment(tatp_bundle).run(
+            "schism", SchismConfig(num_partitions=4), meter=True
+        )
+        assert run.resources is not None
+        assert run.resources.peak_memory_bytes > 0
 
 
 class TestHorticulture:

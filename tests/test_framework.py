@@ -27,20 +27,20 @@ class TestPartitioningExperiment:
         assert len(experiment.training_trace) == 50
 
     def test_run_jecb(self, experiment):
-        run = experiment.run_jecb(JECBConfig(num_partitions=4))
+        run = experiment.run("jecb", JECBConfig(num_partitions=4))
         assert isinstance(run, ExperimentRun)
         assert run.name == "jecb"
         assert 0.0 <= run.cost <= 1.0
 
     def test_run_schism_label(self, experiment):
-        run = experiment.run_schism(
-            SchismConfig(num_partitions=4), coverage=0.25
+        run = experiment.run(
+            "schism", SchismConfig(num_partitions=4), coverage=0.25
         )
         assert run.name == "schism-25%"
 
     def test_run_horticulture(self, experiment):
-        run = experiment.run_horticulture(
-            HorticultureConfig(num_partitions=4, iterations=5)
+        run = experiment.run(
+            "horticulture", HorticultureConfig(num_partitions=4, iterations=5)
         )
         assert run.name == "horticulture"
         assert run.partitioning is not None
@@ -59,22 +59,22 @@ class TestPartitioningExperiment:
 
     def test_runs_accumulate_and_summarize(self, experiment):
         count_before = len(experiment.runs)
-        experiment.run_jecb(JECBConfig(num_partitions=2), name="again")
+        experiment.run("jecb", JECBConfig(num_partitions=2), name="again")
         assert len(experiment.runs) == count_before + 1
         summary = experiment.summary()
         assert "again" in summary
         assert "%" in summary
 
     def test_metered_run_in_summary(self, experiment):
-        run = experiment.run_jecb(
-            JECBConfig(num_partitions=2), name="metered", meter=True
+        run = experiment.run(
+            "jecb", JECBConfig(num_partitions=2), name="metered", meter=True
         )
         assert run.resources is not None
         assert "MB" in experiment.summary()
 
     def test_routed_run_in_summary(self, experiment):
-        run = experiment.run_jecb(
-            JECBConfig(num_partitions=2), name="routed", route=True
+        run = experiment.run(
+            "jecb", JECBConfig(num_partitions=2), name="routed", route=True
         )
         assert run.route_summary is not None
         assert run.route_summary.total == len(experiment.testing_trace)
@@ -82,7 +82,7 @@ class TestPartitioningExperiment:
         assert "routed:" in experiment.summary()
 
     def test_route_calls_standalone(self, experiment):
-        run = experiment.run_jecb(JECBConfig(num_partitions=2))
+        run = experiment.run("jecb", JECBConfig(num_partitions=2))
         summary = experiment.route_calls(run.partitioning)
         assert summary is not None
         assert summary.total == len(experiment.testing_trace)

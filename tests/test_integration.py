@@ -177,9 +177,9 @@ class TestFramework:
             600, seed=61
         )
         experiment = PartitioningExperiment(bundle)
-        jecb = experiment.run_jecb(JECBConfig(num_partitions=4))
-        schism = experiment.run_schism(
-            SchismConfig(num_partitions=4), coverage=0.5
+        jecb = experiment.run("jecb", JECBConfig(num_partitions=4))
+        schism = experiment.run(
+            "schism", SchismConfig(num_partitions=4), coverage=0.5
         )
         fixed = experiment.run_fixed(
             build_spec_partitioning(
@@ -197,6 +197,6 @@ class TestFramework:
             300, seed=67
         )
         experiment = PartitioningExperiment(bundle)
-        run = experiment.run_jecb(JECBConfig(num_partitions=2), meter=True)
+        run = experiment.run("jecb", JECBConfig(num_partitions=2), meter=True)
         assert run.resources is not None
         assert run.resources.peak_memory_bytes > 0

@@ -2,13 +2,14 @@
 
 Covers the :mod:`repro.core.metrics` dataclasses, the placement store's
 per-key memo and shared :class:`SnapshotIndex`, config ``to_dict``/
-``from_dict`` round-trips, and the :func:`repro.partition` facade with its
-algorithm registries.
+``from_dict`` round-trips, and the :func:`repro.partition` facade with the
+algorithm table it shares with the experiment harness.
 """
 
 import pytest
 
 import repro
+from repro.api import _PARTITIONERS
 from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_path import JoinPath
 from repro.core.mapping import IdentityModMapping
@@ -24,11 +25,8 @@ from repro.core.phase2 import Phase2Config
 from repro.core.phase3 import Phase3Config
 from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning, TableSolution
-from repro.evaluation.framework import (
-    PartitioningExperiment,
-    register_algorithm,
-    registered_algorithms,
-)
+from repro.evaluation.framework import PartitioningExperiment
+from repro.trace import subsample
 from repro.workloads.tatp import TatpBenchmark, TatpConfig
 
 from tests.conftest import generate_custinfo_workload
@@ -300,7 +298,12 @@ class TestConfigRoundTrip:
 
     def test_unknown_key_rejected(self):
         # Removed settings must fail loudly, not be silently ignored.
-        for key, value in (("nope", 1), ("workers", 2), ("engine", "object")):
+        for key, value in (
+            ("nope", 1),
+            ("workers", 2),
+            ("engine", "object"),
+            ("meter_resources", True),
+        ):
             with pytest.raises(ValueError, match=key):
                 JECBConfig.from_dict({key: value})
         for key, value in (("typo", 1), ("evaluator_cache_size", 1)):
@@ -316,7 +319,7 @@ class TestConfigRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# repro.partition facade + algorithm registries
+# repro.partition facade + the algorithm table
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def tatp_bundle():
@@ -360,8 +363,6 @@ class TestPartitionFacade:
             assert out == "sentinel"
             assert calls[0][2] == {"k": 3}
         finally:
-            from repro.api import _PARTITIONERS
-
             _PARTITIONERS.pop("fake-algo", None)
 
 
@@ -381,7 +382,7 @@ class TestExperimentRegistry:
 
     def test_builtins_registered(self):
         assert {"jecb", "schism", "horticulture"} <= set(
-            registered_algorithms()
+            repro.available_algorithms()
         )
 
     def test_register_custom_algorithm(self, experiment):
@@ -394,15 +395,35 @@ class TestExperimentRegistry:
             name="fixed-spec",
         )
 
-        def adapter(exp, config, **kwargs):
-            return "fixed-spec", lambda: fixed
+        def adapter(bundle, trace, config):
+            return fixed
 
-        register_algorithm("fixed-spec", adapter)
+        repro.register_partitioner("fixed-spec", adapter)
         try:
             run = experiment.run("fixed-spec")
             assert run.name == "fixed-spec"
             assert run.partitioning is fixed
         finally:
-            from repro.evaluation.framework import _ALGORITHMS
+            _PARTITIONERS.pop("fixed-spec", None)
 
-            _ALGORITHMS.pop("fixed-spec", None)
+    def test_registered_partitioner_trains_on_the_experiment(
+        self, experiment
+    ):
+        calls = []
+
+        def adapter(bundle, trace, config):
+            calls.append((bundle, trace, config))
+            return repro.partition(bundle, trace=trace, num_partitions=2)
+
+        repro.register_partitioner("fake-algo", adapter)
+        try:
+            run = experiment.run("fake-algo", {"k": 3}, coverage=0.5)
+        finally:
+            _PARTITIONERS.pop("fake-algo", None)
+        ((bundle, trace, config),) = calls
+        assert bundle is experiment.bundle
+        assert len(trace) == len(subsample(experiment.training_trace, 0.5))
+        assert config == {"k": 3}
+        assert run.name == "fake-algo-50%"
+        assert run.detail.metrics is not None
+        assert run is experiment.runs[-1]

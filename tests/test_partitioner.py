@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import JECBConfig, JECBPartitioner
 from repro.evaluation import PartitioningEvaluator
+from repro.evaluation.framework import PartitioningExperiment
 from repro.trace.stats import TableUsage
+from repro.workloads.tatp import TatpBenchmark, TatpConfig
 
 
 @pytest.fixture(scope="module")
@@ -51,20 +53,16 @@ class TestJECBPartitioner:
         assert "TRADE" in result.placements_table()
 
     def test_resource_metering(self):
-        from tests.conftest import generate_custinfo_workload
-
-        database, catalog, trace = generate_custinfo_workload(
-            customers=10, transactions=50
+        # metering belongs to the harness, around the partitioner's run
+        bundle = TatpBenchmark(TatpConfig(subscribers=50)).generate(
+            100, seed=5
         )
-        partitioner = JECBPartitioner(
-            database,
-            catalog,
-            JECBConfig(num_partitions=2, meter_resources=True),
+        run = PartitioningExperiment(bundle).run(
+            "jecb", JECBConfig(num_partitions=2), meter=True
         )
-        result = partitioner.run(trace)
-        assert result.resources is not None
-        assert result.resources.cpu_seconds >= 0.0
-        assert result.resources.peak_memory_bytes > 0
+        assert run.resources is not None
+        assert run.resources.cpu_seconds >= 0.0
+        assert run.resources.peak_memory_bytes > 0
 
     def test_unknown_classes_in_trace_skipped(self):
         from tests.conftest import generate_custinfo_workload
