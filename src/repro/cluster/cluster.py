@@ -193,7 +193,6 @@ class Cluster:
         num_nodes: int | None = None,
         cost: CostConfig | None = None,
         fault_plan: FaultPlan | None = None,
-        metrics: ClusterMetrics | None = None,
     ) -> None:
         self.source = database
         self.schema = database.schema
@@ -208,8 +207,7 @@ class Cluster:
                 raise ClusterError(
                     f"fault plan targets unknown node {event.node}"
                 )
-        self.metrics = metrics or ClusterMetrics()
-        self.metrics.nodes = self.num_nodes
+        self.metrics = ClusterMetrics(nodes=self.num_nodes)
         self.nodes: dict[int, Node] = {
             node_id: Node(node_id, self.schema)
             for node_id in range(1, self.num_nodes + 1)

@@ -8,23 +8,104 @@ tests, evaluator cache behaviour); the partitioner folds them into one
 :class:`SearchMetrics` together with per-phase wall times and Phase 3's
 combination counts.
 
-Everything here is a plain dataclass; ``merge``/``to_dict`` keep
-aggregation and reporting trivial.
+Every record is a plain dataclass on :class:`MetricRecord`, which derives
+the one reporting path from the fields: ``to_dict()`` for machines and
+``summary()``, a view of that dict, for people.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
+
+#: scalar ``key=value`` items per summary line, a fixed count so that two
+#: runs break their lines at the same keys
+_ITEMS_PER_LINE = 4
+
+
+class MetricRecord:
+    """Base of the metric records: one ``to_dict()`` and one ``summary()``.
+
+    ``to_dict()`` holds the dataclass fields in order, then the property
+    names listed in ``DERIVED``. Nested records become dicts, and so do the
+    records in lists and mappings; mappings come out sorted by key.
+    ``summary()`` renders that dict: scalars and plain mappings as
+    ``key=value`` items, four to a line, then each collection of records
+    as a section with one line per entry, sorted by its label (a mapping's
+    key, or the first field of a listed record).
+    """
+
+    #: properties reported after the fields
+    DERIVED: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict[str, Any]:
+        names = [f.name for f in fields(self)] + list(self.DERIVED)
+        return {name: _plain(getattr(self, name)) for name in names}
+
+    def summary(self) -> str:
+        return "\n".join(_summary_lines(self.to_dict()))
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, MetricRecord):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _summary_lines(data: dict[str, Any]) -> list[str]:
+    items: list[str] = []
+    sections: list[str] = []
+    for key, value in data.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            entries = [_labelled(entry) for entry in value]
+        elif value and isinstance(value, dict) and all(
+            isinstance(entry, dict) for entry in value.values()
+        ):
+            entries = [(str(label), entry) for label, entry in value.items()]
+        else:
+            items.append(f"{key}={_format(value)}")
+            continue
+        sections.append(f"{key}:")
+        for label, entry in sorted(entries, key=lambda pair: pair[0]):
+            rendered = " ".join(f"{k}={_format(v)}" for k, v in entry.items())
+            sections.append(f"  {label}: {rendered}")
+    lines = [
+        " ".join(items[i : i + _ITEMS_PER_LINE])
+        for i in range(0, len(items), _ITEMS_PER_LINE)
+    ]
+    return lines + sections
+
+
+def _labelled(entry: dict[str, Any]) -> tuple[str, dict[str, Any]]:
+    """A listed record's label is its first field."""
+    (_, label), *rest = entry.items()
+    return str(label), dict(rest)
+
+
+def _format(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    if isinstance(value, dict):
+        pairs = (f"{k}:{_format(v)}" for k, v in value.items())
+        return "{" + ",".join(pairs) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(_format(v) for v in value) + "]"
+    return str(value)
 
 
 @dataclass
-class CacheStats:
+class CacheStats(MetricRecord):
     """Hit/miss counters of one memo cache."""
 
     hits: int = 0
     misses: int = 0
+
+    DERIVED = ("hit_rate",)
 
     @property
     def lookups(self) -> int:
@@ -40,19 +121,9 @@ class CacheStats:
         self.hits += other.hits
         self.misses += other.misses
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-        }
-
-    def __str__(self) -> str:
-        return f"{self.hits}/{self.lookups} hits ({self.hit_rate:.1%})"
-
 
 @dataclass
-class ClassMetrics:
+class ClassMetrics(MetricRecord):
     """What Phase 2 did for one transaction class."""
 
     class_name: str
@@ -66,22 +137,9 @@ class ClassMetrics:
     mi_seconds: float = 0.0
     cache: CacheStats = field(default_factory=CacheStats)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "class_name": self.class_name,
-            "wall_seconds": self.wall_seconds,
-            "trees_examined": self.trees_examined,
-            "trees_pruned": self.trees_pruned,
-            "mi_tests": self.mi_tests,
-            "mi_refuted": self.mi_refuted,
-            "path_evaluations": self.path_evaluations,
-            "mi_seconds": self.mi_seconds,
-            "cache": self.cache.to_dict(),
-        }
-
 
 @dataclass
-class SearchMetrics:
+class SearchMetrics(MetricRecord):
     """One run of the three-phase search, aggregated for reporting.
 
     Attached to :class:`~repro.core.partitioner.JECBResult` as
@@ -133,57 +191,6 @@ class SearchMetrics:
     def cache_hit_rate(self) -> float:
         return self.evaluator_cache.hit_rate
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "phase1_seconds": self.phase1_seconds,
-            "phase2_seconds": self.phase2_seconds,
-            "phase3_seconds": self.phase3_seconds,
-            "total_seconds": self.total_seconds,
-            "trace_build_seconds": self.trace_build_seconds,
-            "intern_seconds": self.intern_seconds,
-            "mi_seconds": self.mi_seconds,
-            "cost_eval_seconds": self.cost_eval_seconds,
-            "classes_searched": self.classes_searched,
-            "trees_examined": self.trees_examined,
-            "trees_pruned": self.trees_pruned,
-            "mi_tests": self.mi_tests,
-            "mi_refuted": self.mi_refuted,
-            "path_evaluations": self.path_evaluations,
-            "candidate_attributes": self.candidate_attributes,
-            "combinations_evaluated": self.combinations_evaluated,
-            "evaluator_cache": self.evaluator_cache.to_dict(),
-            "per_class": [m.to_dict() for m in self.per_class],
-        }
-
-    def summary(self) -> str:
-        lines = [
-            f"search: {self.total_seconds:.2f}s total "
-            f"(phase1 {self.phase1_seconds:.2f}s, "
-            f"phase2 {self.phase2_seconds:.2f}s, "
-            f"phase3 {self.phase3_seconds:.2f}s)",
-            f"stages: trace-build {self.trace_build_seconds:.3f}s "
-            f"(interning {self.intern_seconds:.3f}s), "
-            f"MI testing {self.mi_seconds:.3f}s, "
-            f"cost eval {self.cost_eval_seconds:.3f}s",
-            f"phase2: {self.classes_searched} classes, "
-            f"{self.trees_examined} trees examined, "
-            f"{self.trees_pruned} pruned, "
-            f"{self.mi_tests} MI tests ({self.mi_refuted} refuted)",
-            f"phase3: {self.candidate_attributes} candidate attributes, "
-            f"{self.combinations_evaluated} combinations evaluated",
-            f"evaluator cache: {self.evaluator_cache}",
-        ]
-        slowest = sorted(
-            self.per_class, key=lambda m: m.wall_seconds, reverse=True
-        )[:3]
-        for metrics in slowest:
-            lines.append(
-                f"  {metrics.class_name}: {metrics.wall_seconds:.2f}s, "
-                f"{metrics.trees_examined} trees, "
-                f"cache {metrics.cache.hit_rate:.1%}"
-            )
-        return "\n".join(lines)
-
 
 #: Upper bucket bounds of :class:`LatencyHistogram`, in microseconds. The
 #: last bucket is open-ended.
@@ -191,11 +198,11 @@ LATENCY_BUCKETS_US: tuple[float, ...] = (1.0, 10.0, 100.0, 1_000.0, 10_000.0)
 
 
 @dataclass
-class LatencyHistogram:
+class LatencyHistogram(MetricRecord):
     """Log-scale latency histogram (microsecond buckets) with totals.
 
-    Small and mergeable on purpose: the router records one histogram per
-    routing outcome, and batch summaries fold worker histograms together.
+    Small on purpose: the router records one histogram per routing
+    outcome on every routed call.
     """
 
     counts: list[int] = field(
@@ -203,6 +210,8 @@ class LatencyHistogram:
     )
     total_seconds: float = 0.0
     max_seconds: float = 0.0
+
+    DERIVED = ("count", "mean_seconds", "bucket_bounds_us")
 
     @property
     def count(self) -> int:
@@ -212,6 +221,10 @@ class LatencyHistogram:
     def mean_seconds(self) -> float:
         count = self.count
         return self.total_seconds / count if count else 0.0
+
+    @property
+    def bucket_bounds_us(self) -> tuple[float, ...]:
+        return LATENCY_BUCKETS_US
 
     def observe(self, seconds: float) -> None:
         micros = seconds * 1e6
@@ -225,34 +238,9 @@ class LatencyHistogram:
         if seconds > self.max_seconds:
             self.max_seconds = seconds
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        for i, count in enumerate(other.counts):
-            self.counts[i] += count
-        self.total_seconds += other.total_seconds
-        self.max_seconds = max(self.max_seconds, other.max_seconds)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "total_seconds": self.total_seconds,
-            "mean_seconds": self.mean_seconds,
-            "max_seconds": self.max_seconds,
-            "bucket_bounds_us": list(LATENCY_BUCKETS_US),
-            "counts": list(self.counts),
-        }
-
-    def __str__(self) -> str:
-        count = self.count
-        if not count:
-            return "0 calls"
-        return (
-            f"{count} calls, mean {self.mean_seconds * 1e6:.1f}us, "
-            f"max {self.max_seconds * 1e6:.1f}us"
-        )
-
 
 @dataclass
-class RoutingMetrics:
+class RoutingMetrics(MetricRecord):
     """What the online routing tier did: lookup-table lifecycle, write-
     through maintenance, and per-outcome routing latencies.
 
@@ -294,77 +282,9 @@ class RoutingMetrics:
             self.latency[outcome] = histogram
         histogram.observe(seconds)
 
-    def merge(self, other: "RoutingMetrics") -> None:
-        self.lookups_built += other.lookups_built
-        self.lookups_rebuilt += other.lookups_rebuilt
-        self.lookups_evicted += other.lookups_evicted
-        self.lookup_build_seconds += other.lookup_build_seconds
-        self.staleness_detections += other.staleness_detections
-        self.write_through_inserts += other.write_through_inserts
-        self.write_through_deletes += other.write_through_deletes
-        self.write_through_updates += other.write_through_updates
-        self.batch_calls += other.batch_calls
-        self.batch_memo_hits += other.batch_memo_hits
-        for cause, count in other.broadcast_causes.items():
-            self.broadcast_causes[cause] = (
-                self.broadcast_causes.get(cause, 0) + count
-            )
-        for outcome, histogram in other.latency.items():
-            mine = self.latency.get(outcome)
-            if mine is None:
-                self.latency[outcome] = LatencyHistogram(
-                    list(histogram.counts),
-                    histogram.total_seconds,
-                    histogram.max_seconds,
-                )
-            else:
-                mine.merge(histogram)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "lookups_built": self.lookups_built,
-            "lookups_rebuilt": self.lookups_rebuilt,
-            "lookups_evicted": self.lookups_evicted,
-            "lookup_build_seconds": self.lookup_build_seconds,
-            "staleness_detections": self.staleness_detections,
-            "write_through_inserts": self.write_through_inserts,
-            "write_through_deletes": self.write_through_deletes,
-            "write_through_updates": self.write_through_updates,
-            "batch_calls": self.batch_calls,
-            "batch_memo_hits": self.batch_memo_hits,
-            "broadcast_causes": dict(self.broadcast_causes),
-            "latency": {k: v.to_dict() for k, v in self.latency.items()},
-        }
-
-    def summary(self) -> str:
-        lines = [
-            f"lookups: {self.lookups_built} built, "
-            f"{self.lookups_rebuilt} rebuilt, "
-            f"{self.lookups_evicted} evicted, "
-            f"{self.staleness_detections} staleness detections, "
-            f"{self.lookup_build_seconds * 1e3:.1f}ms building",
-            f"write-through: {self.write_through_inserts} inserts, "
-            f"{self.write_through_deletes} deletes, "
-            f"{self.write_through_updates} updates",
-        ]
-        if self.batch_calls:
-            lines.append(
-                f"batch: {self.batch_calls} calls, "
-                f"{self.batch_memo_hits} memo hits"
-            )
-        if self.broadcast_causes:
-            causes = ", ".join(
-                f"{cause}={count}"
-                for cause, count in sorted(self.broadcast_causes.items())
-            )
-            lines.append(f"broadcast causes: {causes}")
-        for outcome in sorted(self.latency):
-            lines.append(f"  {outcome}: {self.latency[outcome]}")
-        return "\n".join(lines)
-
 
 @dataclass
-class ClusterMetrics:
+class ClusterMetrics(MetricRecord):
     """What the simulated cluster did: per-outcome transaction counts,
     2PC message/cost accounting, fault-injection effects, and physical
     data movement.
@@ -401,6 +321,13 @@ class ClusterMetrics:
     recoveries: int = 0
     per_node_transactions: dict[int, int] = field(default_factory=dict)
     per_class_distributed: dict[str, int] = field(default_factory=dict)
+
+    DERIVED = (
+        "distributed_fraction",
+        "total_cost_units",
+        "cost_per_transaction",
+        "coordination_per_transaction",
+    )
 
     @property
     def committed(self) -> int:
@@ -447,105 +374,6 @@ class ClusterMetrics:
             self.per_node_transactions[node_id] = (
                 self.per_node_transactions.get(node_id, 0) + 1
             )
-
-    def merge(self, other: "ClusterMetrics") -> None:
-        self.nodes = max(self.nodes, other.nodes)
-        self.transactions += other.transactions
-        self.committed_local += other.committed_local
-        self.committed_distributed += other.committed_distributed
-        self.broadcasts += other.broadcasts
-        self.aborts += other.aborts
-        self.retries += other.retries
-        self.failed += other.failed
-        self.replica_failovers += other.replica_failovers
-        self.prepare_messages += other.prepare_messages
-        self.commit_messages += other.commit_messages
-        self.local_cost_units += other.local_cost_units
-        self.coordination_cost_units += other.coordination_cost_units
-        self.retry_cost_units += other.retry_cost_units
-        self.tuples_placed += other.tuples_placed
-        self.tuples_replicated += other.tuples_replicated
-        self.unroutable_tuples += other.unroutable_tuples
-        self.tuples_migrated += other.tuples_migrated
-        self.rows_resynced += other.rows_resynced
-        self.repartitions += other.repartitions
-        self.crashes += other.crashes
-        self.recoveries += other.recoveries
-        for node_id, count in other.per_node_transactions.items():
-            self.per_node_transactions[node_id] = (
-                self.per_node_transactions.get(node_id, 0) + count
-            )
-        for name, count in other.per_class_distributed.items():
-            self.per_class_distributed[name] = (
-                self.per_class_distributed.get(name, 0) + count
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "nodes": self.nodes,
-            "transactions": self.transactions,
-            "committed_local": self.committed_local,
-            "committed_distributed": self.committed_distributed,
-            "distributed_fraction": self.distributed_fraction,
-            "broadcasts": self.broadcasts,
-            "aborts": self.aborts,
-            "retries": self.retries,
-            "failed": self.failed,
-            "replica_failovers": self.replica_failovers,
-            "prepare_messages": self.prepare_messages,
-            "commit_messages": self.commit_messages,
-            "local_cost_units": self.local_cost_units,
-            "coordination_cost_units": self.coordination_cost_units,
-            "retry_cost_units": self.retry_cost_units,
-            "total_cost_units": self.total_cost_units,
-            "cost_per_transaction": self.cost_per_transaction,
-            "coordination_per_transaction": self.coordination_per_transaction,
-            "tuples_placed": self.tuples_placed,
-            "tuples_replicated": self.tuples_replicated,
-            "unroutable_tuples": self.unroutable_tuples,
-            "tuples_migrated": self.tuples_migrated,
-            "rows_resynced": self.rows_resynced,
-            "repartitions": self.repartitions,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "per_node_transactions": dict(self.per_node_transactions),
-            "per_class_distributed": dict(self.per_class_distributed),
-        }
-
-    def summary(self) -> str:
-        lines = [
-            f"cluster: {self.nodes} nodes, {self.transactions} transactions "
-            f"({self.committed_local} local, "
-            f"{self.committed_distributed} distributed, "
-            f"{self.failed} failed) -> "
-            f"{self.distributed_fraction:.1%} distributed",
-            f"cost: {self.total_cost_units:.1f} units "
-            f"({self.coordination_cost_units:.1f} coordination, "
-            f"{self.retry_cost_units:.1f} retry), "
-            f"{self.cost_per_transaction:.2f}/txn",
-            f"2pc: {self.prepare_messages} prepares, "
-            f"{self.commit_messages} commits, "
-            f"{self.broadcasts} broadcasts",
-            f"data: {self.tuples_placed} placed, "
-            f"{self.tuples_replicated} replicated, "
-            f"{self.unroutable_tuples} unroutable, "
-            f"{self.tuples_migrated} migrated",
-        ]
-        if self.crashes or self.recoveries or self.aborts:
-            lines.append(
-                f"faults: {self.crashes} crashes, "
-                f"{self.recoveries} recoveries, "
-                f"{self.aborts} aborts ({self.retries} retried), "
-                f"{self.replica_failovers} replica failovers, "
-                f"{self.rows_resynced} rows resynced"
-            )
-        if self.per_node_transactions:
-            loads = ", ".join(
-                f"n{node_id}={count}"
-                for node_id, count in sorted(self.per_node_transactions.items())
-            )
-            lines.append(f"  participation: {loads}")
-        return "\n".join(lines)
 
 
 class Stopwatch:

@@ -105,8 +105,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="profile each experiment: per-stage seconds from the search "
-        "metrics plus the top cProfile entries by cumulative time",
+        help="profile each experiment: the top cProfile entries by "
+        "cumulative time (stage timings are in each run's metrics block)",
     )
     parser.add_argument(
         "--lint",
@@ -151,54 +151,22 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-#: stage-timer keys reported by ``--profile`` (in SearchMetrics order)
-_STAGE_KEYS = (
-    "phase1_seconds",
-    "phase2_seconds",
-    "phase3_seconds",
-    "trace_build_seconds",
-    "intern_seconds",
-    "mi_seconds",
-    "cost_eval_seconds",
-    "total_seconds",
-)
-
-
 def _profiled(runner, kwargs: dict):
-    """Run one experiment under cProfile and dump stage + hotspot timings.
+    """Run one experiment under cProfile and print its top entries.
 
-    Stage seconds come from the run's own :class:`SearchMetrics` stage
-    timers (captured via a monkeypatched ``SearchMetrics.summary``, which
-    every metrics-printing run calls); the cProfile block shows where the
-    interpreter actually spent its time.
+    Stage seconds are not repeated here: every JECB run prints them in its
+    metrics block.
     """
     import cProfile
     import io
     import pstats
 
-    from repro.core import metrics as metrics_module
-
-    captured: list[dict] = []
-    original_summary = metrics_module.SearchMetrics.summary
-
-    def capturing_summary(self):
-        captured.append(self.to_dict())
-        return original_summary(self)
-
     profiler = cProfile.Profile()
-    metrics_module.SearchMetrics.summary = capturing_summary
+    profiler.enable()
     try:
-        profiler.enable()
         result = runner(**kwargs)
-        profiler.disable()
     finally:
-        metrics_module.SearchMetrics.summary = original_summary
-
-    for run_index, data in enumerate(captured):
-        stages = ", ".join(
-            f"{key[:-8]} {data.get(key, 0.0):.3f}s" for key in _STAGE_KEYS
-        )
-        print(f"[profile] run {run_index}: {stages}")
+        profiler.disable()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.strip_dirs().sort_stats("cumulative").print_stats(15)

@@ -19,8 +19,12 @@ every JECB run's :class:`~repro.core.metrics.SearchMetrics` summary.
 ``show_cluster=True`` replays the testing trace on a simulated cluster
 (``run(..., execute=True)``, one node per partition) so simulated
 distributed-commit overhead appears next to the static distributed
-fraction; ``sec76`` accepts the flag for CLI uniformity but skips the
-simulation (its k=100 synthetic sweep would dwarf the table).
+fraction, and prints the :class:`~repro.core.metrics.ClusterMetrics`
+block; ``sec76`` accepts the flag for CLI uniformity but skips the
+simulation (its k=100 synthetic sweep would dwarf the table). Each block
+is the record's one derived view,
+:meth:`~repro.core.metrics.MetricRecord.summary`: every field in order,
+stage timers included, and every searched class in name order.
 """
 
 from __future__ import annotations

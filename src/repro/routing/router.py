@@ -84,8 +84,8 @@ class Router:
     call tries candidates in a deterministic order and returns the first
     one that resolves to a bounded partition set.
 
-    ``max_lookups`` bounds the lookup-table cache (LRU eviction);
-    ``metrics`` collects the tier's counters and latency histograms.
+    ``max_lookups`` bounds the lookup-table cache (LRU eviction); the
+    router's ``metrics`` collect the tier's counters and latency histograms.
     ``store`` is the placement store the views read; without one the
     router attaches its own, and :meth:`close` detaches it again.
     """
@@ -96,7 +96,6 @@ class Router:
         catalog: ProcedureCatalog,
         partitioning: DatabasePartitioning,
         max_lookups: int = 64,
-        metrics: RoutingMetrics | None = None,
         store: PlacementStore | None = None,
     ) -> None:
         if max_lookups < 1:
@@ -105,7 +104,7 @@ class Router:
         self.catalog = catalog
         self.partitioning = partitioning
         self.max_lookups = max_lookups
-        self.metrics = metrics or RoutingMetrics()
+        self.metrics = RoutingMetrics()
         self._owns_store = store is None
         self.store = store or PlacementStore(database, partitioning).attach()
         self._bindings: dict[str, list[tuple[Attr, str]]] = {}

@@ -1,5 +1,7 @@
 """Tests for the experiments library/CLI (quick scales)."""
 
+import re
+
 import pytest
 
 from repro.experiments import EXPERIMENTS, figure7, section76
@@ -51,3 +53,14 @@ class TestCli:
 
     def test_no_cluster_flag_accepted(self, capsys):
         assert main(["sec76", "--scale", "0.1", "--no-cluster"]) == 0
+
+    def test_profile_prints_every_class_in_name_order(self, capsys):
+        argv = ["tpce", "--scale", "0.05", "--no-routing", "--no-cluster"]
+        assert main(argv + ["--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "[profile] top cProfile entries (cumulative):" in out
+        searched = int(re.search(r"classes_searched=(\d+)", out).group(1))
+        block = out.split("per_class:\n", 1)[1].split("[profile]", 1)[0]
+        names = re.findall(r"^ {6}(\S+): wall_seconds=", block, re.MULTILINE)
+        assert len(names) == searched > 3
+        assert names == sorted(names)

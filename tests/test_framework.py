@@ -1,5 +1,11 @@
 """Unit tests for the Figure-4 evaluation framework."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import HorticultureConfig, SchismConfig
@@ -80,6 +86,39 @@ class TestPartitioningExperiment:
         assert run.route_summary.total == len(experiment.testing_trace)
         assert run.route_summary.metrics is not None
         assert "routed:" in experiment.summary()
+
+    def test_first_metered_run_peak_matches_the_next(self):
+        # A lazy import inside the first metered run used to add about 1 MB
+        # to its peak, so Table 1's RAM cell depended on what ran before it.
+        # Only a fresh interpreter shows it.
+        script = textwrap.dedent(
+            """
+            from repro.evaluation.framework import PartitioningExperiment
+            from repro.workloads.tatp import TatpBenchmark, TatpConfig
+
+            bundle = TatpBenchmark(TatpConfig(subscribers=80)).generate(
+                300, seed=5
+            )
+            experiment = PartitioningExperiment(bundle)
+            for _ in range(2):
+                run = experiment.run("jecb", {"num_partitions": 2}, meter=True)
+                print(run.resources.peak_memory_mb)
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        first, second = map(float, out.split())
+        assert first == pytest.approx(second, abs=0.5)
 
     def test_route_calls_standalone(self, experiment):
         run = experiment.run("jecb", JECBConfig(num_partitions=2))

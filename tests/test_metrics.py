@@ -14,8 +14,10 @@ from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_path import JoinPath
 from repro.core.mapping import IdentityModMapping
 from repro.core.metrics import (
+    LATENCY_BUCKETS_US,
     CacheStats,
     ClassMetrics,
+    ClusterMetrics,
     LatencyHistogram,
     RoutingMetrics,
     SearchMetrics,
@@ -78,11 +80,23 @@ class TestSearchMetricsAggregation:
 
     def test_summary_and_to_dict(self):
         metrics = SearchMetrics()
-        metrics.add_class(ClassMetrics("A", wall_seconds=0.5))
+        for name in ("C", "A", "D", "B"):
+            metrics.add_class(ClassMetrics(name, wall_seconds=0.5))
         text = metrics.summary()
-        assert "A" in text
+        # every class, in name order, whatever order it was searched in
+        labels = [
+            line.split(":")[0].strip()
+            for line in text.splitlines()
+            if "wall_seconds=" in line
+        ]
+        assert labels == ["A", "B", "C", "D"]
         data = metrics.to_dict()
-        assert data["per_class"][0]["class_name"] == "A"
+        assert data["per_class"][0]["class_name"] == "C"
+        assert data["evaluator_cache"] == {
+            "hits": 0,
+            "misses": 0,
+            "hit_rate": 0.0,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -100,23 +114,15 @@ class TestLatencyHistogram:
             histogram.total_seconds / 6
         )
 
-    def test_merge(self):
-        first = LatencyHistogram()
-        first.observe(2e-6)
-        second = LatencyHistogram()
-        second.observe(2e-3)
-        first.merge(second)
-        assert first.count == 2
-        assert first.max_seconds == pytest.approx(2e-3)
-
-    def test_to_dict_and_str(self):
+    def test_to_dict_and_summary(self):
         histogram = LatencyHistogram()
         assert histogram.mean_seconds == 0.0
         histogram.observe(3e-6)
         data = histogram.to_dict()
         assert data["count"] == 1
         assert sum(data["counts"]) == 1
-        assert "us" in str(histogram)
+        assert data["bucket_bounds_us"] == list(LATENCY_BUCKETS_US)
+        assert "count=1" in histogram.summary()
 
 
 class TestRoutingMetrics:
@@ -138,19 +144,6 @@ class TestRoutingMetrics:
         )
         assert metrics.write_through_applied == 6
 
-    def test_merge(self):
-        metrics = RoutingMetrics(lookups_built=1, staleness_detections=2)
-        metrics.record_broadcast_cause("no_bindings")
-        other = RoutingMetrics(lookups_built=4, lookups_evicted=5)
-        other.record_broadcast_cause("no_bindings")
-        other.observe("broadcast", 1e-6)
-        metrics.merge(other)
-        assert metrics.lookups_built == 5
-        assert metrics.lookups_evicted == 5
-        assert metrics.staleness_detections == 2
-        assert metrics.broadcast_causes == {"no_bindings": 2}
-        assert metrics.latency["broadcast"].count == 1
-
     def test_summary_and_to_dict(self):
         metrics = RoutingMetrics(lookups_built=2, batch_calls=7)
         metrics.observe("single_partition", 2e-6)
@@ -162,6 +155,26 @@ class TestRoutingMetrics:
         assert data["lookups_built"] == 2
         assert data["batch_calls"] == 7
         assert data["latency"]["single_partition"]["count"] == 1
+
+
+class TestClusterMetrics:
+    def test_summary_and_to_dict(self):
+        metrics = ClusterMetrics(
+            nodes=2,
+            transactions=4,
+            committed_local=3,
+            committed_distributed=1,
+            local_cost_units=4.0,
+        )
+        metrics.record_participation([2, 1])
+        metrics.record_participation([1])
+        data = metrics.to_dict()
+        assert data["distributed_fraction"] == 0.25
+        assert data["cost_per_transaction"] == 1.0
+        assert data["per_node_transactions"] == {1: 2, 2: 1}
+        text = metrics.summary()
+        assert "distributed_fraction=0.25" in text
+        assert "per_node_transactions={1:2,2:1}" in text
 
 
 # ----------------------------------------------------------------------
