@@ -33,6 +33,8 @@ from repro.trace.columnar import ColumnarClassTrace, ColumnarTrace
 
 #: sentinel distinguishing "not memoized yet" from a memoized ``None``
 _MISS = object()
+#: code -> pid slot whose mapping has not been called yet
+_NO_PID = np.iinfo(np.int64).min
 
 
 class SnapshotIndex:
@@ -252,8 +254,8 @@ class ColumnarEngine:
         self._value_codes: dict[Any, int] = {}
         self._columns: dict[JoinPath, _PathColumn] = {}
         self._plans: dict[JoinPath, _PathPlan] = {}
-        #: {id(mapping) -> (mapping, {value code -> partition id})}
-        self._luts: dict[int, tuple[Any, dict[int, int]]] = {}
+        #: {id(mapping) -> [mapping, value code -> partition id array]}
+        self._luts: dict[int, list[Any]] = {}
         self._db_tables = list(database)
         self._db_version = sum(t.version for t in self._db_tables)
 
@@ -429,30 +431,39 @@ class ColumnarEngine:
 
         Demand driven: only the requested keys are walked (the lazy code
         columns persist across calls), and ``mapping`` is invoked once per
-        distinct value code — it is a deterministic pure function
-        (process-independent ``stable_hash``), so this yields exactly the
-        ids a walk per access would (``PlacementStore.pid_of``). The
-        code -> pid table is cached per mapping identity; codes intern
-        value equality, so the table is shared across every path that
-        produces the same values.
+        distinct value code, in ascending code order — it is a
+        deterministic pure function (process-independent ``stable_hash``),
+        so this yields exactly the ids a walk per access would
+        (``PlacementStore.pid_of``). The answers are cached per mapping
+        identity in one dense code -> pid array, grown as values are
+        interned, so a call is one gather; codes intern value equality,
+        so the array is shared across every path that produces the same
+        values.
         """
         self._check_version()
         codes = self.ensure_codes(path, local_ids, stats)[local_ids]
         cached = self._luts.get(id(mapping))
         if cached is None or cached[0] is not mapping:
-            cached = (mapping, {0: -1})
-            self._luts[id(mapping)] = cached
+            cached = self._luts[id(mapping)] = [
+                mapping, np.full(1, -1, dtype=np.int64)
+            ]
         code_pid = cached[1]
-        unique = np.unique(codes)
-        values = self.values
-        upids = np.empty(unique.size, dtype=np.int64)
-        for i, code in enumerate(unique.tolist()):
-            pid = code_pid.get(code)
-            if pid is None:
-                pid = int(mapping(values[code]))
-                code_pid[code] = pid
-            upids[i] = pid
-        return upids[np.searchsorted(unique, codes)]
+        if code_pid.size < len(self.values):
+            grown = np.full(
+                max(len(self.values), 2 * code_pid.size), _NO_PID, dtype=np.int64
+            )
+            grown[: code_pid.size] = code_pid
+            code_pid = cached[1] = grown
+        pids = code_pid[codes]
+        missing = pids == _NO_PID
+        if missing.any():
+            fresh = np.zeros(code_pid.size, dtype=bool)
+            fresh[codes[missing]] = True
+            values = self.values
+            for code in np.flatnonzero(fresh).tolist():
+                code_pid[code] = int(mapping(values[code]))
+            pids = code_pid[codes]
+        return pids
 
     def class_value_luts(
         self, view: ColumnarClassTrace, paths, stats=None

@@ -105,15 +105,16 @@ class PartitioningEvaluator:
                     self.database, ColumnarTrace.from_trace(trace)
                 )
                 self._interned = engine
-                found = engine, list(engine.ctrace.views.values())
+                found = engine, list(engine.ctrace.views.values()), True
             return self._score(partitioning, *found)
         finally:
             self.eval_seconds += time.perf_counter() - started
 
     def _views(
         self, trace: Trace
-    ) -> tuple[ColumnarEngine, list[ColumnarClassTrace]] | None:
-        """The engine already holding *trace*, with its class views."""
+    ) -> tuple[ColumnarEngine, list[ColumnarClassTrace], bool] | None:
+        """The engine already holding *trace*, with its class views and
+        whether they cover that engine's whole interned trace."""
         for engine in (self.engine, self._interned):
             if engine is None:
                 continue
@@ -125,9 +126,9 @@ class PartitioningEvaluator:
             if trace is ctrace or (trace is source and unchanged):
                 # Class views are kept in first-seen order, which is the
                 # order each class first appears in the trace.
-                return engine, list(ctrace.views.values())
+                return engine, list(ctrace.views.values()), True
             if isinstance(trace, ColumnarClassTrace) and trace.parent is ctrace:
-                return engine, [trace]
+                return engine, [trace], False
         return None
 
     def _score(
@@ -135,27 +136,29 @@ class PartitioningEvaluator:
         partitioning: DatabasePartitioning,
         engine: ColumnarEngine,
         views: list[ColumnarClassTrace],
+        whole: bool,
     ) -> CostReport:
         ctrace = engine.ctrace
-        # Partition id per interned tuple: -1 unroutable, 0 replicated.
-        # Only tuples the evaluated views actually touch are computed —
-        # evaluating one class's trace (the statistics fallback does this
-        # per candidate mapping) must not walk every key of every table.
+        # Partition id per interned tuple: -1 unroutable, 0 replicated
+        # (replicated tables are left at 0). Only tuples the evaluated
+        # views actually touch are computed — evaluating one class's trace
+        # (the statistics fallback does this per candidate mapping) must
+        # not walk every key of every table. The whole trace touches every
+        # interned tuple, so its per-table groups are read as they are.
         pid_of = np.zeros(max(ctrace.n_tuples, 1), dtype=np.int64)
-        streams = [v.utuple_ids for v in views if v.utuple_ids.size]
-        gids = (
-            np.unique(np.concatenate(streams))
-            if streams
-            else np.empty(0, dtype=np.int64)
-        )
-        touched_tids = ctrace.tuple_table[gids]
-        for tid, table in enumerate(ctrace.tables):
-            sub = gids[touched_tids == tid]
-            if sub.size == 0:
-                continue
-            pid_of[sub] = partitioning.solution_for(table).partition_ids(
-                engine, ctrace.tuple_local[sub]
+        if whole:
+            groups = {
+                tid: (gids, np.arange(gids.size))
+                for tid, gids in enumerate(ctrace.table_gids)
+            }
+        else:
+            groups = ctrace.group_touched(
+                np.concatenate([v.utuple_ids for v in views])
             )
+        for tid, (gids, local_ids) in groups.items():
+            solution = partitioning.solution_for(ctrace.tables[tid])
+            if not solution.replicated:
+                pid_of[gids] = solution.partition_ids(engine, local_ids)
         report = CostReport()
         for view in views:
             ntxn = len(view)

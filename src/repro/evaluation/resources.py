@@ -10,14 +10,10 @@ what the experiment demonstrates.
 
 from __future__ import annotations
 
+import gc
 import time
 import tracemalloc
 from dataclasses import dataclass
-
-# ``np.unique`` imports ``numpy.ma`` the first time it runs (in the columnar
-# trace), about 1 MB of allocations. Imported here, that lands before any
-# metered region instead of inside whichever partitioner is metered first.
-import numpy.ma  # noqa: F401
 
 from repro.core.metrics import MetricRecord
 
@@ -66,6 +62,9 @@ class ResourceMeter:
         if not tracemalloc.is_tracing():
             tracemalloc.start()
             self._started_tracing = True
+        # Free the garbage cycles left before the region, so a cyclic
+        # collection that happens to fall inside it cannot lower its peak.
+        gc.collect()
         tracemalloc.reset_peak()
         self._cpu_start = time.process_time()
         self._wall_start = time.perf_counter()

@@ -85,15 +85,10 @@ class ColumnarClassTrace:
         """
         cached = self._chunks.get((start, stop))
         if cached is None:
-            parent = self.parent
             uids = self.utuple_ids[self.uoffsets[start] : self.uoffsets[stop]]
-            unique_gids = np.unique(uids)
-            tids = parent.tuple_table[unique_gids]
-            cached = {}
-            for tid in np.unique(tids).tolist():
-                gids = unique_gids[tids == tid]
-                cached[tid] = (gids, parent.tuple_local[gids])
-            self._chunks[(start, stop)] = cached
+            cached = self._chunks[(start, stop)] = self.parent.group_touched(
+                uids
+            )
         return cached
 
     # ------------------------------------------------------------------
@@ -188,6 +183,8 @@ class ColumnarTrace:
     map an id back to its table and its position in that table's
     ``keys_of`` list (local key ids are dense per table, in first-seen
     order, so per-table result arrays index directly by local id).
+    ``table_gids[tid]`` lists the table's tuple ids in local-id order, so
+    position *i* holds the id of local key *i*.
     """
 
     def __init__(self) -> None:
@@ -196,6 +193,7 @@ class ColumnarTrace:
         self.keys_of: list[list[KeyValue]] = []
         self.tuple_table: Any = None
         self.tuple_local: Any = None
+        self.table_gids: list[Any] = []
         self.views: dict[str, ColumnarClassTrace] = {}
         self.n_transactions = 0
         self.n_accesses = 0
@@ -255,6 +253,12 @@ class ColumnarTrace:
 
         self.tuple_table = np.asarray(tuple_table, dtype=np.int64)
         self.tuple_local = np.asarray(tuple_local, dtype=np.int64)
+        # Ids are handed out in first-seen order, and so are local ids
+        # within a table: a stable sort by table lists each table's ids in
+        # local-id order.
+        bounds = np.cumsum(np.bincount(self.tuple_table, minlength=len(tables)))
+        order = np.argsort(self.tuple_table, kind="stable")
+        self.table_gids = np.split(order, bounds)[:-1]
         for name, builder in builders.items():
             view = ColumnarClassTrace(
                 self,
@@ -279,6 +283,23 @@ class ColumnarTrace:
     @property
     def n_tuples(self) -> int:
         return 0 if self.tuple_table is None else len(self.tuple_table)
+
+    def group_touched(self, gids) -> dict[int, tuple[Any, Any]]:
+        """Per-table (global ids, local ids) of the distinct tuples among
+        *gids*, both in local-id order, tables in id order; tables none
+        of them belong to are left out.
+
+        One mask over every tuple instead of a sort: ``np.unique`` costs
+        tens of times more than the mask on the streams scored here.
+        """
+        seen = np.zeros(self.n_tuples, dtype=bool)
+        seen[gids] = True
+        groups = {}
+        for tid, table_gids in enumerate(self.table_gids):
+            local_ids = np.flatnonzero(seen[table_gids])
+            if local_ids.size:
+                groups[tid] = (table_gids[local_ids], local_ids)
+        return groups
 
     def class_view(self, name: str) -> ColumnarClassTrace:
         return self.views[name]

@@ -5,7 +5,9 @@ interned trace (:class:`~repro.core.path_eval.ColumnarEngine` and
 :class:`~repro.evaluation.evaluator.PartitioningEvaluator`). The scans
 here compute the same definitions one transaction and one access at a
 time with an uncached walk per key (:func:`naive_root_value`), and the
-differential tests hold the kernels to them.
+differential tests hold the kernels to them. :func:`chunk_tables` groups
+the tuples a chunk of a class view touches by table with ``np.unique``;
+the kernels do it with one mask and are held to it.
 
 The serving tier reads one maintained
 :class:`~repro.core.placement.PlacementStore`. :func:`naive_placement`
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import itertools
 from typing import Any
+
+import numpy as np
 
 from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
@@ -145,6 +149,24 @@ def cost_report(
                 report.per_class_distributed.get(name, 0) + 1
             )
     return report
+
+
+def chunk_tables(view, start: int, stop: int) -> dict[int, tuple[Any, Any]]:
+    """Per-table (global ids, local ids) of the distinct tuples that
+    transactions ``start:stop`` of *view* touch, by sorting the ids.
+
+    :meth:`~repro.trace.columnar.ColumnarClassTrace.chunk_tables` answers
+    with one mask over every interned tuple instead.
+    """
+    ctrace = view.parent
+    uids = view.utuple_ids[view.uoffsets[start] : view.uoffsets[stop]]
+    unique_gids = np.unique(uids)
+    tids = ctrace.tuple_table[unique_gids]
+    groups = {}
+    for tid in np.unique(tids).tolist():
+        gids = unique_gids[tids == tid]
+        groups[tid] = (gids, ctrace.tuple_local[gids])
+    return groups
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,15 @@ workload.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines.horticulture import HorticultureConfig, HorticulturePartitioner
-from repro.baselines.published import build_spec_partitioning
+from repro.baselines.published import build_spec_partitioning, intra_table_path
 from repro.baselines.schism import SchismConfig, SchismPartitioner
 from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_tree import JoinTree
+from repro.core.mapping import stable_hash
 from repro.core.path_eval import ColumnarEngine
 from repro.core.phase2 import Phase2Config, enumerate_trees
 from repro.evaluation.evaluator import PartitioningEvaluator
@@ -286,6 +288,36 @@ def test_cost_kernel_matches_referee(bundle_name, request):
     assert _assert_cost_kernel_matches_referee(bundle) > 0
 
 
+def _assert_partial_views_match_referee(bundle) -> int:
+    """Every combination Phase 3 costed, scored on each class view and on
+    both halves the statistics fallback splits it into, gets the referee's
+    report; returns the number of reports checked."""
+    result = _run(bundle)
+    database = bundle.database
+    engine = ColumnarEngine(database, ColumnarTrace.from_trace(bundle.trace))
+    evaluator = PartitioningEvaluator(database, engine)
+    views = []
+    for view in engine.ctrace.views.values():
+        views.extend((view, *view.split(0.5)))
+    checked = 0
+    for combination in result.phase3.evaluated:
+        partitioning = combination.partitioning
+        for view in views:
+            assert evaluator.evaluate(partitioning, view) == (
+                referee.cost_report(partitioning, view, database)
+            ), (partitioning.name, view)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("bundle_name", ["tpcc_bundle", "tpce_bundle"])
+def test_partial_views_match_referee(bundle_name, request):
+    """Definition 5/6 on class views and split halves, which the kernel
+    scores through its touched-tuple mask rather than whole tables."""
+    bundle = request.getfixturevalue(bundle_name)
+    assert _assert_partial_views_match_referee(bundle) > 0
+
+
 def test_distributed_fraction_matches_object_path(tpcc_bundle):
     """Definition 5/6 kernel on a test half the evaluator interns itself:
     same CostReport as the referee's per-transaction scan."""
@@ -414,6 +446,112 @@ def test_split_views_keep_their_own_chunks(tpcc_bundle):
     assert checked > 0
 
 
+class _CountingMapping:
+    """A hash-like mapping that records every value it is called with."""
+
+    def __init__(self) -> None:
+        self.calls: list = []
+
+    def __call__(self, value) -> int:
+        self.calls.append(value)
+        return 1 + stable_hash(value) % 4
+
+
+def test_partition_pids_calls_the_mapping_once_per_code(tatp_bundle):
+    """``mapping()`` runs once per distinct value code, in ascending code
+    order, and never for code 0 or a code it has already answered; the
+    code -> pid cache grows with the interned values and is shared by
+    every path under the same mapping."""
+    schema = tatp_bundle.database.schema
+    # two paths to equal values: subscriber ids
+    subscriber = intra_table_path(schema, "SUBSCRIBER", "S_ID")
+    facility = intra_table_path(schema, "SPECIAL_FACILITY", "SF_S_ID")
+    trace = Trace()
+    for i, txn in enumerate(tatp_bundle.trace):
+        copy = TransactionTrace(i, "All")
+        for access in txn.accesses:
+            copy.record(access.table, access.key, access.write)
+        if i == 0:
+            # a key of the wrong arity walks to no value: code 0
+            copy.record("SUBSCRIBER", (1, 2, 3), False)
+        trace.append(copy)
+    engine, view = referee.intern(tatp_bundle.database, trace)
+    tables = view.chunk_tables(0, len(view))
+    table_ids = engine.ctrace.table_ids
+    mapping = _CountingMapping()
+    answered: set[int] = set()
+
+    def check(path, local_ids) -> set[int]:
+        pids = engine.partition_pids(path, mapping, local_ids)
+        codes = engine.ensure_codes(path, local_ids)[local_ids].tolist()
+        fresh = sorted(set(codes) - answered - {0})
+        assert mapping.calls == [engine.values[code] for code in fresh]
+        assert pids.tolist() == [
+            -1 if code == 0 else 1 + stable_hash(engine.values[code]) % 4
+            for code in codes
+        ]
+        mapping.calls.clear()
+        answered.update(fresh)
+        return set(codes)
+
+    _gids, subscribers = tables[table_ids["SUBSCRIBER"]]
+    half = subscribers[: subscribers.size // 2][::-1]
+    assert 0 in check(subscriber, np.concatenate([half, half]))
+    interned = len(engine.values)
+    check(subscriber, subscribers)
+    assert len(engine.values) > interned  # codes the cache was not sized for
+    check(subscriber, subscribers)  # a repeat call maps nothing
+    _gids, facilities = tables[table_ids["SPECIAL_FACILITY"]]
+    before = set(answered)
+    assert check(facility, facilities) & before
+
+
+if HAVE_HYPOTHESIS:
+    _streams = st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(["T1", "T2", "T3", "T4"]), _keys),
+            max_size=5,
+        ),
+        min_size=1,
+        max_size=10,
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _streams,
+        st.lists(st.integers(0, 10), max_size=6),
+        st.floats(0.1, 0.9),
+    )
+    def test_chunk_tables_matches_unique_reference(streams, cuts, fraction):
+        """Per-table (global ids, local ids) of any chunk, empty chunks
+        and chunks that miss a table included, equal a sort-based
+        reference; so do those of a split half."""
+        trace = Trace()
+        # a class-A transaction touching every table, so a chunk of the
+        # class-B view can miss tables the trace interned
+        first = TransactionTrace(0, "A")
+        for table in ("T1", "T2", "T3", "T4"):
+            first.record(table, (9, 9), True)
+        trace.append(first)
+        for i, accesses in enumerate(streams, start=1):
+            txn = TransactionTrace(i, "B")
+            for table, key in accesses:
+                txn.record(table, key, False)
+            trace.append(txn)
+        view = ColumnarTrace.from_trace(trace).class_view("B")
+        views = [view, *view.split(fraction)]
+        for sub in views:
+            bounds = sorted({0, len(sub), *(c for c in cuts if c <= len(sub))})
+            bounds.append(bounds[-1])  # one empty chunk at the end
+            for start, stop in zip(bounds, bounds[1:]):
+                got = sub.chunk_tables(start, stop)
+                want = referee.chunk_tables(sub, start, stop)
+                assert list(got) == list(want)
+                for tid, (gids, local_ids) in want.items():
+                    assert np.array_equal(got[tid][0], gids)
+                    assert np.array_equal(got[tid][1], local_ids)
+
+
 # ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------
@@ -444,3 +582,10 @@ def test_columnar_smoke(tatp_bundle):
     """Both kernels against their referees on one small bundle."""
     assert _assert_mi_kernel_matches_referee(tatp_bundle) > 0
     assert _assert_cost_kernel_matches_referee(tatp_bundle) > 0
+
+
+@pytest.mark.smoke
+def test_partial_views_match_referee_smoke(tatp_bundle):
+    """The Definition-5/6 kernel on class views and split halves against
+    the referee, on one small bundle."""
+    assert _assert_partial_views_match_referee(tatp_bundle) > 0

@@ -14,6 +14,34 @@ from repro.evaluation.framework import ExperimentRun, PartitioningExperiment
 from repro.workloads.tatp import TatpBenchmark, TatpConfig
 
 
+def _metered_peaks(bundle: str, runs: int) -> list[float]:
+    """Peak MB of *runs* metered JECB runs (k=2) on the bundle the
+    expression *bundle* generates, in a fresh interpreter."""
+    script = textwrap.dedent(
+        f"""
+        from repro.evaluation.framework import PartitioningExperiment
+        from repro.workloads.tatp import TatpBenchmark, TatpConfig
+        from repro.workloads.tpcc import TpccBenchmark, TpccConfig
+
+        experiment = PartitioningExperiment({bundle})
+        for _ in range({runs}):
+            run = experiment.run("jecb", {{"num_partitions": 2}}, meter=True)
+            print(run.resources.peak_memory_mb)
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    return [float(peak) for peak in out.split()]
+
+
 @pytest.fixture(scope="module")
 def experiment():
     bundle = TatpBenchmark(TatpConfig(subscribers=150)).generate(500, seed=77)
@@ -91,34 +119,22 @@ class TestPartitioningExperiment:
         # A lazy import inside the first metered run used to add about 1 MB
         # to its peak, so Table 1's RAM cell depended on what ran before it.
         # Only a fresh interpreter shows it.
-        script = textwrap.dedent(
-            """
-            from repro.evaluation.framework import PartitioningExperiment
-            from repro.workloads.tatp import TatpBenchmark, TatpConfig
-
-            bundle = TatpBenchmark(TatpConfig(subscribers=80)).generate(
-                300, seed=5
-            )
-            experiment = PartitioningExperiment(bundle)
-            for _ in range(2):
-                run = experiment.run("jecb", {"num_partitions": 2}, meter=True)
-                print(run.resources.peak_memory_mb)
-            """
+        first, second = _metered_peaks(
+            "TatpBenchmark(TatpConfig(subscribers=80)).generate(300, seed=5)",
+            runs=2,
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-        ).stdout
-        first, second = map(float, out.split())
         assert first == pytest.approx(second, abs=0.5)
+
+    def test_metered_peak_does_not_depend_on_the_gc_phase(self):
+        # A cyclic collection falling inside a metered run freed the
+        # garbage left before it and lowered that run's peak: three
+        # identical runs in a fresh interpreter read 0.83, 0.69 and
+        # 0.69 MB until the meter collected before resetting the peak.
+        peaks = _metered_peaks(
+            "TpccBenchmark(TpccConfig(warehouses=2)).generate(300, seed=5)",
+            runs=3,
+        )
+        assert max(peaks) - min(peaks) < 0.05
 
     def test_route_calls_standalone(self, experiment):
         run = experiment.run("jecb", JECBConfig(num_partitions=2))
