@@ -9,8 +9,11 @@ number of partitions they touch, and load skew).
 This is a faithful simplification: no stored-procedure routing parameters
 and no workload compression, but the same design space (intra-table
 attributes only — crucially, *no join extension*) and the same search
-style. For the TPC-E comparison the paper applied Horticulture's published
-solution instead of running the search; see
+style. Every candidate design is scored on one fixed trace sample through
+the partitioning evaluator's :class:`~repro.evaluation.evaluator.Footprints`,
+the kernel that decides Definition 5 for every other caller; the sample
+is interned once per search. For the TPC-E comparison the paper applied
+Horticulture's published solution instead of running the search; see
 :mod:`repro.baselines.published`.
 """
 
@@ -21,9 +24,8 @@ from dataclasses import dataclass, field
 
 from repro.baselines.published import intra_table_path
 from repro.core.mapping import HashMapping
-from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning, TableSolution
-from repro.evaluation.cost_models import footprint
+from repro.evaluation.evaluator import Footprints, PartitioningEvaluator
 from repro.procedures.procedure import ProcedureCatalog
 from repro.sql.analyzer import analyze_procedure
 from repro.storage.database import Database
@@ -79,13 +81,23 @@ class HorticulturePartitioner:
         replicated = sorted(t for t, u in usage.items() if u.replicated)
         candidates = self._candidate_columns(partitioned)
         sample = self._sample(training_trace, config.sample_transactions)
+        # One mapping and one evaluator for the whole search: the sample
+        # is interned once, and each path's walks and the mapping's
+        # answers are shared by every design that reuses them.
+        mapping = HashMapping(config.num_partitions)
+        evaluator = PartitioningEvaluator(self.database)
+
+        def design_cost(design: dict[str, str | None]) -> float:
+            partitioning = self._materialize(design, replicated, mapping)
+            footprints = evaluator.footprints(partitioning, sample)
+            return self._design_cost(footprints)
 
         # Initial design: most frequently WHERE-bound column per table.
         design: dict[str, str | None] = {
             t: (candidates[t][0] if candidates[t] else REPLICATE)
             for t in partitioned
         }
-        best_cost = self._design_cost(design, replicated, sample)
+        best_cost = design_cost(design)
         history = [best_cost]
 
         for _ in range(config.iterations):
@@ -98,17 +110,17 @@ class HorticulturePartitioner:
             for table in relaxed:
                 options: list[str | None] = list(candidates[table]) + [REPLICATE]
                 best_option = trial[table]
-                option_best = self._design_cost(trial, replicated, sample)
+                option_best = design_cost(trial)
                 for option in options:
                     if option == trial[table]:
                         continue
                     trial[table] = option
-                    cost = self._design_cost(trial, replicated, sample)
+                    cost = design_cost(trial)
                     if cost < option_best:
                         option_best = cost
                         best_option = option
                 trial[table] = best_option
-            trial_cost = self._design_cost(trial, replicated, sample)
+            trial_cost = design_cost(trial)
             if trial_cost < best_cost:
                 best_cost = trial_cost
                 design = trial
@@ -116,7 +128,7 @@ class HorticulturePartitioner:
             if improved:
                 history.append(best_cost)
 
-        partitioning = self._materialize(design, replicated)
+        partitioning = self._materialize(design, replicated, mapping)
         return HorticultureResult(
             partitioning=partitioning,
             table_usage=usage,
@@ -157,10 +169,12 @@ class HorticulturePartitioner:
         return out
 
     def _materialize(
-        self, design: dict[str, str | None], replicated: list[str]
+        self,
+        design: dict[str, str | None],
+        replicated: list[str],
+        mapping: HashMapping,
     ) -> DatabasePartitioning:
         schema = self.database.schema
-        mapping = HashMapping(self.config.num_partitions)
         partitioning = DatabasePartitioning(
             self.config.num_partitions, name="horticulture"
         )
@@ -192,37 +206,16 @@ class HorticulturePartitioner:
                 acc += stride
         return Trace(picked)
 
-    def _design_cost(
-        self,
-        design: dict[str, str | None],
-        replicated: list[str],
-        sample: Trace,
-    ) -> float:
+    def _design_cost(self, footprints: Footprints) -> float:
         """Skew-aware cost: distributed fraction + skew + sites terms."""
         config = self.config
-        partitioning = self._materialize(design, replicated)
-        pid_of = PlacementStore(self.database, partitioning).pid_of
         k = config.num_partitions
-        distributed = 0
-        sites_total = 0
-        heat = [0.0] * (k + 1)
-        n = max(len(sample), 1)
-        for txn in sample:
-            print_footprint = footprint(txn, pid_of)
-            if print_footprint.distributed:
-                distributed += 1
-            sites = (
-                k
-                if print_footprint.sites < 0 or print_footprint.writes_replicated
-                else print_footprint.sites
-            )
-            sites_total += sites
-            for pid in print_footprint.partitions:
-                heat[pid] += 1.0
-        frac = distributed / n
-        avg_heat = sum(heat[1:]) / k if k else 0.0
-        skew = (max(heat[1:]) / avg_heat - 1.0) if avg_heat > 0 else 0.0
-        sites_term = (sites_total / n - 1.0) / max(k - 1, 1)
+        n = max(len(footprints), 1)
+        heat = [float(load) for load in footprints.heat[1 : k + 1]]
+        frac = int(footprints.distributed.sum()) / n
+        avg_heat = sum(heat) / k if k else 0.0
+        skew = (max(heat) / avg_heat - 1.0) if avg_heat > 0 else 0.0
+        sites_term = (int(footprints.sites.sum()) / n - 1.0) / max(k - 1, 1)
         return (
             frac
             + config.skew_weight * min(skew, 1.0)

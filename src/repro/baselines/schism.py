@@ -50,9 +50,10 @@ class SchismConfig:
 class TupleMapSolution:
     """Per-table placement: seen tuples by lookup, unseen by classifier.
 
-    Has no join path, so the placement store places its keys one at a
-    time through :meth:`partition_of`; the evaluator reads
-    :meth:`partition_ids` per interned key. The classifier runs on
+    Has no join path, so the placement store (hence the router and the
+    cluster) refuses it; the evaluator reads :meth:`partition_ids` per
+    interned key, so Definition 5, the cost models and the skew report
+    score it. The classifier runs on
     the tuple's full attribute vector (Schism classifies on attributes,
     not just keys), fetched from the database at routing time.
     """

@@ -1,18 +1,17 @@
 """The placement store: one maintained key -> partition id map per
 (database, partitioning).
 
-The router's lookup tables, the simulated cluster, the skew report and
-the cost models all read it, so each row is placed once. A partitioned
-table's *column* maps every live primary key to its partition id (``0``
-value-replicated, :data:`UNROUTABLE` when the join path finds no root
-value); a replicated table has none. A column is filled when a reader
-needs it whole (:meth:`~PlacementStore.pids`: the views, the cluster), in
-one pass on the solution's compiled
-:class:`~repro.core.path_eval._PathPlan`, whose tail memo walks each
-distinct first-hop value once; a memo maps each distinct root value to
-its pid once. Any other key — one that is not live (a trace key of a
-deleted row), or every key while the column is not filled, as when a
-trace sample is scored — gets a memoized walk of its own.
+The router's lookup tables and the simulated cluster read it, so each
+row is placed once. A partitioned table's *column* maps every live
+primary key to its partition id (``0`` value-replicated,
+:data:`UNROUTABLE` when the join path finds no root value); a replicated
+table has none. A column is filled when a reader needs it whole
+(:meth:`~PlacementStore.pids`: the views, the cluster), in one pass on
+the solution's compiled :class:`~repro.core.path_eval._PathPlan`, whose
+tail memo walks each distinct first-hop value once; a memo maps each
+distinct root value to its pid once. Any other key — one that is not
+live (a trace key of a deleted row), or every key while the column is
+not filled — gets a memoized walk of its own.
 
 :meth:`PlacementStore.attach` keeps the columns current with one listener
 per table: a write re-places the written row, and a write to a table
@@ -28,8 +27,9 @@ start over.
 Between :meth:`~PlacementStore.begin` and ``commit``/``abort`` the store
 journals each row's pid from before the transaction; an abort puts back
 the rows the undone writes left elsewhere, and no column is filled again.
-A tuple-map solution (Schism's, no join path) has no column: ``pid_of``
-places its keys one by one.
+A partitioning with a tuple-map solution (Schism's: no join path, yet not
+replicated) is refused at construction: the store places rows by join
+path only.
 """
 
 from __future__ import annotations
@@ -135,13 +135,13 @@ class PlacementStore:
         self._readers: dict[str, list[_Column]] = {}
         self._subscribers: dict[str, list[PlacementSubscriber]] = {}
         self._hooks: list[tuple[Table, Any]] = []
-        #: tuple-map solutions (no join path): placed key by key
-        self._per_key = {
-            name: solution
-            for name in partitioning.tables
-            if (solution := partitioning.solution_for(name)).path is None
-            and not solution.replicated
-        }
+        for name in partitioning.tables:
+            solution = partitioning.solution_for(name)
+            if solution.path is None and not solution.replicated:
+                raise PartitioningError(
+                    f"{name} is placed by a tuple map (no join path): the "
+                    "placement store places rows by join path only"
+                )
         #: in a transaction: table -> {key -> pid before it} (None: refilled)
         self._journal: dict[str, dict[KeyValue, int | None] | None] | None
         self._journal = None
@@ -249,12 +249,6 @@ class PlacementStore:
 
         ``0`` replicated, :data:`UNROUTABLE` when no root value is found.
         """
-        if self._per_key:
-            solution = self._per_key.get(table)
-            if solution is not None:
-                self.pid_computations += 1
-                pid = solution.partition_of(key)
-                return UNROUTABLE if pid is None else pid
         column = self._column(table)
         plan = column.plan
         if plan is None:
@@ -289,11 +283,6 @@ class PlacementStore:
     def _column(self, table: str) -> _Column:
         column = self._columns.get(table)
         if column is None:
-            if table in self._per_key:
-                raise PartitioningError(
-                    f"{table} is placed key by key (no join path): "
-                    "the placement store keeps no column for it"
-                )
             column = _Column(self.partitioning.solution_for(table), self._rows)
             self._columns[table] = column
             if self._journal is not None:

@@ -7,16 +7,19 @@ of partitions but a similar share of the load.
 
 This module implements that proposal: measure per-partition *heat* from a
 trace, then pack with Longest-Processing-Time-first greedy (a 4/3-
-approximation for makespan), and report the resulting load balance.
+approximation for makespan), and report the resulting load balance. The
+heat is read off the partitioning evaluator's
+:class:`~repro.evaluation.evaluator.Footprints`, so any layout the
+evaluator scores (a tuple map included) has one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning
 from repro.errors import PartitioningError
+from repro.evaluation.evaluator import PartitioningEvaluator
 from repro.storage.database import Database
 from repro.trace.events import Trace
 
@@ -27,19 +30,8 @@ def partition_heat(
     database: Database,
 ) -> dict[int, float]:
     """Per-partition load: one unit per transaction touching the partition."""
-    pid_of = PlacementStore(database, partitioning).pid_of
-    heat: dict[int, float] = {
-        p: 0.0 for p in range(1, partitioning.num_partitions + 1)
-    }
-    for txn in trace:
-        touched: set[int] = set()
-        for table, key in txn.tuples:
-            pid = pid_of(table, key)
-            if pid > 0:
-                touched.add(pid)
-        for pid in touched:
-            heat[pid] = heat.get(pid, 0.0) + 1.0
-    return heat
+    heat = PartitioningEvaluator(database).footprints(partitioning, trace).heat
+    return {pid: float(load) for pid, load in enumerate(heat) if pid > 0}
 
 
 @dataclass

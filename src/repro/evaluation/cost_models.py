@@ -10,73 +10,31 @@ provides a small spectrum so the ablation benches can compare them:
   with participant count).
 * :class:`WeightedLatency` — models a local transaction costing 1 unit and
   a distributed one costing ``remote_factor`` units (two-phase commit).
+
+Each model scores the :class:`~repro.evaluation.evaluator.Footprints`
+record of the partitioning evaluator, the same kernel that decides
+Definition 5 everywhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
-from repro.core.mapping import REPLICATED
-from repro.core.placement import UNROUTABLE, PlacementStore
 from repro.core.solution import DatabasePartitioning
+from repro.evaluation.evaluator import Footprints, PartitioningEvaluator
 from repro.storage.database import Database
-from repro.trace.events import Trace, TransactionTrace
-
-
-@dataclass
-class TransactionFootprint:
-    """Partition-level footprint of one transaction."""
-
-    partitions: frozenset[int]
-    writes_replicated: bool
-    unroutable: bool
-
-    @property
-    def distributed(self) -> bool:
-        return (
-            self.unroutable
-            or self.writes_replicated
-            or len(self.partitions) > 1
-        )
-
-    @property
-    def sites(self) -> int:
-        if self.unroutable:
-            return -1  # sentinel: all sites
-        return max(1, len(self.partitions))
-
-
-def footprint(
-    txn: TransactionTrace, pid_of: Callable[[str, tuple], int]
-) -> TransactionFootprint:
-    """The partitions *txn* touches; *pid_of* places each access the way
-    :meth:`~repro.core.placement.PlacementStore.pid_of` does."""
-    partitions: set[int] = set()
-    writes_replicated = False
-    unroutable = False
-    for access in txn.accesses:
-        pid = pid_of(access.table, access.key)
-        if pid == UNROUTABLE:
-            unroutable = True
-        elif pid == REPLICATED:
-            if access.write:
-                writes_replicated = True
-        else:
-            partitions.add(pid)
-    return TransactionFootprint(
-        frozenset(partitions), writes_replicated, unroutable
-    )
+from repro.trace.events import Trace
 
 
 class CostModel:
-    """Maps a workload's footprints to a single scalar (lower is better)."""
+    """Maps a workload's footprints to a single scalar (lower is better):
+    the mean of a per-transaction cost, 0 for no transactions."""
 
     name = "cost"
 
-    def score(
-        self, footprints: list[TransactionFootprint], num_partitions: int
-    ) -> float:
+    def score(self, footprints: Footprints) -> float:
+        count = len(footprints)
+        return self.total(footprints) / count if count else 0.0
+
+    def total(self, footprints: Footprints) -> float:
         raise NotImplementedError
 
 
@@ -85,12 +43,8 @@ class FractionDistributed(CostModel):
 
     name = "fraction-distributed"
 
-    def score(
-        self, footprints: list[TransactionFootprint], num_partitions: int
-    ) -> float:
-        if not footprints:
-            return 0.0
-        return sum(1 for f in footprints if f.distributed) / len(footprints)
+    def total(self, footprints: Footprints) -> float:
+        return int(footprints.distributed.sum())
 
 
 class SitesTouched(CostModel):
@@ -98,18 +52,8 @@ class SitesTouched(CostModel):
 
     name = "sites-touched"
 
-    def score(
-        self, footprints: list[TransactionFootprint], num_partitions: int
-    ) -> float:
-        if not footprints:
-            return 0.0
-        total = 0
-        for f in footprints:
-            if f.sites < 0 or f.writes_replicated:
-                total += num_partitions
-            else:
-                total += f.sites
-        return total / len(footprints)
+    def total(self, footprints: Footprints) -> float:
+        return int(footprints.sites.sum())
 
 
 class WeightedLatency(CostModel):
@@ -122,15 +66,10 @@ class WeightedLatency(CostModel):
             raise ValueError("remote transactions cannot be cheaper than local")
         self.remote_factor = remote_factor
 
-    def score(
-        self, footprints: list[TransactionFootprint], num_partitions: int
-    ) -> float:
-        if not footprints:
-            return 0.0
-        total = sum(
-            self.remote_factor if f.distributed else 1.0 for f in footprints
-        )
-        return total / len(footprints)
+    def total(self, footprints: Footprints) -> float:
+        distributed = int(footprints.distributed.sum())
+        local = len(footprints) - distributed
+        return self.remote_factor * distributed + local
 
 
 def evaluate_model(
@@ -140,6 +79,6 @@ def evaluate_model(
     database: Database,
 ) -> float:
     """Score *partitioning* on *trace* under *model*."""
-    pid_of = PlacementStore(database, partitioning).pid_of
-    footprints = [footprint(txn, pid_of) for txn in trace]
-    return model.score(footprints, partitioning.num_partitions)
+    return model.score(
+        PartitioningEvaluator(database).footprints(partitioning, trace)
+    )

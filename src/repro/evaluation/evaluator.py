@@ -13,7 +13,11 @@ distributed (the conservative reading the paper's router section implies).
 
 This is the one implementation of Definition 5: every trace is interned
 (:class:`~repro.trace.columnar.ColumnarTrace`) and scored by segmented
-reductions over its columns.
+reductions over its columns. :meth:`PartitioningEvaluator.footprints`
+reports, from the same reductions, the sites each transaction
+coordinates and the transactions touching each partition: the Section-8
+cost models (:mod:`repro.evaluation.cost_models`), Horticulture's design
+search and the skew report (:mod:`repro.core.skew`) read that record.
 """
 
 from __future__ import annotations
@@ -66,6 +70,32 @@ class CostReport:
         return "\n".join(lines)
 
 
+@dataclass
+class Footprints:
+    """Per-transaction partition footprints of one trace.
+
+    Transactions are listed class by class (classes in first-seen order,
+    each in trace order); ``txn_ids`` names them. ``distributed`` is
+    Definition 5. ``sites`` counts the sites each coordinates: every
+    partition when it touches an unroutable tuple or writes a replicated
+    one, else its distinct positive partition ids (at least 1).
+    ``heat[p]`` counts the transactions touching partition *p*
+    (``heat[0]`` is 0).
+    """
+
+    txn_ids: np.ndarray
+    distributed: np.ndarray
+    sites: np.ndarray
+    heat: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.txn_ids)
+
+
+def _concat(arrays: list[np.ndarray], dtype: type = np.int64) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=dtype)
+
+
 class PartitioningEvaluator:
     """Applies a partitioning to a trace and reports its cost (Figure 4).
 
@@ -97,18 +127,50 @@ class PartitioningEvaluator:
         self, partitioning: DatabasePartitioning, trace: Trace
     ) -> CostReport:
         """Cost of *partitioning* over *trace* with per-class breakdown."""
-        started = time.perf_counter()
-        try:
-            found = self._views(trace)
-            if found is None:
-                engine = ColumnarEngine(
-                    self.database, ColumnarTrace.from_trace(trace)
+        report = CostReport()
+        for view, _, _, distributed in self._verdicts(partitioning, trace):
+            ntxn = len(view)
+            report.total_transactions += ntxn
+            report.per_class_total[view.class_name] = (
+                report.per_class_total.get(view.class_name, 0) + ntxn
+            )
+            count = int(distributed.sum())
+            if count:
+                report.distributed_transactions += count
+                report.per_class_distributed[view.class_name] = (
+                    report.per_class_distributed.get(view.class_name, 0)
+                    + count
                 )
-                self._interned = engine
-                found = engine, list(engine.ctrace.views.values()), True
-            return self._score(partitioning, *found)
-        finally:
-            self.eval_seconds += time.perf_counter() - started
+        return report
+
+    def footprints(
+        self, partitioning: DatabasePartitioning, trace: Trace
+    ) -> Footprints:
+        """Per-transaction footprints of *partitioning* over *trace*: the
+        Definition-5 verdicts plus the sites and partitions each touches."""
+        k = partitioning.num_partitions
+        verdicts = self._verdicts(partitioning, trace)
+        width = 1 + max(
+            [k] + [int(pids.max()) for _, pids, _, _ in verdicts if pids.size]
+        )
+        heat = np.zeros(width, dtype=np.int64)
+        sites = []
+        for view, pids, bad, _ in verdicts:
+            # One (transaction, pid) key per access to a positive pid;
+            # each distinct key is one partition one transaction touches.
+            txn = np.repeat(np.arange(len(view)), np.diff(view.offsets))
+            positive = pids > 0
+            keys = np.sort(txn[positive] * width + pids[positive])
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            heat += np.bincount(keys % width, minlength=width)
+            touched = np.bincount(keys // width, minlength=len(view))
+            sites.append(np.where(bad, k, np.maximum(touched, 1)))
+        return Footprints(
+            _concat([view.txn_ids for view, _, _, _ in verdicts]),
+            _concat([distributed for _, _, _, distributed in verdicts], bool),
+            _concat(sites),
+            heat,
+        )
 
     def _views(
         self, trace: Trace
@@ -131,13 +193,20 @@ class PartitioningEvaluator:
                 return engine, [trace], False
         return None
 
-    def _score(
-        self,
-        partitioning: DatabasePartitioning,
-        engine: ColumnarEngine,
-        views: list[ColumnarClassTrace],
-        whole: bool,
-    ) -> CostReport:
+    def _verdicts(
+        self, partitioning: DatabasePartitioning, trace: Trace
+    ) -> list[tuple[ColumnarClassTrace, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per class view with transactions: its access stream's partition
+        ids and, per transaction, whether it touches an unroutable tuple
+        or writes a replicated one (``bad``) and whether it is distributed
+        (Definition 5)."""
+        started = time.perf_counter()
+        found = self._views(trace)
+        if found is None:
+            ctrace = ColumnarTrace.from_trace(trace)
+            engine = self._interned = ColumnarEngine(self.database, ctrace)
+            found = engine, list(ctrace.views.values()), True
+        engine, views, whole = found
         ctrace = engine.ctrace
         # Partition id per interned tuple: -1 unroutable, 0 replicated
         # (replicated tables are left at 0). Only tuples the evaluated
@@ -159,39 +228,34 @@ class PartitioningEvaluator:
             solution = partitioning.solution_for(ctrace.tables[tid])
             if not solution.replicated:
                 pid_of[gids] = solution.partition_ids(engine, local_ids)
-        report = CostReport()
+        verdicts = []
         for view in views:
             ntxn = len(view)
             if ntxn == 0:
                 continue  # a class with no transactions is not reported
-            report.total_transactions += ntxn
-            report.per_class_total[view.class_name] = (
-                report.per_class_total.get(view.class_name, 0) + ntxn
-            )
-            if view.tuple_ids.size == 0:
-                continue
             pids = pid_of[view.tuple_ids]
+            if pids.size == 0:
+                none = np.zeros(ntxn, dtype=bool)
+                verdicts.append((view, pids, none, none))
+                continue
             offsets = view.offsets
             starts = offsets[:-1]
-            lengths = offsets[1:] - starts
+            # reduceat reads an empty transaction's next access: mask it
+            nonempty = offsets[1:] > starts
             safe_starts = np.minimum(starts, pids.size - 1)
             # Condition union per access: unroutable, or replicated write.
             bad = (pids < 0) | ((pids == 0) & (view.write_bits != 0))
             any_bad = np.maximum.reduceat(bad.view(np.int8), safe_starts) > 0
+            any_bad &= nonempty
             # Condition 2: more than one distinct positive partition id.
             lifted = np.where(pids > 0, pids, np.iinfo(np.int64).max)
             floored = np.where(pids > 0, pids, -1)
             mins = np.minimum.reduceat(lifted, safe_starts)
             maxs = np.maximum.reduceat(floored, safe_starts)
-            multi = (maxs > -1) & (mins != maxs)
-            distributed = int(((any_bad | multi) & (lengths > 0)).sum())
-            if distributed:
-                report.distributed_transactions += distributed
-                report.per_class_distributed[view.class_name] = (
-                    report.per_class_distributed.get(view.class_name, 0)
-                    + distributed
-                )
-        return report
+            multi = (maxs > -1) & (mins != maxs) & nonempty
+            verdicts.append((view, pids, any_bad, any_bad | multi))
+        self.eval_seconds += time.perf_counter() - started
+        return verdicts
 
     def cost(self, partitioning: DatabasePartitioning, trace: Trace) -> float:
         return self.evaluate(partitioning, trace).cost

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.trace.events import KeyValue, Trace, TransactionTrace, TupleAccess
+from repro.trace.splitter import round_robin
 
 
 class ColumnarClassTrace:
@@ -99,23 +100,17 @@ class ColumnarClassTrace:
     ) -> tuple["ColumnarClassTrace", "ColumnarClassTrace"]:
         """Deterministic train/test halves.
 
-        Mirrors :func:`repro.trace.splitter.train_test_split` accumulator
-        for accumulator, so both representations select the same
-        transactions.
+        Selects with :func:`~repro.trace.splitter.round_robin`, as
+        :func:`~repro.trace.splitter.train_test_split` does, so both
+        representations pick the same transactions.
         """
         if not 0.0 < train_fraction < 1.0:
             raise WorkloadError("train_fraction must be strictly between 0 and 1")
-        train_idx: list[int] = []
-        test_idx: list[int] = []
-        acc = 0.0
-        for i in range(len(self)):
-            acc += train_fraction
-            if acc >= 1.0 - 1e-9:
-                acc -= 1.0
-                train_idx.append(i)
-            else:
-                test_idx.append(i)
-        return self._subset(train_idx), self._subset(test_idx)
+        picks = round_robin(len(self), train_fraction)
+        return (
+            self._subset([i for i, picked in enumerate(picks) if picked]),
+            self._subset([i for i, picked in enumerate(picks) if not picked]),
+        )
 
     def _subset(self, indices: list[int]) -> "ColumnarClassTrace":
         offsets = self.offsets

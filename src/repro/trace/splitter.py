@@ -18,6 +18,21 @@ def split_by_class(trace: Trace) -> dict[str, Trace]:
     return streams
 
 
+def round_robin(count: int, fraction: float) -> list[bool]:
+    """Which of *count* positions an accumulator gaining *fraction* per
+    position picks (each time it reaches 1): every split and subsample of
+    a trace, object or columnar, selects with this."""
+    picks = []
+    acc = 0.0
+    for _ in range(count):
+        acc += fraction
+        picked = acc >= 1.0 - 1e-9
+        if picked:
+            acc -= 1.0
+        picks.append(picked)
+    return picks
+
+
 def train_test_split(trace: Trace, train_fraction: float = 0.5) -> tuple[Trace, Trace]:
     """Deterministically split a trace into training and testing parts.
 
@@ -29,14 +44,8 @@ def train_test_split(trace: Trace, train_fraction: float = 0.5) -> tuple[Trace, 
     if not 0.0 < train_fraction < 1.0:
         raise WorkloadError("train_fraction must be strictly between 0 and 1")
     train, test = Trace(), Trace()
-    acc = 0.0
-    for txn in trace:
-        acc += train_fraction
-        if acc >= 1.0 - 1e-9:
-            acc -= 1.0
-            train.append(txn)
-        else:
-            test.append(txn)
+    for txn, picked in zip(trace, round_robin(len(trace), train_fraction)):
+        (train if picked else test).append(txn)
     return train, test
 
 
@@ -44,13 +53,8 @@ def subsample(trace: Trace, fraction: float) -> Trace:
     """Every ``1/fraction``-th transaction — used for coverage experiments."""
     if not 0.0 < fraction <= 1.0:
         raise WorkloadError("fraction must be in (0, 1]")
-    if fraction == 1.0:
-        return Trace(list(trace))
-    out = Trace()
-    acc = 0.0
-    for txn in trace:
-        acc += fraction
-        if acc >= 1.0 - 1e-9:
-            acc -= 1.0
-            out.append(txn)
-    return out
+    return Trace([
+        txn
+        for txn, picked in zip(trace, round_robin(len(trace), fraction))
+        if picked
+    ])

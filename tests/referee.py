@@ -5,7 +5,9 @@ interned trace (:class:`~repro.core.path_eval.ColumnarEngine` and
 :class:`~repro.evaluation.evaluator.PartitioningEvaluator`). The scans
 here compute the same definitions one transaction and one access at a
 time with an uncached walk per key (:func:`naive_root_value`), and the
-differential tests hold the kernels to them. :func:`chunk_tables` groups
+differential tests hold the kernels to them; :func:`footprint` does the
+same for the sites and partitions each transaction touches, which the
+evaluator reports as ``Footprints``. :func:`chunk_tables` groups
 the tuples a chunk of a class view touches by table with ``np.unique``;
 the kernels do it with one mask and are held to it.
 
@@ -132,6 +134,30 @@ def transaction_is_distributed(
             continue  # replicated reads are local anywhere
         partitions.add(pid)
     return len(partitions) > 1  # condition 2
+
+
+def footprint(
+    txn: TransactionTrace,
+    partitioning: DatabasePartitioning,
+    database: Database,
+) -> tuple[frozenset[int], bool, bool]:
+    """The partitions *txn* touches, whether it writes a replicated tuple
+    and whether it touches an unroutable one, with an uncached
+    :func:`naive_pid` per access."""
+    partitions: set[int] = set()
+    writes_replicated = False
+    unroutable = False
+    for access in txn.accesses:
+        solution = partitioning.solution_for(access.table)
+        pid = naive_pid(database, solution, access.key)
+        if pid is None:
+            unroutable = True
+        elif pid == REPLICATED:
+            if access.write:
+                writes_replicated = True
+        else:
+            partitions.add(pid)
+    return frozenset(partitions), writes_replicated, unroutable
 
 
 def cost_report(

@@ -7,7 +7,9 @@ definitions say. The oracles are the referee object scans of
 :mod:`tests.referee`: every tree the search can test gets the referee's
 verdict, and every partitioning Phase 3 costs gets the referee's
 :class:`CostReport`, on the five bundled benchmarks and a generated
-workload.
+workload. The evaluator's per-transaction ``Footprints`` (the sites each
+transaction coordinates, the transactions touching each partition) get
+the referee's per-access scan for JECB, Horticulture and Schism layouts.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ from repro.trace.splitter import train_test_split
 from repro.workloads.auctionmark import AuctionMarkBenchmark, AuctionMarkConfig
 from repro.workloads.seats import SeatsBenchmark, SeatsConfig
 from repro.workloads.synthetic import SyntheticBenchmark, SyntheticConfig
+from repro.workloads.tatp import HORTICULTURE_SPEC as TATP_HC
 from repro.workloads.tatp import TatpBenchmark, TatpConfig
+from repro.workloads.tpcc import HORTICULTURE_SPEC as TPCC_HC
 from repro.workloads.tpcc import TpccBenchmark, TpccConfig
+from repro.workloads.tpce import HORTICULTURE_SPEC as TPCE_HC
 from repro.workloads.tpce import TpceBenchmark, TpceConfig
 
 from tests import referee
@@ -318,6 +323,73 @@ def test_partial_views_match_referee(bundle_name, request):
     assert _assert_partial_views_match_referee(bundle) > 0
 
 
+_HORTICULTURE_SPECS = {
+    "tpcc_bundle": TPCC_HC,
+    "tatp_bundle": TATP_HC,
+    "tpce_bundle": TPCE_HC,
+}
+
+
+def _assert_footprints_match_referee(bundle_name, bundle) -> int:
+    """JECB's layout, Horticulture's (published where the paper used it,
+    else searched) and Schism's tuple map, each trained on one half: the
+    evaluator's per-transaction verdict and sites, and its per-partition
+    heat, on the other half are the referee's. Returns the number of
+    transactions checked."""
+    database = bundle.database
+    train, test = train_test_split(bundle.trace, 0.5)
+    spec = _HORTICULTURE_SPECS.get(bundle_name)
+    if spec is None:
+        horticulture = HorticulturePartitioner(
+            database,
+            bundle.catalog,
+            HorticultureConfig(num_partitions=4, iterations=10),
+        ).run(train).partitioning
+    else:
+        horticulture = build_spec_partitioning(database.schema, 4, spec)
+    layouts = [
+        _run(bundle).partitioning,
+        horticulture,
+        SchismPartitioner(database, SchismConfig(num_partitions=4))
+        .run(train)
+        .partitioning,
+    ]
+    by_id = {txn.txn_id: txn for txn in test}
+    assert len(by_id) == len(test)
+    checked = 0
+    for partitioning in layouts:
+        k = partitioning.num_partitions
+        found = PartitioningEvaluator(database).footprints(partitioning, test)
+        assert sorted(found.txn_ids.tolist()) == sorted(by_id)
+        heat = np.zeros_like(found.heat)
+        for txn_id, distributed, sites in zip(
+            found.txn_ids.tolist(),
+            found.distributed.tolist(),
+            found.sites.tolist(),
+        ):
+            partitions, writes_replicated, unroutable = referee.footprint(
+                by_id[txn_id], partitioning, database
+            )
+            bad = unroutable or writes_replicated
+            assert distributed == (bad or len(partitions) > 1), txn_id
+            assert sites == (k if bad else max(1, len(partitions))), txn_id
+            heat[list(partitions)] += 1
+            checked += 1
+        assert found.heat.tolist() == heat.tolist(), partitioning.name
+    return checked
+
+
+@pytest.mark.parametrize(
+    "bundle_name",
+    ["tpcc_bundle", "seats_bundle", "auctionmark_bundle", "tpce_bundle"],
+)
+def test_footprints_match_referee(bundle_name, request):
+    """The evaluator's footprints (Definition 5, sites, heat) against the
+    referee's per-access scan; TATP runs in the smoke slice below."""
+    bundle = request.getfixturevalue(bundle_name)
+    assert _assert_footprints_match_referee(bundle_name, bundle) > 0
+
+
 def test_distributed_fraction_matches_object_path(tpcc_bundle):
     """Definition 5/6 kernel on a test half the evaluator interns itself:
     same CostReport as the referee's per-transaction scan."""
@@ -589,3 +661,10 @@ def test_partial_views_match_referee_smoke(tatp_bundle):
     """The Definition-5/6 kernel on class views and split halves against
     the referee, on one small bundle."""
     assert _assert_partial_views_match_referee(tatp_bundle) > 0
+
+
+@pytest.mark.smoke
+def test_footprints_match_referee_smoke(tatp_bundle):
+    """The evaluator's footprints against the referee on TATP, for JECB,
+    Horticulture's published design and Schism's tuple map."""
+    assert _assert_footprints_match_referee("tatp_bundle", tatp_bundle) > 0

@@ -231,15 +231,13 @@ def test_abort_puts_back_what_an_undone_fresh_insert_placed(figure1_db):
         store.close()
 
 
-def test_tuple_map_tables_are_placed_key_by_key(figure1_db):
+def test_tuple_map_partitionings_are_refused(figure1_db):
+    """A tuple map has no join path to place rows by: the store, hence the
+    router and the cluster, refuses it when it is built."""
     solution = TupleMapSolution(
         "TRADE", assignments={(1,): 2}, classifier=None, num_partitions=2
     )
     partitioning = _build_custinfo_partitioning(figure1_db.schema)
     partitioning.set(solution)
-    store = PlacementStore(figure1_db, partitioning)
-    assert store.pid_of("TRADE", (1,)) == 2
-    assert store.pid_of("TRADE", (2,)) == solution.partition_of((2,))
-    assert store.pid_computations == 2
-    with pytest.raises(PartitioningError, match="key by key"):
-        store.pids("TRADE")
+    with pytest.raises(PartitioningError, match="tuple map"):
+        PlacementStore(figure1_db, partitioning)

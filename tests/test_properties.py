@@ -19,8 +19,9 @@ from repro.core.mapping import (
 )
 from repro.graphs.mincut import Graph, partition_graph
 from repro.schema import Attr
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import Trace, TransactionTrace
-from repro.trace.splitter import subsample, train_test_split
+from repro.trace.splitter import round_robin, subsample, train_test_split
 from repro.workloads.tpce import build_tpce_schema
 from tests.conftest import build_custinfo_schema, load_figure1_data
 from tests.referee import intern
@@ -139,6 +140,50 @@ class TestSplitterProperties:
     def test_subsample_size(self, trace, fraction):
         sub = subsample(trace, fraction)
         assert abs(len(sub) - round(len(trace) * fraction)) <= 1
+
+    @staticmethod
+    def _accumulator(count, fraction):
+        """The round-robin loop each selector used to carry a copy of."""
+        picks, acc = [], 0.0
+        for _ in range(count):
+            acc += fraction
+            if acc >= 1.0 - 1e-9:
+                acc -= 1.0
+                picks.append(True)
+            else:
+                picks.append(False)
+        return picks
+
+    @given(
+        st.integers(min_value=0, max_value=200),
+        st.floats(min_value=0.01, max_value=0.99),
+    )
+    @settings(deadline=None)
+    def test_every_selector_picks_what_the_accumulator_picks(
+        self, count, fraction
+    ):
+        expected = self._accumulator(count, fraction)
+        assert round_robin(count, fraction) == expected
+        picked = [i for i in range(count) if expected[i]]
+        dropped = [i for i in range(count) if not expected[i]]
+        trace = Trace()
+        for i in range(count):
+            txn = TransactionTrace(i, "c")
+            txn.record("T", (i,), False)
+            trace.append(txn)
+
+        def ids(part):
+            return [txn.txn_id for txn in part]
+
+        train, test = train_test_split(trace, fraction)
+        assert (ids(train), ids(test)) == (picked, dropped)
+        assert ids(subsample(trace, fraction)) == picked
+        assert ids(subsample(trace, 1.0)) == list(range(count))
+        if count:
+            (view,) = ColumnarTrace.from_trace(trace).views.values()
+            ctrain, ctest = view.split(fraction)
+            assert (ids(ctrain), ids(ctest)) == (picked, dropped)
+            assert ctrain.txn_ids.tolist() == picked
 
 
 class TestMincutProperties:

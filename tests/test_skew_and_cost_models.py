@@ -1,5 +1,6 @@
 """Unit tests for the skew extension and alternative cost models."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.schism import TupleMapSolution
@@ -16,12 +17,10 @@ from repro.errors import PartitioningError
 from repro.evaluation.cost_models import (
     FractionDistributed,
     SitesTouched,
-    TransactionFootprint,
     WeightedLatency,
     evaluate_model,
-    footprint,
 )
-from repro.core.placement import PlacementStore
+from repro.evaluation.evaluator import Footprints, PartitioningEvaluator
 from repro.trace.events import Trace, TransactionTrace
 
 
@@ -124,44 +123,53 @@ class TestPartitionHeat:
         assert len(placement.node_loads) == 2
 
 
+def make_footprints(distributed, sites):
+    return Footprints(
+        np.arange(len(sites)),
+        np.asarray(distributed, dtype=bool),
+        np.asarray(sites, dtype=np.int64),
+        np.zeros(5, dtype=np.int64),
+    )
+
+
 class TestCostModels:
     def test_footprint(self, figure1_db, trade_partitioning):
-        store = PlacementStore(figure1_db, trade_partitioning)
-        txn = make_txn([
-            ("TRADE", (1,), False),
-            ("TRADE", (2,), False),
-            ("CUSTOMER_ACCOUNT", (1,), True),
+        trace = Trace([
+            make_txn([
+                ("TRADE", (1,), False),
+                ("TRADE", (2,), False),
+                ("CUSTOMER_ACCOUNT", (1,), True),
+            ], 0),
+            make_txn([], 1),
+            make_txn([("TRADE", (2,), False), ("TRADE", (6,), True)], 2),
         ])
-        print_footprint = footprint(txn, store.pid_of)
-        assert print_footprint.distributed  # writes replicated CA
-        assert print_footprint.writes_replicated
-        assert len(print_footprint.partitions) == 2
+        footprints = PartitioningEvaluator(figure1_db).footprints(
+            trade_partitioning, trace
+        )
+        assert footprints.txn_ids.tolist() == [0, 1, 2]
+        # writes replicated CA; an empty transaction is local
+        assert footprints.distributed.tolist() == [True, False, False]
+        # a replicated write coordinates every site
+        assert footprints.sites.tolist() == [4, 1, 1]
+        # TRADE 1, 2 and 6 sit on partitions 2, 3 and 3
+        assert footprints.heat.tolist() == [0, 0, 1, 2, 0]
 
     def test_fraction_distributed(self):
-        footprints = [
-            TransactionFootprint(frozenset({1}), False, False),
-            TransactionFootprint(frozenset({1, 2}), False, False),
-        ]
-        assert FractionDistributed().score(footprints, 4) == 0.5
-        assert FractionDistributed().score([], 4) == 0.0
+        footprints = make_footprints([False, True], [1, 2])
+        assert FractionDistributed().score(footprints) == 0.5
+        assert FractionDistributed().score(make_footprints([], [])) == 0.0
 
     def test_sites_touched(self):
-        footprints = [
-            TransactionFootprint(frozenset({1}), False, False),
-            TransactionFootprint(frozenset({1, 2, 3}), False, False),
-            TransactionFootprint(frozenset(), False, True),  # unroutable
-        ]
-        assert SitesTouched().score(footprints, 4) == pytest.approx(
+        # the unroutable third transaction coordinates all 4 sites
+        footprints = make_footprints([False, True, True], [1, 3, 4])
+        assert SitesTouched().score(footprints) == pytest.approx(
             (1 + 3 + 4) / 3
         )
 
     def test_weighted_latency(self):
-        footprints = [
-            TransactionFootprint(frozenset({1}), False, False),
-            TransactionFootprint(frozenset({1, 2}), False, False),
-        ]
+        footprints = make_footprints([False, True], [1, 2])
         model = WeightedLatency(remote_factor=9.0)
-        assert model.score(footprints, 4) == pytest.approx(5.0)
+        assert model.score(footprints) == pytest.approx(5.0)
         with pytest.raises(ValueError):
             WeightedLatency(remote_factor=0.5)
 
