@@ -348,7 +348,9 @@ def _assert_footprints_match_referee(bundle_name, bundle) -> int:
     else:
         horticulture = build_spec_partitioning(database.schema, 4, spec)
     layouts = [
-        _run(bundle).partitioning,
+        JECBPartitioner(
+            database, bundle.catalog, JECBConfig(num_partitions=4)
+        ).run(train).partitioning,
         horticulture,
         SchismPartitioner(database, SchismConfig(num_partitions=4))
         .run(train)
