@@ -2,11 +2,17 @@
 
 A join path ``p(key(T), X)`` is a mapping from each tuple of ``T`` to one
 value of ``X`` (Section 5). Each path is compiled once into a
-:class:`_PathPlan`, the one walker every layer shares: it fetches rows
-only when a needed column is not already known — so paths that stay
-inside the primary key (e.g. TPC-C's ``NO_W_ID``) still evaluate for
-tuples that have since been deleted — and memoizes the walk past the
-first foreign-key hop per distinct hop values.
+:class:`_PathPlan`, the one walker every layer shares. It walks a batch
+of keys one hop at a time. The first hop's values come from the keys, or
+from the source rows, fetched only when a needed column is not in the
+primary key — so paths that stay inside the key (e.g. TPC-C's
+``NO_W_ID``) still evaluate for tuples that have since been deleted.
+Each hop then probes only the distinct values its memo has not seen (a
+hop into a primary key in one
+:meth:`~repro.storage.table.Table.get_snapshots` call), so keys that
+share any suffix of their walk share its probes. The single-key entry
+points, :meth:`_PathPlan.value` and :meth:`_PathPlan.row_value`, are
+batches of one.
 
 :class:`ColumnarEngine` is the one evaluator of trace-driven decisions:
 it stores walk results as interned code columns over a
@@ -14,14 +20,14 @@ it stores walk results as interned code columns over a
 (mapping independence) and the per-key partition ids Definitions 5/6
 need, for views of that trace only. The serving tier places live rows
 through :class:`~repro.core.placement.PlacementStore`, which fills whole
-columns on the same plans and walks single keys on them too. Snapshot
-lookups (the live row, else the tombstone) go through a
-:class:`SnapshotIndex`.
+columns on the same plans and walks single keys on them too. Plans get
+their table handles from a shared :class:`SnapshotIndex`.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from operator import itemgetter
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -31,18 +37,16 @@ from repro.storage.database import Database
 from repro.storage.table import Table
 from repro.trace.columnar import ColumnarClassTrace, ColumnarTrace
 
-#: sentinel distinguishing "not memoized yet" from a memoized ``None``
-_MISS = object()
 #: code -> pid slot whose mapping has not been called yet
 _NO_PID = np.iinfo(np.int64).min
 
 
 class SnapshotIndex:
-    """Per-table snapshot lookups for one database, shared by walkers.
+    """Per-table handles for one database, shared by walkers.
 
-    A snapshot is the live row, else the tombstone of a deleted one. Each
-    probe reads the table directly, so a holder that outlives writes (the
-    placement store) stays correct; the index only saves the database's
+    A walk reads each table directly (the live row, else the tombstone of
+    a deleted one), so a holder that outlives writes (the placement
+    store) stays correct; the index only saves the database's
     error-checked table lookup.
     """
 
@@ -58,9 +62,65 @@ class SnapshotIndex:
             self._tables[name] = table
         return table
 
-    def snapshot(self, table_name: str, key: tuple) -> dict[str, Any] | None:
-        """Row snapshot (live or tombstone) for *key*, or ``None``."""
-        return self.table(table_name).get_snapshot(key)
+
+def _read(rows: Sequence[Any], columns: str | tuple) -> list[Any]:
+    """Each row's value of one column (*columns* a name), or its tuple of
+    values (*columns* a tuple of names); ``None`` for a missing row."""
+    if isinstance(columns, str):
+        return [None if row is None else row.get(columns) for row in rows]
+    return [
+        None if row is None else tuple(map(row.get, columns)) for row in rows
+    ]
+
+
+class _Hop:
+    """One foreign-key hop of a plan and the walks it has resolved.
+
+    A hop's values are the bare value of a one-column foreign key, else
+    the tuple of its values. ``memo`` maps them to what the hop reads from
+    the row it reaches (``out``): the next hop's values or, on the last
+    hop, the root value. ``None`` maps to ``None``, so a failed walk
+    passes through every later hop untouched.
+    """
+
+    __slots__ = ("table", "probe_pk", "ref_columns", "single", "out", "memo")
+
+    def __init__(
+        self, table: Table, ref_columns: tuple, out: str | tuple
+    ) -> None:
+        self.table = table
+        #: a hop into the primary key reads live rows, then tombstones
+        self.probe_pk = ref_columns == table.schema.primary_key
+        self.ref_columns = ref_columns
+        self.single = len(ref_columns) == 1
+        self.out = out
+        self.memo: dict[Any, Any] = {None: None}
+
+    def resolve(self, fresh: set) -> None:
+        """Probe the values in *fresh* (none memoized yet) and memoize
+        what each reaches; a NULL foreign key reaches nothing."""
+        memo = self.memo
+        keys: Iterable[Any]
+        if self.single:
+            probe = list(fresh)  # None is memoized: no NULL here
+            keys = zip(probe)  # 1-tuples
+        else:
+            probe = []
+            for values in fresh:
+                if None in values:
+                    memo[values] = None
+                else:
+                    probe.append(values)
+            keys = probe
+        if self.probe_pk:
+            found = self.table.get_snapshots(keys)
+        else:
+            lookup, ref_columns = self.table.lookup, self.ref_columns
+            found = [
+                matches[0] if (matches := lookup(ref_columns, key)) else None
+                for key in keys
+            ]
+        memo.update(zip(probe, _read(found, self.out)))
 
 
 class _PathPlan:
@@ -69,135 +129,110 @@ class _PathPlan:
     Which columns are known at each step — the source table's primary
     key, then the current row's columns — is fixed by the path, so the
     fetch-or-not control flow is decided once here rather than per key.
-    ``mode`` selects the per-key source stage:
+    The first values of a walk — the first fk hop's, or the destination's
+    when the path has no hop — come from the key (``pick``, an
+    ``itemgetter``), so deleted rows still evaluate, or else from the
+    source row (``columns``, read like a hop's ``out``).
 
-    * ``0`` — the destination comes straight from the key tuple (``arg``
-      is its index), so deleted rows still evaluate;
-    * ``1`` — the destination comes from the source row;
-    * ``2`` — the first fk hop's values come from the key (``arg`` is a
-      tuple of key indices);
-    * ``3`` — the first fk hop's values come from the source row (``arg``
-      is the fk's column tuple).
-
-    ``tail`` holds the fk hops from the first one on (intra steps there
-    are no-ops: a row is always held after a hop), and ``tail_memo``
-    collapses repeated sub-walks — every source key mapping to the same
-    first-hop values shares one tail walk, which is what makes walks over
-    fact tables (order lines funneling into a few districts) cheap. The
-    memo is only as fresh as the data it read, so a plan lives exactly as
-    long as its holder's value memo (the placement store clears it when
-    a write can change a walk). A hop into the referenced table's primary
-    key is one snapshot probe: the live row, else the tombstone.
+    ``hops`` holds the fk hops from the first one on (intra steps there
+    are no-ops: a row is always held after a hop). A batch moves through
+    them one hop at a time, and each hop probes only the distinct values
+    its memo has not seen — which is what makes walks over fact tables
+    (order lines funneling into a few districts) cheap. The memos are
+    only as fresh as the data they read, so a plan lives exactly as long
+    as its holder's value memo (the placement store calls :meth:`forget`
+    when a write can change a walk). A hop into the referenced table's
+    primary key reads the live row, else the tombstone; any other hop
+    reads the first live match. A NULL foreign key or a failed hop yields
+    ``None``.
     """
 
-    __slots__ = (
-        "snapshots", "source", "npk", "mode", "arg", "dest_col", "tail",
-        "tail_memo",
-    )
+    __slots__ = ("table", "npk", "arity", "pick", "columns", "hops")
 
     def __init__(self, path: JoinPath, snapshots: SnapshotIndex) -> None:
-        self.snapshots = snapshots
-        self.source = path.source_table
-        pk_columns = snapshots.table(self.source).schema.primary_key
+        self.table = snapshots.table(path.source_table)
+        pk_columns = self.table.schema.primary_key
         pk_set = set(pk_columns)
         self.npk = len(pk_columns)
-        self.dest_col = path.destination.column
-        self.tail_memo: dict[tuple, Any] = {}
+        self.arity = frozenset((self.npk,))
+        dest_col = path.destination.column
         steps = list(zip(path.steps, path.nodes[1:]))
-        first_fk = None
+        fks = [step.fk for step, _node in steps if step.kind == "fk"]
         need_row = False
-        for index, (step, node) in enumerate(steps):
+        for step, node in steps:
             if step.kind == "fk":
-                first_fk = index
-                if not need_row and not all(
-                    c in pk_set for c in step.fk.columns
-                ):
-                    need_row = True
                 break
             # an intra step needing a non-key column fetches the source
             # row; every later value then reads from that row
-            if not need_row and not all(a.column in pk_set for a in node):
+            if not all(a.column in pk_set for a in node):
                 need_row = True
-        self.tail: tuple = ()
-        if first_fk is None:
-            if need_row or self.dest_col not in pk_set:
-                self.mode, self.arg = 1, None
-            else:
-                self.mode, self.arg = 0, pk_columns.index(self.dest_col)
-            return
-        fk0 = steps[first_fk][0].fk
-        if need_row:
-            self.mode, self.arg = 3, tuple(fk0.columns)
+                break
+        # intra steps after a hop are no-ops: a row is held
+        outs = [_columns(fk.columns) for fk in fks[1:]] + [dest_col]
+        first = tuple(fks[0].columns) if fks else (dest_col,)
+        if need_row or not pk_set.issuperset(first):
+            self.pick, self.columns = None, _columns(first)
         else:
-            self.mode = 2
-            self.arg = tuple(pk_columns.index(c) for c in fk0.columns)
-        tail = []
-        for step, _node in steps[first_fk:]:
-            if step.kind != "fk":
-                continue  # intra after a hop is a no-op: a row is held
-            ref_table = snapshots.table(step.fk.ref_table)
-            probe_pk = (
-                tuple(step.fk.ref_columns) == ref_table.schema.primary_key
-            )
-            tail.append((step.fk, ref_table, probe_pk))
-        self.tail = tuple(tail)
+            self.pick = itemgetter(*map(pk_columns.index, first))
+            self.columns = None
+        self.hops = tuple(
+            _Hop(snapshots.table(fk.ref_table), tuple(fk.ref_columns), out)
+            for fk, out in zip(fks, outs)
+        )
+
+    def forget(self) -> None:
+        """Drop every memoized hop (a write may have changed a walk)."""
+        for hop in self.hops:
+            hop.memo.clear()
+            hop.memo[None] = None
 
     def value(self, key: tuple) -> Any:
         """Root value for the source tuple *key*, or ``None``."""
-        if len(key) != self.npk:
-            return None
-        row = None
-        if self.mode & 1:
-            row = self.snapshots.snapshot(self.source, key)
-            if row is None:
-                return None
-        return self.row_value(key, row)
+        return self.values((key,))[0]
 
     def row_value(self, key: tuple, row: Any) -> Any:
-        """Root value for *key* whose live source *row* is in hand (the
-        placement store's scan or write); modes 0 and 2 ignore *row*."""
-        mode = self.mode
-        if mode == 0:
-            return key[self.arg]
-        if mode == 1:
-            return row.get(self.dest_col)
-        if mode == 2:
-            values = tuple(key[i] for i in self.arg)
-        else:
-            values = tuple(row.get(c) for c in self.arg)
-        memo = self.tail_memo
-        value = memo.get(values, _MISS)
-        if value is _MISS:
-            value = memo[values] = self._tail_value(values)
-        return value
+        """:meth:`row_values` for one key."""
+        return self.row_values((key,), (row,))[0]
 
-    def _tail_value(self, values: tuple) -> Any:
-        """Walk the fk hops from the first one's *values* to the root.
+    def values(self, keys: Sequence[tuple]) -> list[Any]:
+        """Root value for each source tuple of *keys*, or ``None``.
 
-        A hop matches live rows first and, when it targets the referenced
-        table's primary key, tombstones second; a NULL foreign key or a
-        failed hop yields ``None``.
+        A key of the wrong arity names no tuple; the source rows (live,
+        else tombstones) are fetched in one probe when the plan needs them.
         """
-        row = None
-        snapshot = self.snapshots.snapshot
-        for fk, ref_table, probe_pk in self.tail:
-            vals = (
-                values
-                if row is None
-                else tuple(row.get(c) for c in fk.columns)
-            )
-            if None in vals:
-                return None
-            if probe_pk:
-                row = snapshot(fk.ref_table, vals)
-                if row is None:
-                    return None
-            else:
-                matches = ref_table.lookup(fk.ref_columns, vals)
-                if not matches:
-                    return None
-                row = matches[0]
-        return row.get(self.dest_col)
+        if not self.arity.issuperset(map(len, keys)):
+            npk = self.npk
+            fit = [i for i, key in enumerate(keys) if len(key) == npk]
+            out: list[Any] = [None] * len(keys)
+            for i, value in zip(fit, self.values([keys[i] for i in fit])):
+                out[i] = value
+            return out
+        rows = keys if self.pick is not None else self.table.get_snapshots(keys)
+        return self.row_values(keys, rows)
+
+    def row_values(
+        self, keys: Sequence[tuple], rows: Sequence[Any]
+    ) -> list[Any]:
+        """Root values for *keys* whose source *rows* are in hand (the
+        placement store's scan or write); a plan reading the key ignores
+        *rows*."""
+        if self.pick is not None:
+            current = list(map(self.pick, keys))
+        else:
+            current = _read(rows, self.columns)
+        for hop in self.hops:
+            memo = hop.memo
+            try:
+                current = list(map(memo.__getitem__, current))
+            except KeyError:  # some values are new to this hop
+                hop.resolve(set(current).difference(memo))
+                current = list(map(memo.__getitem__, current))
+        return current
+
+
+def _columns(columns: Sequence[str]) -> str | tuple:
+    """How a walk reads *columns*: one name bare, several as a tuple."""
+    return columns[0] if len(columns) == 1 else tuple(columns)
 
 
 # ----------------------------------------------------------------------
@@ -251,26 +286,13 @@ class ColumnarEngine:
         self.snapshots = SnapshotIndex(database)
         #: interned root values; index 0 is reserved for "no value".
         self.values: list[Any] = [None]
-        self._value_codes: dict[Any, int] = {}
+        self._value_codes: dict[Any, int] = {None: 0}
         self._columns: dict[JoinPath, _PathColumn] = {}
         self._plans: dict[JoinPath, _PathPlan] = {}
         #: {id(mapping) -> [mapping, value code -> partition id array]}
         self._luts: dict[int, list[Any]] = {}
         self._db_tables = list(database)
         self._db_version = sum(t.version for t in self._db_tables)
-
-    # ------------------------------------------------------------------
-    # value interning
-    # ------------------------------------------------------------------
-    def _code_of(self, value: Any) -> int:
-        if value is None:
-            return 0
-        code = self._value_codes.get(value)
-        if code is None:
-            code = len(self.values)
-            self._value_codes[value] = code
-            self.values.append(value)
-        return code
 
     # ------------------------------------------------------------------
     # per-path plans and code columns
@@ -307,17 +329,19 @@ class ColumnarEngine:
     def _fill(self, path: JoinPath, column: _PathColumn, local_ids) -> None:
         """Walk *path* for the given local key ids and record their codes.
 
-        One compiled plan serves every key, so a fill never repeats a
-        sub-walk past the first fk hop that two source keys share.
+        One batch walk serves every key, so a fill never repeats a probe
+        that two source keys share at any hop. Values new to the engine
+        get codes in the order of *local_ids*.
         """
         keys = self.ctrace.keys_of[self.ctrace.table_ids[path.source_table]]
-        walk = self._plan(path).value
-        codes = column.codes
-        computed = column.computed
-        code_of = self._code_of
-        for local_id in local_ids.tolist():
-            codes[local_id] = code_of(walk(keys[local_id]))
-            computed[local_id] = True
+        values = self._plan(path).values([keys[i] for i in local_ids.tolist()])
+        value_codes = self._value_codes
+        for value in dict.fromkeys(values):
+            if value not in value_codes:
+                value_codes[value] = len(self.values)
+                self.values.append(value)
+        column.codes[local_ids] = list(map(value_codes.__getitem__, values))
+        column.computed[local_ids] = True
 
     def ensure_codes(
         self, path: JoinPath, local_ids, stats: CacheStats | None = None

@@ -422,6 +422,8 @@ def _search_class(
         return result
 
     # Case 2: no root attribute — split the graph and harvest partials.
+    if not config.mine_partial_solutions:
+        return result
     partial_trees: list[JoinTree] = []
     for subgraph in graph.split():
         if subgraph.tables == graph.tables:

@@ -6,18 +6,20 @@ row is placed once. A partitioned table's *column* maps every live
 primary key to its partition id (``0`` value-replicated,
 :data:`UNROUTABLE` when the join path finds no root value); a replicated
 table has none. A column is filled when a reader needs it whole
-(:meth:`~PlacementStore.pids`: the views, the cluster), in one pass on
-the solution's compiled :class:`~repro.core.path_eval._PathPlan`, whose
-tail memo walks each distinct first-hop value once; a memo maps each
-distinct root value to its pid once. Any other key — one that is not
-live (a trace key of a deleted row), or every key while the column is
-not filled — gets a memoized walk of its own.
+(:meth:`~PlacementStore.pids`: the views, the cluster), in one batch
+walk of every live row on the solution's compiled
+:class:`~repro.core.path_eval._PathPlan`, which probes each distinct
+value once per hop; a memo maps each distinct root value to its pid
+once. Any other key — one that is not live (a trace key of a deleted
+row), or every key while the column is not filled — gets a memoized
+walk of its own, a batch of one.
 
 :meth:`PlacementStore.attach` keeps the columns current with one listener
 per table: a write re-places the written row, and a write to a table
 other paths hop into is judged by
 :meth:`~repro.core.solution.TableSolution.mutation_effect` (``NONE``,
-``UNPLACED``: re-walk the unroutable rows, ``ALL``: re-walk every row).
+``UNPLACED``: re-walk the unroutable rows, ``ALL``: re-walk every row,
+each in one batch).
 Subscribers hear of every change to a live row. Each column's snapshot of
 its dependency tables' versions is the safety net: a column read out of
 step (writes made while detached, or a ``Table.restore_tombstone`` the
@@ -206,7 +208,7 @@ class PlacementStore:
             if column.name == table:
                 column.walked.pop(key, None)
             if table in column.solution.hop_targets:
-                column.plan.tail_memo.clear()
+                column.plan.forget()
                 column.walked.clear()
 
     def abort(self) -> None:
@@ -309,18 +311,16 @@ class PlacementStore:
         return pid
 
     def _fill(self, column: _Column) -> None:
-        """Place every live row of the column's table in one pass."""
+        """Place every live row of the column's table in one batch walk."""
         solution = column.solution
         assert column.plan is not None and solution.mapping is not None
-        row_value = column.plan.row_value
+        keys, rows = _live(column.tables[0])
+        values = column.plan.row_values(keys, rows)
         mapping, value_pids = solution.mapping, column.value_pids
-        pids: dict[KeyValue, int] = {}
-        for key, row in column.tables[0].items():
-            value = row_value(key, row)
-            pid = value_pids.get(value)
-            if pid is None:
-                pid = value_pids[value] = mapping(value)
-            pids[key] = pid
+        for value in dict.fromkeys(values):
+            if value not in value_pids:
+                value_pids[value] = mapping(value)
+        pids = dict(zip(keys, map(value_pids.__getitem__, values)))
         self.pid_computations += len(pids)
         column.pids = pids
         column.unplaced = {k for k, pid in pids.items() if pid == UNROUTABLE}
@@ -354,7 +354,7 @@ class PlacementStore:
         column.generation += 1
         column.versions = [table.version for table in column.tables]
         if column.plan is not None:
-            column.plan.tail_memo.clear()
+            column.plan.forget()
             column.walked.clear()
             if column.pids is not None:
                 self._fill(column)
@@ -384,7 +384,7 @@ class PlacementStore:
             column.versions[slot] = version
             if column.pids is None and column.plan is not None:
                 # not filled: only the memoized walks can be out of date
-                column.plan.tail_memo.clear()
+                column.plan.forget()
                 column.walked.clear()
                 continue
             if column.name == name:
@@ -430,17 +430,18 @@ class PlacementStore:
         """
         pids = column.pids
         assert pids is not None and column.plan is not None
-        column.plan.tail_memo.clear()
+        column.plan.forget()
         column.walked.clear()
         source = column.tables[0]
         if effect is PathEffect.ALL:
-            items: Any = source.items()
+            keys, rows = _live(source)
         else:
-            items = [(key, source.get(key)) for key in column.unplaced]
-        row_value = column.plan.row_value
+            keys = tuple(column.unplaced)
+            rows = tuple(map(source.get, keys))
+        values = column.plan.row_values(keys, rows)
         moved = []
-        for key, row in items:
-            pid = self._pid(column, row_value(key, row))
+        for key, row, value in zip(keys, rows, values):
+            pid = self._pid(column, value)
             if pid != pids[key]:
                 moved.append((key, row, pids[key], pid))
         for key, row, old_pid, pid in moved:
@@ -451,3 +452,8 @@ class PlacementStore:
         """Pass one :meth:`PlacementSubscriber.placement_changed` on."""
         for subscriber in tuple(self._subscribers.get(table, ())):
             subscriber.placement_changed(table, *change)
+
+
+def _live(table: Table) -> tuple[list[KeyValue], list[Row]]:
+    """*table*'s live keys and rows, in the same order."""
+    return list(table.keys()), list(table.scan())

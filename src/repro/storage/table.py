@@ -225,6 +225,17 @@ class Table:
             return row
         return self._graveyard.get(key)
 
+    def get_snapshots(self, keys: Iterable[KeyValue]) -> list[Row | None]:
+        """:meth:`get_snapshot` for each primary-key tuple of *keys*."""
+        live = self._rows.get
+        dead = self._graveyard.get
+        rows: list[Row | None] = []
+        append = rows.append
+        for key in keys:  # a loop: a comprehension would need a closure
+            row = live(key)
+            append(row if row is not None else dead(key))
+        return rows
+
     def ensure_index(self, columns: Sequence[str]) -> None:
         """Create a secondary hash index over *columns* if not present."""
         cols = tuple(columns)

@@ -227,18 +227,18 @@ class TestSnapshotIndex:
         a = _PathPlan(trade_path, snapshots)
         b = _PathPlan(trade_path, snapshots)
         assert a.value((1,)) == b.value((1,)) == 1
-        assert a.snapshots is b.snapshots
+        assert a.table is b.table is snapshots.table("TRADE")
 
     def test_rebuilds_after_mutation(self, figure1_db):
-        snapshots = SnapshotIndex(figure1_db)
-        assert snapshots.snapshot("TRADE", (1,))["T_QTY"] == 2
+        trades = SnapshotIndex(figure1_db).table("TRADE")
+        assert trades.get_snapshots([(1,)])[0]["T_QTY"] == 2
         figure1_db.update("TRADE", (1,), {"T_QTY": 99})
-        assert snapshots.snapshot("TRADE", (1,))["T_QTY"] == 99
+        assert trades.get_snapshots([(1,)])[0]["T_QTY"] == 99
 
     def test_sees_deleted_rows_as_tombstones(self, figure1_db):
-        snapshots = SnapshotIndex(figure1_db)
+        trades = SnapshotIndex(figure1_db).table("TRADE")
         figure1_db.delete("TRADE", (1,))
-        row = snapshots.snapshot("TRADE", (1,))
+        (row,) = trades.get_snapshots([(1,)])
         assert row is not None
         assert row["T_CA_ID"] == 1
 

@@ -4,7 +4,7 @@
 it decides Definition 7 on interned code columns, stops at the first
 refuting chunk of transactions, and fills those columns through compiled
 path plans that skip row fetches when the needed columns sit inside the
-primary key and share the walk past the first foreign-key hop. Any of
+primary key and probe each distinct value once per hop. Any of
 those optimizations could silently change Definition 7's meaning. This
 module re-implements the definition as directly as possible — no cache,
 no short-circuit, eager row materialization, a fresh live-or-tombstone

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.join_tree import JoinTree
+from repro.core.partitioner import JECBConfig, JECBPartitioner
 from repro.core.phase2 import (
     ClassResult,
     Phase2Config,
@@ -13,6 +14,8 @@ from repro.core.phase2 import (
 from repro.schema import Attr
 from repro.trace import Trace, split_by_class
 from repro.trace.events import TransactionTrace
+from repro.trace.splitter import train_test_split
+from repro.workloads.tpcc import TpccBenchmark, TpccConfig
 
 from tests.referee import intern
 
@@ -182,3 +185,33 @@ class TestEliminateUntilMi:
         txn.record("TRADE", (2,), False)
         engine, view = intern(database, Trace([txn]))
         assert eliminate_until_mi(tree, view, engine) is None
+
+
+class TestMinePartialSolutionsFlag:
+    """``mine_partial_solutions=False`` switches off every harvest,
+    including the split-graph one for classes whose join graph has no
+    root (TPC-C's NewOrder, Payment and StockLevel)."""
+
+    @staticmethod
+    def _class_results(mine: bool):
+        bundle = TpccBenchmark(TpccConfig(warehouses=2)).generate(300, seed=11)
+        train, _test = train_test_split(bundle.trace, 0.5)
+        config = JECBConfig(num_partitions=2)
+        config.phase2 = Phase2Config(mine_partial_solutions=mine)
+        result = JECBPartitioner(bundle.database, bundle.catalog, config).run(
+            train
+        )
+        return result.class_results
+
+    def test_rootless_classes_harvest_partials_by_default(self):
+        harvested = {
+            r.class_name
+            for r in self._class_results(True)
+            if r.partial_solutions and not r.graph.find_roots()
+        }
+        assert {"NewOrder", "Payment", "StockLevel"} <= harvested
+
+    def test_no_partial_solutions_when_switched_off(self):
+        results = self._class_results(False)
+        assert [r.class_name for r in results if r.partial_solutions] == []
+        assert any(not r.graph.find_roots() for r in results)

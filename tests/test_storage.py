@@ -72,6 +72,22 @@ class TestTable:
         table.insert({"A": 1, "B": 2, "C": 7})
         assert table.get_snapshot((1, 2))["C"] == 7
 
+    def test_get_snapshots(self, table):
+        for a in (1, 2, 3):
+            table.insert({"A": a, "B": 0, "C": a * 10})
+        table.delete((2, 0))  # a tombstone
+        table.delete((3, 0))
+        table.insert({"A": 3, "B": 0, "C": 99})  # its tombstone is gone
+        live, dead, absent, again = table.get_snapshots(
+            [(1, 0), (2, 0), (9, 9), (3, 0)]
+        )
+        assert live is table.get((1, 0)) and live["C"] == 10
+        assert dead == {"A": 2, "B": 0, "C": 20}
+        assert absent is None
+        assert again is table.get((3, 0)) and again["C"] == 99
+        assert table.get_snapshots([]) == []
+        assert table.get_snapshots([(1, 0), (1, 0)]) == [live, live]
+
     def test_lookup_by_primary_key(self, table):
         table.insert({"A": 1, "B": 2, "C": 3})
         rows = table.lookup(("A", "B"), (1, 2))
