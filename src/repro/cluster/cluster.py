@@ -16,9 +16,11 @@ Two execution modes share all placement and accounting logic:
   framework and the benchmarks;
 * :meth:`Cluster.execute` runs a stored procedure live through the
   existing :class:`~repro.routing.router.Router` (coordinator choice) and
-  :class:`~repro.engine.executor.Executor` (data access), buffering
-  writes, aborting atomically when a touched node is down, and applying
-  committed writes to the owning nodes (write-through placement).
+  :class:`~repro.engine.executor.Executor` (data access, appending its
+  access records to the running transaction's list, which an abort
+  clears), buffering writes, aborting atomically when a touched node is
+  down, and applying committed writes to the owning nodes (write-through
+  placement).
 
 Where every row lives comes from one
 :class:`~repro.core.placement.PlacementStore` per installed partitioning,
@@ -35,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Collection,
     Iterable,
     Mapping,
@@ -55,7 +56,7 @@ from repro.procedures.procedure import ProcedureCatalog
 from repro.routing.router import Router, RoutingDecision
 from repro.storage.database import Database
 from repro.storage.table import KeyValue, Row, Table
-from repro.trace.events import Trace, TransactionTrace, TupleAccess
+from repro.trace.events import Access, Trace, TransactionTrace
 
 
 @dataclass(frozen=True)
@@ -155,21 +156,6 @@ class _Snapshot:
         return pid
 
 
-def _access_recorder(
-    accesses: list[TupleAccess],
-) -> Callable[[str, KeyValue, bool], None]:
-    """An executor callback that appends each access to *accesses*.
-
-    It holds no reference to the cluster, so a cluster and its executor
-    form no reference cycle and are freed as soon as they are dropped.
-    """
-
-    def record(table: str, key: KeyValue, write: bool) -> None:
-        accesses.append(TupleAccess(table, tuple(key), write))
-
-    return record
-
-
 class Cluster:
     """N nodes, a physical placement of every row, and a 2PC coordinator.
 
@@ -221,12 +207,12 @@ class Cluster:
         #: the running transaction's store changes (None outside one)
         self._txn_log: list[_Change] | None = None
         #: the running transaction's accesses, cleared between transactions
-        self._txn_access: list[TupleAccess] = []
+        self._txn_access: list[Access] = []
         self._undoing = False
-        #: runs every procedure call against the source, recording accesses
-        self._executor = Executor(
-            self.source, on_access=_access_recorder(self._txn_access)
-        )
+        #: runs every procedure call against the source and appends its
+        #: accesses to ``_txn_access``; the executor holds no reference to
+        #: the cluster, so the two form no reference cycle
+        self._executor = Executor(self.source, accesses=self._txn_access)
         self.install(partitioning, _initial=True)
 
     # ------------------------------------------------------------------
@@ -447,7 +433,7 @@ class Cluster:
     def _resolve_accesses(
         self,
         snapshot: _Snapshot,
-        accesses: Sequence[TupleAccess],
+        accesses: Sequence[Access],
         txn_id: int,
         coordinator_hint: int | None = None,
     ) -> _Resolution:
@@ -511,7 +497,7 @@ class Cluster:
         return resolution
 
     def _raise_down(
-        self, snapshot: _Snapshot, accesses: Sequence[TupleAccess]
+        self, snapshot: _Snapshot, accesses: Sequence[Access]
     ) -> NoReturn:
         """Raise :class:`ClusterUnavailable` for the first access, in
         order, whose home node is down."""

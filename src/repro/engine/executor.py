@@ -9,29 +9,29 @@ the residual filters. Each bound statement is compiled once into closures
 (:mod:`repro.engine.plan`); executing only substitutes parameters and runs
 them.
 
-Every row that contributes to a statement's result is reported through the
-``on_access`` callback as ``(table, primary_key, is_write)``; this is the
-hook the trace collector uses, mirroring the paper's instrumented stored
-procedures (Section 4 / Figure 4).
+Every row that contributes to a statement's result is appended to the
+``accesses`` sink as a plain ``(table, primary_key, is_write)`` tuple;
+the trace collector points it at the open transaction's list, mirroring
+the paper's instrumented stored procedures (Section 4 / Figure 4).
 """
 
 from __future__ import annotations
 
 from typing import Any, MutableMapping
 
-from repro.engine.plan import AccessCallback, ExecResult, plan_of
+from repro.engine.plan import Accesses, ExecResult, plan_of
 from repro.sql.bind import BoundStatement
 from repro.storage.database import Database
 
 
 class Executor:
-    """Runs bound statements against one :class:`Database`."""
+    """Runs bound statements; ``accesses=None`` records no accesses."""
 
     def __init__(
-        self, database: Database, on_access: AccessCallback | None = None
+        self, database: Database, accesses: Accesses | None = None
     ) -> None:
         self.database = database
-        self.on_access = on_access
+        self.accesses = accesses
 
     def execute(
         self,
@@ -45,5 +45,5 @@ class Executor:
         """
         params = params if params is not None else {}
         return plan_of(bound, self.database.schema).run(
-            self.database, self.on_access, params
+            self.database, self.accesses, params
         )

@@ -13,8 +13,9 @@ closures, not AST nodes:
 
 A SELECT over one table works on its rows directly; a join works on
 *combos*, tuples of rows in join order. Every row that contributes to the
-result is reported through the executor's access callback, once per
-distinct key, in ``repr`` order of the keys.
+result is appended to the executor's access sink as a ``(table, key,
+write)`` tuple: per FROM table its distinct keys in ``repr`` order, or
+one per row written.
 
 An equality probe or join with a NULL value matches no row, and so does
 a comparison or BETWEEN with a NULL side: SQL's NULL semantics.
@@ -41,7 +42,7 @@ from repro.sql.bind import BoundStatement, Scan
 from repro.storage.database import Database
 from repro.storage.table import KeyValue, Row, Table
 
-AccessCallback = Callable[[str, KeyValue, bool], None]
+Accesses = list[tuple[str, KeyValue, bool]]
 #: what a scan sequence matched: a row (one table) or a combo (a join)
 Match = Any
 RowTest = Callable[[Row], bool]
@@ -376,16 +377,23 @@ class SelectPlan:
     def run(
         self,
         database: Database,
-        record: AccessCallback | None,
+        accesses: Accesses | None,
         params: MutableMapping[str, Any],
     ) -> ExecResult:
         matches = self._fetch(database, params)
-        if record is not None:
-            for table, key in self.keys:
-                found = set(map(key, matches))
-                for value in found if len(found) < 2 else sorted(found, key=repr):
-                    record(table, value, False)
+        if accesses is not None and matches:
+            self._record(matches, accesses)
         return ExecResult(rows=self._project(matches, params))
+
+    def _record(self, matches: list, accesses: Accesses) -> None:
+        """Append each FROM table's distinct keys, in ``repr`` order."""
+        if len(matches) == 1:
+            accesses += [(table, key(matches[0]), False) for table, key in self.keys]
+            return
+        one_scan = len(self.scans) == 1  # one scan yields each row once
+        for table, key in self.keys:
+            found = map(key, matches) if one_scan else set(map(key, matches))
+            accesses += [(table, v, False) for v in sorted(found, key=repr)]
 
     def _fetch(self, database: Database, params: Params) -> list:
         """The matching rows (one scan) or combos (a join)."""
@@ -560,14 +568,14 @@ class InsertPlan:
     def run(
         self,
         database: Database,
-        record: AccessCallback | None,
+        accesses: Accesses | None,
         params: MutableMapping[str, Any],
     ) -> ExecResult:
         table = database.table(self.table)
         if self.source is None:
             sources = [[value(params) for value in self.values]]
         else:
-            result = self.source.run(database, record, params)
+            result = self.source.run(database, accesses, params)
             sources = [list(out_row.values()) for out_row in result.rows]
         blank = dict.fromkeys(table.schema.column_names)
         for values in sources:
@@ -579,8 +587,8 @@ class InsertPlan:
             row = dict(blank)
             row.update(zip(self.columns, values))
             key = table.insert(row)
-            if record is not None:
-                record(self.table, key, True)
+            if accesses is not None:
+                accesses.append((self.table, key, True))
         return ExecResult(affected=len(sources))
 
 
@@ -615,7 +623,7 @@ class WritePlan:
     def run(
         self,
         database: Database,
-        record: AccessCallback | None,
+        accesses: Accesses | None,
         params: MutableMapping[str, Any],
     ) -> ExecResult:
         name = self.scan.table
@@ -625,15 +633,15 @@ class WritePlan:
             keys = [self.key(row) for row in matched]
             for key in keys:
                 table.delete(key)
-                if record is not None:
-                    record(name, key, True)
+                if accesses is not None:
+                    accesses.append((name, key, True))
             return ExecResult(affected=len(keys))
         for row in matched:
             changes = {column: value(row, params) for column, value in self.sets}
             key = self.key(row)
             table.update(key, changes)
-            if record is not None:
-                record(name, key, True)
+            if accesses is not None:
+                accesses.append((name, key, True))
         return ExecResult(affected=len(matched))
 
 

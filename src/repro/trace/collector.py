@@ -16,8 +16,9 @@ class TraceCollector:
 
     The paper instruments each stored procedure with an extra SQL statement
     after every query to capture the tuples it accessed; here the executor
-    reports accesses directly through a callback, which is semantically the
-    same record: (table, primary key, read/write, transaction id).
+    appends each statement's accesses to the open transaction's list (and
+    nowhere between transactions), which is semantically the same record:
+    (table, primary key, read/write, transaction id).
 
     Usage::
 
@@ -31,7 +32,7 @@ class TraceCollector:
         self.trace = Trace()
         self._current: TransactionTrace | None = None
         self._next_id = 0
-        self.executor = Executor(database, on_access=self._on_access)
+        self.executor = Executor(database)
 
     # ------------------------------------------------------------------
     # transaction lifecycle
@@ -41,6 +42,7 @@ class TraceCollector:
             raise WorkloadError("previous transaction still open")
         self._current = TransactionTrace(self._next_id, class_name)
         self._next_id += 1
+        self.executor.accesses = self._current.accesses
         return self._current
 
     def commit(self) -> TransactionTrace:
@@ -48,16 +50,14 @@ class TraceCollector:
             raise WorkloadError("no open transaction")
         txn = self._current
         self._current = None
+        self.executor.accesses = None
         self.trace.append(txn)
         return txn
 
     def abort(self) -> None:
         """Drop the open transaction without recording it."""
         self._current = None
-
-    def _on_access(self, table: str, key: tuple, write: bool) -> None:
-        if self._current is not None:
-            self._current.record(table, key, write)
+        self.executor.accesses = None
 
     # ------------------------------------------------------------------
     # convenience

@@ -2,7 +2,7 @@
 
 The object trace (:class:`~repro.trace.events.Trace`) is convenient to
 collect but expensive to search: every mapping-independence test re-walks
-lists of :class:`TupleAccess` objects. This module interns each distinct
+lists of access records. This module interns each distinct
 ``(table, key)`` pair into a dense integer *tuple id* once, and stores
 each transaction class's stream as flat numpy int columns:
 
@@ -35,7 +35,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.trace.events import KeyValue, Trace, TransactionTrace, TupleAccess
+from repro.trace.events import KeyValue, Trace, TransactionTrace
 from repro.trace.splitter import round_robin
 
 
@@ -221,24 +221,24 @@ class ColumnarTrace:
             builder.txn_ids.append(txn.txn_id)
             builder.txns.append(txn)
             seen: set[int] = set()
-            for access in txn.accesses:
-                tid = table_ids.get(access.table)
+            for table, key, write in txn.accesses:
+                tid = table_ids.get(table)
                 if tid is None:
                     tid = len(tables)
-                    table_ids[access.table] = tid
-                    tables.append(access.table)
+                    table_ids[table] = tid
+                    tables.append(table)
                     keys_of.append([])
                     key_gids.append({})
                 interned = key_gids[tid]
-                gid = interned.get(access.key)
+                gid = interned.get(key)
                 if gid is None:
                     gid = len(tuple_table)
-                    interned[access.key] = gid
+                    interned[key] = gid
                     tuple_local.append(len(keys_of[tid]))
-                    keys_of[tid].append(access.key)
+                    keys_of[tid].append(key)
                     tuple_table.append(tid)
                 builder.ids.append(gid)
-                builder.writes.append(1 if access.write else 0)
+                builder.writes.append(1 if write else 0)
                 if gid not in seen:
                     seen.add(gid)
                     builder.uids.append(gid)
@@ -319,12 +319,13 @@ def intern_table_names(trace: Trace) -> Trace:
     """Deduplicate repeated table-name strings in-place (``sys.intern``).
 
     Large persisted traces repeat every table name once per access; loading
-    them used to materialize millions of equal-but-distinct strings.
+    them used to materialize millions of equal-but-distinct strings. A
+    renamed record becomes a plain ``(table, key, write)`` tuple.
     """
     for txn in trace:
         accesses = txn.accesses
-        for i, access in enumerate(accesses):
-            interned = sys.intern(access.table)
-            if interned is not access.table:
-                accesses[i] = TupleAccess(interned, access.key, access.write)
+        for i, (table, key, write) in enumerate(accesses):
+            interned = sys.intern(table)
+            if interned is not table:
+                accesses[i] = (interned, key, write)
     return trace

@@ -1,4 +1,8 @@
-"""Trace data model: tuple accesses, transactions, and whole traces."""
+"""Trace data model: tuple accesses, transactions, and whole traces.
+
+An access record is a plain ``(table, key, write)`` tuple, read by
+position everywhere; :class:`TupleAccess` builds one by name.
+"""
 
 from __future__ import annotations
 
@@ -6,14 +10,15 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 KeyValue = tuple  # primary-key value tuple
+Access = tuple[str, KeyValue, bool]
 
 
 class TupleAccess(NamedTuple):
     """One tuple touched by a transaction.
 
     Matches the paper's trace record: table name, primary key, and whether
-    the access was a read or an update (Section 7.1). A named tuple: a
-    trace holds one per access, and it is cheap to build and to keep.
+    the access was a read or an update (Section 7.1). It compares equal
+    to the plain ``(table, key, write)`` tuple the executor records.
     """
 
     table: str
@@ -37,28 +42,28 @@ class TransactionTrace:
 
     txn_id: int
     class_name: str
-    accesses: list[TupleAccess] = field(default_factory=list)
+    accesses: list[Access] = field(default_factory=list)
     arguments: dict | None = None
 
     def record(self, table: str, key: KeyValue, write: bool) -> None:
-        self.accesses.append(TupleAccess(table, tuple(key), write))
+        self.accesses.append((table, tuple(key), write))
 
     @property
     def tuples(self) -> set[tuple[str, KeyValue]]:
         """Distinct (table, key) pairs accessed (the R ∪ W set)."""
-        return {(a.table, a.key) for a in self.accesses}
+        return {(table, key) for table, key, _ in self.accesses}
 
     @property
     def read_set(self) -> set[tuple[str, KeyValue]]:
-        return {(a.table, a.key) for a in self.accesses if not a.write}
+        return {(table, key) for table, key, write in self.accesses if not write}
 
     @property
     def write_set(self) -> set[tuple[str, KeyValue]]:
-        return {(a.table, a.key) for a in self.accesses if a.write}
+        return {(table, key) for table, key, write in self.accesses if write}
 
     @property
     def tables(self) -> set[str]:
-        return {a.table for a in self.accesses}
+        return {table for table, _, _ in self.accesses}
 
     def __len__(self) -> int:
         return len(self.accesses)

@@ -25,8 +25,8 @@ def transaction_to_dict(txn: TransactionTrace) -> dict:
         "id": txn.txn_id,
         "class": txn.class_name,
         "a": [
-            [access.table, list(access.key), 1 if access.write else 0]
-            for access in txn.accesses
+            [table, list(key), 1 if write else 0]
+            for table, key, write in txn.accesses
         ],
     }
     if txn.arguments is not None:

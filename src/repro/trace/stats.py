@@ -40,9 +40,9 @@ def table_stats(trace: Trace) -> dict[str, TableStats]:
     """Count reads/writes and writing transactions per table."""
     stats: dict[str, TableStats] = {}
     for txn in trace:
-        for access in txn.accesses:
-            entry = stats.setdefault(access.table, TableStats())
-            if access.write:
+        for table, _, write in txn.accesses:
+            entry = stats.setdefault(table, TableStats())
+            if write:
                 entry.writes += 1
                 entry.writing_txns.add(txn.txn_id)
             else:

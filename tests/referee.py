@@ -123,13 +123,13 @@ def transaction_is_distributed(
 ) -> bool:
     """Definition 5 for a single transaction."""
     partitions: set[int] = set()
-    for access in txn.accesses:
-        solution = partitioning.solution_for(access.table)
-        pid = naive_pid(database, solution, access.key)
+    for table, key, write in txn.accesses:
+        solution = partitioning.solution_for(table)
+        pid = naive_pid(database, solution, key)
         if pid is None:
             return True  # unroutable tuple: must broadcast
         if pid == REPLICATED:
-            if access.write:
+            if write:
                 return True  # condition 1: writes a replicated tuple
             continue  # replicated reads are local anywhere
         partitions.add(pid)
@@ -147,13 +147,13 @@ def footprint(
     partitions: set[int] = set()
     writes_replicated = False
     unroutable = False
-    for access in txn.accesses:
-        solution = partitioning.solution_for(access.table)
-        pid = naive_pid(database, solution, access.key)
+    for table, key, write in txn.accesses:
+        solution = partitioning.solution_for(table)
+        pid = naive_pid(database, solution, key)
         if pid is None:
             unroutable = True
         elif pid == REPLICATED:
-            if access.write:
+            if write:
                 writes_replicated = True
         else:
             partitions.add(pid)

@@ -14,21 +14,34 @@ the referee's per-access scan for JECB, Horticulture and Schism layouts.
 
 from __future__ import annotations
 
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
 from repro.baselines.horticulture import HorticultureConfig, HorticulturePartitioner
 from repro.baselines.published import build_spec_partitioning, intra_table_path
 from repro.baselines.schism import SchismConfig, SchismPartitioner
+from repro.cluster import Cluster
 from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_tree import JoinTree
-from repro.core.mapping import stable_hash
+from repro.core.mapping import IdentityModMapping, stable_hash
 from repro.core.path_eval import ColumnarEngine
 from repro.core.phase2 import Phase2Config, enumerate_trees
 from repro.evaluation.evaluator import PartitioningEvaluator
+from repro.procedures import ProcedureCatalog
+from repro.schema import DatabaseSchema, integer_table
+from repro.storage import Database
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.events import Trace, TransactionTrace
-from repro.trace.persistence import load_trace_file, save_trace_file
+from repro.trace.events import Trace, TransactionTrace, TupleAccess
+from repro.trace.persistence import (
+    dump_trace,
+    load_trace,
+    load_trace_file,
+    save_trace_file,
+)
+from repro.trace.stats import table_stats
 from repro.trace.splitter import train_test_split
 from repro.workloads.auctionmark import AuctionMarkBenchmark, AuctionMarkConfig
 from repro.workloads.seats import SeatsBenchmark, SeatsConfig
@@ -159,7 +172,7 @@ def _txn_signature(txn: TransactionTrace):
     return (
         txn.txn_id,
         txn.class_name,
-        [(a.table, a.key, a.write) for a in txn.accesses],
+        [(table, key, write) for table, key, write in txn.accesses],
     )
 
 
@@ -229,7 +242,9 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=60, deadline=None)
     @given(_txn_lists)
     def test_roundtrip_random_traces(txn_specs):
-        """Interning then decoding the columns restores every access."""
+        """Interning then decoding the columns restores every access, and
+        every consumer reads plain triples and :class:`TupleAccess`
+        records alike."""
         trace = Trace()
         for i, (class_name, accesses) in enumerate(txn_specs):
             txn = TransactionTrace(i, class_name)
@@ -242,6 +257,76 @@ if HAVE_HYPOTHESIS:
             _assert_view_matches(view, by_id) for view in ctrace.views.values()
         )
         assert seen == len(trace)
+        named = Trace(
+            [
+                TransactionTrace(
+                    txn.txn_id,
+                    txn.class_name,
+                    [TupleAccess(*access) for access in txn.accesses],
+                )
+                for txn in trace
+            ]
+        )
+        assert _consumer_outputs(named) == _consumer_outputs(trace)
+
+
+def _columns(ctrace: ColumnarTrace):
+    views = {
+        name: [
+            column.tolist()
+            for column in (
+                view.txn_ids, view.offsets, view.tuple_ids, view.write_bits,
+                view.uoffsets, view.utuple_ids,
+            )
+        ]
+        for name, view in ctrace.views.items()
+    }
+    return (
+        ctrace.tables,
+        ctrace.keys_of,
+        ctrace.tuple_table.tolist(),
+        ctrace.tuple_local.tolist(),
+        views,
+    )
+
+
+def _random_trace_cluster():
+    """Two nodes over tables T1 (partitioned by A), T2 (by B) and T3
+    (replicated), each keyed (A, B), with rows for A below 4 only."""
+    schema = DatabaseSchema("random")
+    for name in ("T1", "T2", "T3"):
+        schema.add_table(integer_table(name, ["A", "B"], ["A", "B"]))
+    database = Database(schema)
+    for name in ("T1", "T2", "T3"):
+        for a in range(4):
+            for b in range(6):
+                database.insert(name, {"A": a, "B": b})
+    partitioning = build_spec_partitioning(
+        schema, 2, {"T1": "A", "T2": "B"}, mapping=IdentityModMapping(2)
+    )
+    return Cluster(database, ProcedureCatalog([]), partitioning)
+
+
+def _consumer_outputs(trace: Trace):
+    """What every reader of access records makes of *trace*."""
+    stats = {
+        table: (entry.reads, entry.writes, entry.writing_txns)
+        for table, entry in table_stats(trace).items()
+    }
+    sets = [
+        (txn.tuples, txn.read_set, txn.write_set, txn.tables) for txn in trace
+    ]
+    stream = io.StringIO()
+    dump_trace(trace, stream)
+    text = stream.getvalue()
+    loaded = [txn.accesses for txn in load_trace(io.StringIO(text))]
+    cluster = _random_trace_cluster()
+    try:
+        metrics = dataclasses.asdict(cluster.run_trace(trace))
+    finally:
+        cluster.close()
+    columns = _columns(ColumnarTrace.from_trace(trace))
+    return columns, stats, sets, text, loaded, metrics
 
 
 def test_roundtrip_real_workload(tatp_bundle):
@@ -543,8 +628,8 @@ def test_partition_pids_calls_the_mapping_once_per_code(tatp_bundle):
     trace = Trace()
     for i, txn in enumerate(tatp_bundle.trace):
         copy = TransactionTrace(i, "All")
-        for access in txn.accesses:
-            copy.record(access.table, access.key, access.write)
+        for table, key, write in txn.accesses:
+            copy.record(table, key, write)
         if i == 0:
             # a key of the wrong arity walks to no value: code 0
             copy.record("SUBSCRIBER", (1, 2, 3), False)
@@ -639,7 +724,7 @@ def test_persistence_interns_table_names(tmp_path):
     path = tmp_path / "trace.jsonl"
     save_trace_file(trace, str(path))
     loaded = load_trace_file(str(path))
-    names = [a.table for txn in loaded for a in txn.accesses]
+    names = [table for txn in loaded for table, _, _ in txn.accesses]
     assert all(name is names[0] for name in names)
     classes = [txn.class_name for txn in loaded]
     assert all(name is classes[0] for name in classes)

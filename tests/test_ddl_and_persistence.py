@@ -150,7 +150,7 @@ class TestTracePersistence:
     def test_keys_restored_as_tuples(self):
         data = transaction_to_dict(self.make_trace().transactions[0])
         restored = transaction_from_dict(data)
-        assert all(isinstance(a.key, tuple) for a in restored.accesses)
+        assert all(isinstance(key, tuple) for _, key, _ in restored.accesses)
 
     def test_blank_lines_skipped(self):
         buffer = io.StringIO('\n{"id": 1, "class": "c", "a": []}\n\n')

@@ -238,9 +238,7 @@ class TestWrites:
 class TestAccessRecording:
     def test_reads_recorded(self, figure1_db):
         accesses = []
-        executor = Executor(
-            figure1_db, on_access=lambda t, k, w: accesses.append((t, k, w))
-        )
+        executor = Executor(figure1_db, accesses=accesses)
         executor.execute(
             bound(executor, "SELECT T_QTY FROM TRADE WHERE T_ID = 1"), {}
         )
@@ -248,9 +246,7 @@ class TestAccessRecording:
 
     def test_join_records_both_sides(self, figure1_db):
         accesses = []
-        executor = Executor(
-            figure1_db, on_access=lambda t, k, w: accesses.append((t, k, w))
-        )
+        executor = Executor(figure1_db, accesses=accesses)
         executor.execute(
             bound(
                 executor,
@@ -264,9 +260,7 @@ class TestAccessRecording:
 
     def test_filtered_rows_not_recorded(self, figure1_db):
         accesses = []
-        executor = Executor(
-            figure1_db, on_access=lambda t, k, w: accesses.append((t, k, w))
-        )
+        executor = Executor(figure1_db, accesses=accesses)
         executor.execute(
             bound(executor, "SELECT T_ID FROM TRADE WHERE T_ID = 99"), {}
         )
@@ -274,9 +268,7 @@ class TestAccessRecording:
 
     def test_writes_flagged(self, figure1_db):
         accesses = []
-        executor = Executor(
-            figure1_db, on_access=lambda t, k, w: accesses.append((t, k, w))
-        )
+        executor = Executor(figure1_db, accesses=accesses)
         executor.execute(
             bound(executor, "UPDATE TRADE SET T_QTY = 0 WHERE T_ID = 1"), {}
         )

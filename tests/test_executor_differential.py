@@ -258,7 +258,7 @@ def check_agrees(tables, rows, sql, params, ordered):
     executed, refereed = build(tables, rows), build(tables, rows)
     bound = bind(parse_statement(sql), executed.schema)
     accesses: list = []
-    executor = Executor(executed, lambda *access: accesses.append(access))
+    executor = Executor(executed, accesses=accesses)
     env, referee_env = dict(params), dict(params)
 
     def execute():
@@ -277,6 +277,7 @@ def check_agrees(tables, rows, sql, params, ordered):
         got_accesses = sorted(got_accesses, key=repr)
         want_accesses = sorted(want_accesses, key=repr)
     assert got_accesses == want_accesses, sql
+    assert all(type(access) is tuple for access in got_accesses), sql
     assert env == referee_env, sql
     for table in executed:
         name = table.schema.name

@@ -156,7 +156,7 @@ class TestTupleAccess:
         stream.seek(0)
         (loaded,) = load_trace(stream)
         assert loaded.accesses == txn.accesses
-        assert all(type(a) is TupleAccess for a in loaded.accesses)
+        assert all(type(a) is tuple for a in loaded.accesses)
 
     def test_intern_table_names(self):
         name = "".join(["TA", "BLE"])
@@ -164,6 +164,6 @@ class TestTupleAccess:
         txn = TransactionTrace(0, "C", [TupleAccess(name, (1,), True)])
         intern_table_names(Trace([txn]))
         (access,) = txn.accesses
-        assert access.table is sys.intern("TABLE")
-        assert type(access) is TupleAccess
-        assert (access.key, access.write) == ((1,), True)
+        assert access[0] is sys.intern("TABLE")
+        assert type(access) is tuple
+        assert access == ("TABLE", (1,), True)

@@ -90,11 +90,10 @@ def test_tpce_deploy_places_each_key_once(monkeypatch):
     partitioned = set(run.partitioning.partitioned_tables())
     live = sum(len(database.table(t)) for t in partitioned)
     dead = {
-        (access.table, access.key)
+        (table, key)
         for txn in experiment.testing_trace
-        for access in txn.accesses
-        if access.table in partitioned
-        and database.table(access.table).get(access.key) is None
+        for table, key, _ in txn.accesses
+        if table in partitioned and database.table(table).get(key) is None
     }
     routed, replayed = stores
     placed = {

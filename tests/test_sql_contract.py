@@ -46,7 +46,7 @@ def _trace_sha256(trace) -> str:
     digest = hashlib.sha256()
     for txn in trace:
         arguments = sorted((txn.arguments or {}).items())
-        accesses = [(a.table, a.key, a.write) for a in txn.accesses]
+        accesses = [(table, key, write) for table, key, write in txn.accesses]
         digest.update(
             f"{txn.class_name}|{arguments!r}|{accesses!r}\n".encode("utf-8")
         )

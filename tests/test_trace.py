@@ -106,12 +106,22 @@ class TestCollector:
 
     def test_failed_procedure_not_recorded(self, figure1_db, custinfo_procedure):
         collector = TraceCollector(figure1_db)
+        arguments = {"cust_id": 1, "any_account": 1}
+        # both SELECTs record their reads before the UPDATE's missing
+        # parameter raises
         with pytest.raises(Exception):
             collector.run(custinfo_procedure, {"cust_id": 1})  # missing arg
         assert len(collector.trace) == 0
-        # the collector can still run new transactions afterwards
-        collector.run(custinfo_procedure, {"cust_id": 1, "any_account": 1})
+        assert collector.executor.accesses is None
+        # a statement run between transactions is recorded nowhere
+        custinfo_procedure.execute(collector.executor, dict(arguments))
+        # the collector can still run new transactions afterwards, and
+        # none of the accesses above, or after a commit, reach their records
+        recorded = collector.run(custinfo_procedure, arguments)
+        custinfo_procedure.execute(collector.executor, dict(arguments))
         assert len(collector.trace) == 1
+        fresh = TraceCollector(figure1_db).run(custinfo_procedure, arguments)
+        assert recorded.accesses == fresh.accesses
 
 
 class TestClassification:
