@@ -45,7 +45,7 @@ from typing import (
 )
 
 from repro.cluster.faults import CRASH, RECOVER, REPARTITION, FaultPlan
-from repro.cluster.node import Node
+from repro.cluster.node import Liveness, Node
 from repro.core.mapping import REPLICATED
 from repro.core.metrics import ClusterMetrics
 from repro.core.placement import MOVE, UNROUTABLE, PlacementStore
@@ -111,11 +111,13 @@ class _Snapshot:
     """What resolving accesses reads: the store's pid columns and the
     live nodes, as they stand while the snapshot is in use.
 
-    A replay takes one per :meth:`Cluster.run_trace` call and takes it
-    again whenever a fault event fires; live execution takes one per
-    transaction, after the procedure's writes. A column is read on its
-    table's first access and kept: nothing writes while the snapshot is in
-    use, so the store's version check would find it in step every time.
+    Replay keeps one across :meth:`Cluster.run_trace` calls for as long as
+    the store, the source database (its write counter) and the live set
+    (the cluster's liveness epoch) stay as they were when it was taken;
+    live execution takes one per transaction, after the procedure's
+    writes. A column is read on its table's first access and kept:
+    nothing writes while the snapshot is in use, so the store's version
+    check would find it in step every time.
     """
 
     __slots__ = ("store", "columns", "up", "down", "moved")
@@ -194,8 +196,9 @@ class Cluster:
                     f"fault plan targets unknown node {event.node}"
                 )
         self.metrics = ClusterMetrics(nodes=self.num_nodes)
+        self._liveness = Liveness()
         self.nodes: dict[int, Node] = {
-            node_id: Node(node_id, self.schema)
+            node_id: Node(node_id, self.schema, self._liveness)
             for node_id in range(1, self.num_nodes + 1)
         }
         self._all_nodes = tuple(self.nodes)
@@ -209,6 +212,10 @@ class Cluster:
         #: the running transaction's accesses, cleared between transactions
         self._txn_access: list[Access] = []
         self._undoing = False
+        #: the replay snapshot, and the (store, source writes, liveness
+        #: epoch) it was taken at
+        self._replay: _Snapshot | None = None
+        self._replay_stamp: tuple[PlacementStore | None, int, int] | None = None
         #: runs every procedure call against the source and appends its
         #: accesses to ``_txn_access``; the executor holds no reference to
         #: the cluster, so the two form no reference cycle
@@ -381,6 +388,15 @@ class Cluster:
         assert self.store is not None
         return _Snapshot(self.store, self.nodes.values(), moved)
 
+    def _replay_snapshot(self) -> _Snapshot:
+        """The kept replay snapshot, taken again once the store, the
+        source or the live set changed since it was taken."""
+        stamp = (self.store, self.source.writes, self._liveness.epoch)
+        if self._replay is None or stamp != self._replay_stamp:
+            self._replay = self._snapshot()
+            self._replay_stamp = stamp
+        return self._replay
+
     # ------------------------------------------------------------------
     # trace replay (the accounting twin of the static evaluator)
     # ------------------------------------------------------------------
@@ -392,15 +408,18 @@ class Cluster:
         commit protocol — exactly what the acceptance tests compare
         against the static evaluator.
 
-        The call resolves against one snapshot of the placement and the
-        live nodes, taken again only when a fault event fires, so the
-        source must not be written while the call runs. Writes made
-        between two calls are seen by the second.
+        The call resolves against a snapshot of the placement and the
+        live nodes, which it checks at its first transaction and after each
+        fault event, so the source must not be written while the call
+        runs. The snapshot outlives the call: the next call keeps it unless
+        the store was replaced, the source written or a node crashed or
+        recovered since, so writes and crashes between two calls are seen
+        by the second.
         """
         snapshot: _Snapshot | None = None
         for txn in trace:
             if self._advance_faults() or snapshot is None:
-                snapshot = self._snapshot()
+                snapshot = self._replay_snapshot()
             self._replay_transaction(txn, snapshot)
             self._tick += 1
         return self.metrics

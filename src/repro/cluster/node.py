@@ -6,6 +6,17 @@ from repro.schema.database import DatabaseSchema
 from repro.storage.database import Database
 
 
+class Liveness:
+    """An epoch that moves whenever a node of one cluster crashes or
+    recovers, so the cluster can tell its live set is unchanged with one
+    integer compare."""
+
+    __slots__ = ("epoch",)
+
+    def __init__(self) -> None:
+        self.epoch = 0
+
+
 class Node:
     """A member of the simulated cluster.
 
@@ -15,20 +26,30 @@ class Node:
     down node cannot participate in transactions, but its in-memory state
     survives the crash (crash-stop with durable storage). ``divergent``
     tracks tables whose replicated content missed writes while the node
-    was down; recovery resyncs exactly those.
+    was down; recovery resyncs exactly those. ``up`` changes only through
+    :meth:`crash` and :meth:`recover`, which move *liveness*'s epoch (the
+    cluster's, shared by all its nodes).
     """
 
-    def __init__(self, node_id: int, schema: DatabaseSchema) -> None:
+    def __init__(
+        self,
+        node_id: int,
+        schema: DatabaseSchema,
+        liveness: Liveness | None = None,
+    ) -> None:
         self.node_id = node_id
         self.database = Database(schema)
         self.up = True
         self.divergent: set[str] = set()
+        self._liveness = liveness if liveness is not None else Liveness()
 
     def crash(self) -> None:
         self.up = False
+        self._liveness.epoch += 1
 
     def recover(self) -> None:
         self.up = True
+        self._liveness.epoch += 1
 
     def row_count(self) -> int:
         return self.database.row_count()

@@ -132,14 +132,18 @@ class LookupTable:
         new_pid: int | None,
     ) -> None:
         """Move one row's count (see
-        :class:`~repro.core.placement.PlacementSubscriber`)."""
+        :class:`~repro.core.placement.PlacementSubscriber`); an update
+        that keeps the row's value and pid leaves it where it is."""
         column = self.attribute.column
-        if op != "insert":
-            assert old is not None and old_pid is not None
-            self._remove(old.get(column), old_pid)
-        if op != "delete":
-            assert new is not None and new_pid is not None
-            self._add(new.get(column), new_pid)
+        old_value = None if old is None else old.get(column)
+        new_value = None if new is None else new.get(column)
+        if op != "update" or old_pid != new_pid or old_value != new_value:
+            if op != "insert":
+                assert old is not None and old_pid is not None
+                self._remove(old_value, old_pid)
+            if op != "delete":
+                assert new is not None and new_pid is not None
+                self._add(new_value, new_pid)
         metrics = self.metrics
         if metrics is None or op == MOVE:
             return

@@ -6,7 +6,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from repro.errors import IntegrityError, StorageError
 from repro.schema.database import DatabaseSchema
-from repro.storage.table import KeyValue, Row, Table
+from repro.storage.table import KeyValue, Row, Table, WriteCounter
 
 
 class Database:
@@ -20,8 +20,9 @@ class Database:
 
     def __init__(self, schema: DatabaseSchema) -> None:
         self.schema = schema
+        self._writes = WriteCounter()
         self._tables: dict[str, Table] = {
-            t.name: Table(t) for t in schema.tables
+            t.name: Table(t, self._writes) for t in schema.tables
         }
         for fk in schema.foreign_keys():
             ref = self._tables[fk.ref_table]
@@ -43,6 +44,14 @@ class Database:
     def row_count(self) -> int:
         """Total number of rows across all tables."""
         return sum(len(t) for t in self._tables.values())
+
+    @property
+    def writes(self) -> int:
+        """Writes made to any table so far: every bump of a
+        :attr:`Table.version <repro.storage.table.Table.version>` bumps it
+        too, so a holder of derived state can tell "nothing was written"
+        with one integer compare."""
+        return self._writes.count
 
     def get(self, table: str, key: Sequence[Any]) -> Row | None:
         return self.table(table).get(tuple(key))

@@ -20,6 +20,20 @@ KeyValue = tuple[Any, ...]
 MutationListener = Callable[[str, KeyValue, Row | None, Row | None], None]
 
 
+class WriteCounter:
+    """Writes made to a group of tables, all of them together.
+
+    A :class:`~repro.storage.database.Database` shares one with each of
+    its tables, so "was anything written?" is one integer compare however
+    many tables there are.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
 class Table:
     """Row store for one table.
 
@@ -32,10 +46,14 @@ class Table:
     through :meth:`update` so indexes stay consistent.
     """
 
-    def __init__(self, schema: TableSchema) -> None:
+    def __init__(
+        self, schema: TableSchema, writes: WriteCounter | None = None
+    ) -> None:
         self.schema = schema
         self._rows: dict[KeyValue, Row] = {}
         self._version = 0
+        #: bumped with ``_version``; shared with the table's database
+        self._writes = writes if writes is not None else WriteCounter()
         self._indexes: dict[tuple[str, ...], dict[KeyValue, list[KeyValue]]] = {}
         # Last version of deleted rows. Join-path evaluation happens after
         # the trace was collected, but the paper's instrumentation captures
@@ -66,8 +84,7 @@ class Table:
         """
         if validate:
             self.schema.validate_row(row)
-        self.insert_many((row,))
-        return self.primary_key_of(row)
+        return self._insert((row,))[1]
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert each row in turn; returns how many were inserted.
@@ -78,6 +95,14 @@ class Table:
         maintained and listeners hear one insert. The per-call lookups are
         hoisted out of the loop; the cluster fills empty node tables with it.
         """
+        return self._insert(rows)[0]
+
+    def _insert(
+        self, rows: Iterable[Mapping[str, Any]]
+    ) -> tuple[int, KeyValue]:
+        """:meth:`insert_many`; also returns the last inserted row's key
+        (``()`` when none was)."""
+        writes = self._writes
         live = self._rows
         graveyard = self._graveyard
         indexes = tuple(self._indexes.items())
@@ -85,6 +110,7 @@ class Table:
         key_columns = itemgetter(*primary_key)
         single = len(primary_key) == 1
         count = 0
+        key: KeyValue = ()
         for row in rows:
             stored: Row = dict(row)
             try:
@@ -98,6 +124,7 @@ class Table:
                     f"duplicate primary key {key} in table {self.schema.name}"
                 )
             self._version += 1
+            writes.count += 1
             live[key] = stored
             tombstone = graveyard.pop(key, None)
             for columns, index in indexes:
@@ -107,7 +134,7 @@ class Table:
             if self._listeners:
                 self._notify("insert", key, tombstone, dict(stored))
             count += 1
-        return count
+        return count, key
 
     def update(self, key: KeyValue, changes: Mapping[str, Any]) -> Row:
         """Apply *changes* to the row with primary key *key*.
@@ -134,6 +161,7 @@ class Table:
                     if not bucket:
                         del index[old_val]
         self._version += 1
+        self._writes.count += 1
         row.update(changes)
         for columns, index in self._indexes.items():
             if any(c in changes for c in columns):
@@ -148,6 +176,7 @@ class Table:
         if row is None:
             raise StorageError(f"no row {key} in table {self.schema.name}")
         self._version += 1
+        self._writes.count += 1
         self._graveyard[key] = dict(row)
         for columns, index in self._indexes.items():
             val = tuple(row[c] for c in columns)
@@ -178,6 +207,7 @@ class Table:
                 f"{self.schema.name}"
             )
         self._version += 1
+        self._writes.count += 1
         if row is None:
             self._graveyard.pop(key, None)
         else:
@@ -277,7 +307,9 @@ class Table:
 
     @property
     def version(self) -> int:
-        """Mutation counter; bumps on insert/update/delete.
+        """Mutation counter; bumps on insert/update/delete and
+        :meth:`restore_tombstone`, as does the database's
+        :attr:`~repro.storage.database.Database.writes`.
 
         Lets views over the table (the placement store's columns) detect
         writes they were not told about with one integer compare.

@@ -28,7 +28,6 @@ statistics fallback).
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import Any, Iterator
 
@@ -314,18 +313,3 @@ class ColumnarTrace:
             f"accesses={self.n_accesses})"
         )
 
-
-def intern_table_names(trace: Trace) -> Trace:
-    """Deduplicate repeated table-name strings in-place (``sys.intern``).
-
-    Large persisted traces repeat every table name once per access; loading
-    them used to materialize millions of equal-but-distinct strings. A
-    renamed record becomes a plain ``(table, key, write)`` tuple.
-    """
-    for txn in trace:
-        accesses = txn.accesses
-        for i, (table, key, write) in enumerate(accesses):
-            interned = sys.intern(table)
-            if interned is not table:
-                accesses[i] = (interned, key, write)
-    return trace

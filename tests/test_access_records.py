@@ -6,8 +6,8 @@ Two contracts ride on that:
 
 * every record is an exact ``tuple`` the cycle collector has stopped
   tracking, however it got there: collected, recorded by hand, loaded
-  from a file, renamed by ``intern_table_names`` or run live through the
-  cluster; a ``NamedTuple`` record would stay tracked for good;
+  from a file or run live through the cluster; a ``NamedTuple`` record
+  would stay tracked for good;
 * an aborted transaction's accesses never reach the next record: here
   for a cluster transaction that aborts on a down node, and in
   ``tests/test_trace.py`` for a collected procedure that raises.
@@ -22,8 +22,7 @@ import pytest
 
 from repro.cluster import Cluster, FaultPlan
 from repro.procedures import ProcedureCatalog, StoredProcedure
-from repro.trace import Trace, TraceCollector, TransactionTrace
-from repro.trace.columnar import intern_table_names
+from repro.trace import TraceCollector, TransactionTrace
 from repro.trace.persistence import dump_trace, load_trace
 
 from tests.conftest import build_custinfo_schema
@@ -106,12 +105,6 @@ def test_recorded_accesses_are_untracked_plain_tuples(
     dump_trace(collector.trace, stream)
     stream.seek(0)
     _assert_untracked_plain(_all_accesses(load_trace(stream)))
-
-    renamed = TransactionTrace(1, "Manual")
-    for i in range(3):
-        renamed.record("".join(["TRA", "DE"]), (i,), bool(i % 2))
-    intern_table_names(Trace([renamed]))
-    _assert_untracked_plain(renamed.accesses)
 
     cluster = Cluster(
         figure1_db,

@@ -15,9 +15,11 @@ Four layers:
   placement snapshot, so replaying a trace in one call, one transaction
   per call or in random chunks must give equal ``ClusterMetrics`` under
   any crash / recover / repartition schedule.
-* **Snapshot lifetime** — a write made between two ``run_trace`` calls
-  must be seen by the second: each call's outcome equals a fresh
-  cluster's over the database as it then stands.
+* **Snapshot lifetime** — replay keeps its snapshot across ``run_trace``
+  calls, yet a write, a direct node crash or recovery, or an install made
+  between two calls must be seen by the second: each call's outcome
+  equals a fresh cluster's over the database, layout and live nodes as
+  they then stand. With nothing changed, a call reads no store column.
 """
 
 import dataclasses
@@ -31,6 +33,7 @@ from repro.baselines.published import build_spec_partitioning
 from repro.cluster import Cluster, FaultPlan
 from repro.core import JECBConfig, JECBPartitioner
 from repro.core.mapping import IdentityModMapping
+from repro.core.placement import PlacementStore
 from repro.evaluation import PartitioningEvaluator
 from repro.procedures import ProcedureCatalog
 from repro.storage import Database
@@ -384,7 +387,7 @@ def test_replay_does_not_depend_on_chunking_smoke(schedule, sizes):
 
 
 # ----------------------------------------------------------------------
-# no snapshot outlives its call
+# a kept snapshot hides no change made between calls
 # ----------------------------------------------------------------------
 _WRITES = st.lists(
     st.one_of(
@@ -401,20 +404,43 @@ _WRITES = st.lists(
         st.tuples(
             st.just("tombstone_ca"), st.sampled_from([1, 7]), st.integers(1, 2)
         ),
+        st.tuples(
+            st.just("retomb_ca"), st.sampled_from([1, 7, 50]), st.integers(1, 2)
+        ),
+        st.tuples(
+            st.sampled_from(["crash", "recover"]), st.integers(1, 2), st.just(0)
+        ),
+        st.tuples(
+            st.just("install"),
+            st.sampled_from(["by-account", "by-customer"]),
+            st.just(0),
+        ),
     ),
     max_size=3,
 )
 
 
-def _write(database, kind, a, b):
-    """One out-of-band write; account 50 and trade 100 are the keys
+def _write(cluster, kind, a, b):
+    """One out-of-band change; account 50 and trade 100 are the keys
     ``_ACCESSES`` names that no figure-1 row holds.
 
     ``tombstone_ca`` deletes account *a* and makes its tombstone name
     customer *b*: the store does not hear of the tombstone, so its next
     read fills the account and trade columns again, as new objects.
+    ``retomb_ca`` is that tombstone write alone, on an account that is not
+    live: a change no table listener hears. ``crash`` and ``recover`` call
+    node *a* directly, outside the fault plan; ``install`` makes layout
+    *a* live.
     """
-    if kind == "insert_ca":
+    database = cluster.source
+    if kind == "crash":
+        cluster.nodes[a].crash()
+    elif kind == "recover":
+        cluster.nodes[a].recover()
+    elif kind == "install":
+        layouts = {"by-account": _by_account, "by-customer": _build_partitioning}
+        cluster.install(layouts[a](database.schema))
+    elif kind == "insert_ca":
         if database.get("CUSTOMER_ACCOUNT", (50,)) is None:
             database.insert("CUSTOMER_ACCOUNT", {"CA_ID": 50, "CA_C_ID": a})
     elif kind == "insert_trade":
@@ -423,6 +449,11 @@ def _write(database, kind, a, b):
     elif kind == "delete_trade":
         if database.get("TRADE", (a,)) is not None:
             database.delete("TRADE", (a,))
+    elif kind == "retomb_ca":
+        if database.get("CUSTOMER_ACCOUNT", (a,)) is None:
+            database.table("CUSTOMER_ACCOUNT").restore_tombstone(
+                (a,), {"CA_ID": a, "CA_C_ID": b}
+            )
     elif database.get("CUSTOMER_ACCOUNT", (a,)) is None:
         return
     elif kind == "retarget_ca":
@@ -441,27 +472,33 @@ def _outcome(metrics):
         metrics.committed_distributed,
         metrics.broadcasts,
         metrics.prepare_messages,
+        metrics.aborts,
+        metrics.failed,
+        metrics.replica_failovers,
         Counter(metrics.per_node_transactions),
     )
 
 
 def _assert_each_call_sees_prior_writes(steps):
-    """Writes between two calls reach the second: each call's outcome
-    equals a fresh cluster's over the database as it then stands."""
+    """Changes between two calls reach the second: each call's outcome
+    equals a fresh cluster's over the database, the installed layout and
+    the live nodes as they then stand."""
     schema = build_custinfo_schema()
     database = Database(schema)
     load_figure1_data(database)
     catalog = ProcedureCatalog([build_custinfo_procedure()])
-    partitioning = _build_partitioning(schema)
-    cluster = Cluster(database, catalog, partitioning)
+    cluster = Cluster(database, catalog, _build_partitioning(schema))
     try:
         for writes, chunk in steps:
             for write in writes:
-                _write(database, *write)
+                _write(cluster, *write)
             before = _outcome(cluster.metrics)
             after = _outcome(cluster.run_trace(chunk))
-            fresh = Cluster(database, catalog, partitioning)
+            fresh = Cluster(database, catalog, cluster.partitioning)
             try:
+                for node_id, node in cluster.nodes.items():
+                    if not node.up:
+                        fresh.nodes[node_id].crash()
                 expected = _outcome(fresh.run_trace(chunk))
             finally:
                 fresh.close()
@@ -491,6 +528,7 @@ def test_each_replay_call_sees_writes_made_before_it_smoke():
         _txn(1, ("TRADE", (100,), False), ("CUSTOMER_ACCOUNT", (50,), False)),
         _txn(2, ("TRADE", (2,), True), ("CUSTOMER_ACCOUNT", (1,), False)),
     ]
+    moved = [_txn(3, ("CUSTOMER_ACCOUNT", (8,), False), ("TRADE", (4,), True))]
     _assert_each_call_sees_prior_writes(
         [
             ([], reads),
@@ -505,7 +543,61 @@ def test_each_replay_call_sees_writes_made_before_it_smoke():
                 reads,
             ),
             ([("delete_trade", 2, 0), ("retarget_ca", 50, 1)], reads),
-            # account 1's trades follow its tombstone to customer 2's node
+            # account 1's trades follow its tombstone to customer 2's node,
+            # and back to customer 1's when only the tombstone is written
             ([("tombstone_ca", 1, 2)], reads),
+            ([("retomb_ca", 1, 1)], reads),
+            # outside the fault plan: a new layout moves account 8 and its
+            # trades from node 2 to node 1; then node 2 goes down, node 1
+            # takes its turn, and both are back
+            ([("install", "by-account", 0)], reads + moved),
+            ([("crash", 2, 0)], reads + moved),
+            ([("recover", 2, 0), ("crash", 1, 0)], reads + moved),
+            ([("recover", 1, 0)], reads + moved),
         ]
     )
+
+
+@pytest.mark.smoke
+def test_a_replay_call_with_nothing_changed_reads_no_store_column(
+    monkeypatch,
+):
+    schema = build_custinfo_schema()
+    database = Database(schema)
+    load_figure1_data(database)
+    cluster = Cluster(
+        database,
+        ProcedureCatalog([build_custinfo_procedure()]),
+        _build_partitioning(schema),
+    )
+    reads: list[str] = []
+    pids = PlacementStore.pids
+
+    def counted(store, table):
+        reads.append(table)
+        return pids(store, table)
+
+    monkeypatch.setattr(PlacementStore, "pids", counted)
+    try:
+        cluster.run_trace(_SMOKE_TRACE)
+        assert reads
+        reads.clear()
+        cluster.run_trace(_SMOKE_TRACE)
+        assert reads == []
+        # each kind of change makes the next call read the columns again
+        for change in (
+            ("retarget_ca", 7, 1),
+            ("insert_trade", 8, 0),
+            ("delete_trade", 3, 0),
+            ("tombstone_ca", 1, 2),
+            ("retomb_ca", 1, 1),
+            ("crash", 2, 0),
+            ("recover", 2, 0),
+            ("install", "by-account", 0),
+        ):
+            _write(cluster, *change)
+            reads.clear()
+            cluster.run_trace(_SMOKE_TRACE)
+            assert reads, change
+    finally:
+        cluster.close()

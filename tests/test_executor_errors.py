@@ -10,7 +10,6 @@ with parameters they never needed.
 from __future__ import annotations
 
 import io
-import sys
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro.errors import BindingError, ExecutionError
 from repro.sql.bind import bind
 from repro.sql.parser import parse_statement
 from repro.storage import Database
-from repro.trace.columnar import intern_table_names
 from repro.trace.events import Trace, TransactionTrace, TupleAccess
 from repro.trace.persistence import dump_trace, load_trace
 
@@ -157,13 +155,3 @@ class TestTupleAccess:
         (loaded,) = load_trace(stream)
         assert loaded.accesses == txn.accesses
         assert all(type(a) is tuple for a in loaded.accesses)
-
-    def test_intern_table_names(self):
-        name = "".join(["TA", "BLE"])
-        assert name is not sys.intern("TABLE")
-        txn = TransactionTrace(0, "C", [TupleAccess(name, (1,), True)])
-        intern_table_names(Trace([txn]))
-        (access,) = txn.accesses
-        assert access[0] is sys.intern("TABLE")
-        assert type(access) is tuple
-        assert access == ("TABLE", (1,), True)

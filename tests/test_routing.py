@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_path import JoinPath
 from repro.core.mapping import IdentityModMapping
+from repro.core.metrics import RoutingMetrics
 from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.procedures import ProcedureCatalog, StoredProcedure
@@ -124,6 +125,35 @@ class TestLookupTable:
             assert lookup.partitions_for(2) == {1}  # account 10 stays
             figure1_db.update("CUSTOMER_ACCOUNT", (10,), {"CA_C_ID": 1})
             assert lookup.partitions_for(2) is None
+            assert not lookup.is_stale()
+        finally:
+            store.close()
+
+    def test_an_update_moves_a_count_only_if_its_value_or_pid_changes(
+        self, figure1_db, customer_partitioning
+    ):
+        attribute = Attr("CUSTOMER_ACCOUNT", "CA_ID")
+        store = PlacementStore(figure1_db, customer_partitioning).attach()
+        metrics = RoutingMetrics()
+        try:
+            lookup = LookupTable.build(attribute, store, metrics)
+
+            def matches_referee():
+                expected = naive_lookup(
+                    figure1_db, customer_partitioning, attribute
+                )
+                return {v: lookup.partitions_for(v) for v in lookup} == expected
+
+            # Same value, new pid: account 7 moves from customer 2's
+            # partition 1 to customer 1's partition 2.
+            assert lookup.partitions_for(7) == {1}
+            figure1_db.update("CUSTOMER_ACCOUNT", (7,), {"CA_C_ID": 1})
+            moved = lookup.partitions_for(7)
+            assert moved == {2} and matches_referee()
+            # Same value, same pid: nothing moves, not even the memo.
+            figure1_db.update("CUSTOMER_ACCOUNT", (7,), {"CA_C_ID": 1})
+            assert lookup.partitions_for(7) is moved and matches_referee()
+            assert metrics.write_through_updates == 2
             assert not lookup.is_stale()
         finally:
             store.close()

@@ -217,6 +217,29 @@ class TestDatabase:
         database.delete("B", (1,))
         assert database.get("B", (1,)) is None
 
+    def test_writes_counts_every_version_bump(self):
+        database = self.make()
+        a, b = database.table("A"), database.table("B")
+
+        def in_step():
+            return database.writes == a.version + b.version
+
+        assert database.writes == 0
+        assert database.insert("A", {"A_ID": 1}) == (1,)
+        rows = [{"B_ID": 1, "B_A_ID": 1}, {"B_ID": 2, "B_A_ID": 1}]
+        assert b.insert_many(rows) == 2
+        assert database.writes == 3 and in_step()
+        with pytest.raises(StorageError):
+            database.insert("A", {"A_ID": 1})
+        with pytest.raises(StorageError):
+            database.insert("A", {})
+        database.get("A", (1,))
+        assert database.writes == 3
+        database.update("B", (1,), {"B_A_ID": None})
+        database.delete("B", (2,))
+        b.restore_tombstone((2,), None)
+        assert database.writes == 6 and in_step()
+
     def test_row_count(self):
         database = self.make()
         database.insert("A", {"A_ID": 1})
