@@ -22,9 +22,15 @@ Two execution modes share all placement and accounting logic:
   down, and applying committed writes to the owning nodes (write-through
   placement).
 
+Both run each transaction through one attempt loop (aborts, retries and
+their backoff cost) and resolve it against one kept snapshot of the
+placement and the live nodes, taken again only once something changed;
+a live transaction that moved rows takes its own.
+
 Where every row lives comes from one
 :class:`~repro.core.placement.PlacementStore` per installed partitioning,
 shared with the cluster's router; the cluster walks no join path itself.
+Each node holds plain row maps, the copies placed on it.
 
 Fault injection (:class:`~repro.cluster.faults.FaultPlan`) crashes and
 recovers nodes and installs new partitionings between transactions;
@@ -37,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Collection,
     Iterable,
     Mapping,
@@ -55,7 +62,7 @@ from repro.errors import ClusterError, ClusterUnavailable
 from repro.procedures.procedure import ProcedureCatalog
 from repro.routing.router import Router, RoutingDecision
 from repro.storage.database import Database
-from repro.storage.table import KeyValue, Row, Table
+from repro.storage.table import KeyValue, Row
 from repro.trace.events import Access, Trace, TransactionTrace
 
 
@@ -111,13 +118,15 @@ class _Snapshot:
     """What resolving accesses reads: the store's pid columns and the
     live nodes, as they stand while the snapshot is in use.
 
-    Replay keeps one across :meth:`Cluster.run_trace` calls for as long as
-    the store, the source database (its write counter) and the live set
-    (the cluster's liveness epoch) stay as they were when it was taken;
-    live execution takes one per transaction, after the procedure's
-    writes. A column is read on its table's first access and kept:
-    nothing writes while the snapshot is in use, so the store's version
-    check would find it in step every time.
+    The cluster keeps one (:meth:`Cluster._replay_snapshot`) for as long
+    as the store, the source database (its write counter) and the live set
+    (the cluster's liveness epoch) stay as they were when it was taken:
+    replay resolves against it across :meth:`Cluster.run_trace` calls, and
+    so does a live transaction that moved no rows, after its writes. Only a
+    transaction that moved rows takes one of its own, which also knows
+    where the nodes still hold them. A column is read on its table's first
+    access and kept: nothing writes while the snapshot is in use, so the
+    store's version check would find it in step every time.
     """
 
     __slots__ = ("store", "columns", "up", "down", "moved")
@@ -131,7 +140,7 @@ class _Snapshot:
         self.store = store
         #: table -> pid column read so far (``None``: replicated table)
         self.columns: dict[str, dict[KeyValue, int] | None] = {}
-        # One plain loop: live execution takes a snapshot per transaction.
+        # One plain loop: every transaction that wrote takes a new one.
         up: list[int] = []
         down: list[int] = []
         for node in nodes:
@@ -308,7 +317,6 @@ class Cluster:
     ) -> tuple[int, int, int]:
         """Sync node contents for *table_name* with the store's pid column.
 
-        An empty node table is filled in one batch, any other is diffed.
         Returns ``(inserted, removed, updated)`` row counts across the
         synced nodes (*targets*, or all of them).
         """
@@ -335,18 +343,20 @@ class Cluster:
                         rows[key] = row
         inserted = removed = updated = 0
         for node in self.nodes.values() if targets is None else targets:
-            node_table = node.database.table(table_name)
+            rows = node.tables[table_name]
             want = wanted[node.node_id]
-            if not len(node_table):
-                inserted += node_table.insert_many(want.values())
-                continue
-            for key in set(node_table.keys()) - want.keys():
-                node_table.delete(key)
+            for key in [key for key in rows if key not in want]:
+                del rows[key]
                 removed += 1
             for key, row in want.items():
-                op = self._put_row(node_table, key, row)
-                inserted += op == "insert"
-                updated += op == "update"
+                copy = rows.get(key)
+                if copy is None:
+                    inserted += 1
+                elif copy == row:
+                    continue
+                else:
+                    updated += 1
+                rows[key] = dict(row)
         return inserted, removed, updated
 
     # ------------------------------------------------------------------
@@ -389,8 +399,8 @@ class Cluster:
         return _Snapshot(self.store, self.nodes.values(), moved)
 
     def _replay_snapshot(self) -> _Snapshot:
-        """The kept replay snapshot, taken again once the store, the
-        source or the live set changed since it was taken."""
+        """The kept snapshot, taken again once the store, the source or
+        the live set changed since it was taken."""
         stamp = (self.store, self.source.writes, self._liveness.epoch)
         if self._replay is None or stamp != self._replay_stamp:
             self._replay = self._snapshot()
@@ -416,35 +426,42 @@ class Cluster:
         recovered since, so writes and crashes between two calls are seen
         by the second.
         """
+        attempt, resolve = self._attempt, self._resolve_accesses
+        commit = self._commit
         snapshot: _Snapshot | None = None
         for txn in trace:
             if self._advance_faults() or snapshot is None:
                 snapshot = self._replay_snapshot()
-            self._replay_transaction(txn, snapshot)
+            resolution = attempt(resolve, snapshot, txn.accesses, txn.txn_id)
+            if resolution is not None:
+                commit(resolution, txn.class_name)
             self._tick += 1
         return self.metrics
 
-    def _replay_transaction(
-        self, txn: TransactionTrace, snapshot: _Snapshot
-    ) -> None:
-        self.metrics.transactions += 1
+    def _attempt(
+        self, once: Callable[..., _Resolution], *arguments: Any
+    ) -> _Resolution | None:
+        """Count one transaction and call ``once(*arguments)`` until it
+        returns the transaction's resolution, or ``None`` once it has
+        aborted ``max_retries + 1`` times.
+
+        Each :class:`ClusterUnavailable` is an abort; every one but the
+        last is retried at the growing backoff cost.
+        """
+        metrics = self.metrics
+        metrics.transactions += 1
         attempts = 0
         while True:
             try:
-                resolution = self._resolve_accesses(
-                    snapshot, txn.accesses, txn.txn_id
-                )
+                return once(*arguments)
             except ClusterUnavailable:
-                self.metrics.aborts += 1
+                metrics.aborts += 1
                 if attempts >= self.cost.max_retries:
-                    self.metrics.failed += 1
-                    return
-                self.metrics.retries += 1
-                self.metrics.retry_cost_units += self.cost.backoff_cost(attempts)
+                    metrics.failed += 1
+                    return None
+                metrics.retries += 1
+                metrics.retry_cost_units += self.cost.backoff_cost(attempts)
                 attempts += 1
-                continue
-            self._commit(resolution, txn.class_name)
-            return
 
     # ------------------------------------------------------------------
     # access resolution
@@ -592,24 +609,13 @@ class Cluster:
         assert self.router is not None
         decision = self.router.route(name, arguments)
         hint = self._coordinator_hint(decision)
-        self.metrics.transactions += 1
-        attempts = 0
-        committed = False
-        while True:
-            try:
-                self._execute_once(procedure, arguments, hint)
-                committed = True
-                break
-            except ClusterUnavailable:
-                self.metrics.aborts += 1
-                if attempts >= self.cost.max_retries:
-                    self.metrics.failed += 1
-                    break
-                self.metrics.retries += 1
-                self.metrics.retry_cost_units += self.cost.backoff_cost(attempts)
-                attempts += 1
+        resolution = self._attempt(
+            self._execute_once, procedure, arguments, hint
+        )
+        if resolution is not None:
+            self._commit(resolution, procedure.name)
         self._tick += 1
-        return committed
+        return resolution is not None
 
     def _coordinator_hint(self, decision: RoutingDecision) -> int | None:
         if decision.broadcast or not decision.partitions:
@@ -624,22 +630,26 @@ class Cluster:
         procedure: Any,
         arguments: Mapping[str, Any],
         hint: int | None,
-    ) -> None:
+    ) -> _Resolution:
+        """One attempt: run the procedure, then move the rows it changed
+        on the nodes; returns who took part."""
         self._begin()
         try:
             procedure.execute(self._executor, dict(arguments))
             log = self._txn_log
             changes = self._net_changes(log) if log else {}
-            moved = None
-            if changes:
-                # until commit, the nodes hold a moved row on its old partition
-                moved = {
-                    row: change[0]
-                    for row, change in changes.items()
-                    if change[0] is not None
-                }
+            # until commit, the nodes hold a moved row on its old partition
+            moved = {
+                row: change[0]
+                for row, change in changes.items()
+                if change[0] is not None
+            }
+            # a transaction that moved no rows reads what a replay would
+            snapshot = (
+                self._snapshot(moved) if moved else self._replay_snapshot()
+            )
             resolution = self._resolve_accesses(
-                self._snapshot(moved), self._txn_access, self._tick, hint
+                snapshot, self._txn_access, self._tick, hint
             )
             if log:
                 self._add_write_homes(log, resolution)
@@ -652,7 +662,7 @@ class Cluster:
         self.store.commit()
         for (table, key), (old_pid, new_pid, row) in changes.items():
             self._apply_change(table, key, old_pid, new_pid, row)
-        self._commit(resolution, procedure.name)
+        return resolution
 
     def _begin(self) -> None:
         """Start buffering a transaction's writes and store changes."""
@@ -788,7 +798,9 @@ class Cluster:
             node = self.nodes[node_id]
             if node.up or homed:
                 assert row is not None
-                self._put_row(node.database.table(table), key, row)
+                rows = node.tables[table]
+                if rows.get(key) != row:
+                    rows[key] = dict(row)
             else:
                 node.divergent.add(table)
         for node_id in old_nodes:
@@ -796,7 +808,7 @@ class Cluster:
                 continue
             node = self.nodes[node_id]
             if node.up:
-                self._drop_row(node.database.table(table), key)
+                node.tables[table].pop(key, None)
             else:
                 node.divergent.add(table)
         if old_pid is None or new_pid is None:
@@ -809,28 +821,6 @@ class Cluster:
             old_pid <= 0 and homed
         ):
             self.metrics.tuples_migrated += 1
-
-    @staticmethod
-    def _put_row(node_table: Table, key: KeyValue, row: Row) -> str | None:
-        """Make the node's copy equal *row*; returns the write it took."""
-        existing = node_table.get(key)
-        if existing is None:
-            node_table.insert(row)
-            return "insert"
-        if existing == row:
-            return None
-        changes = {
-            column: value
-            for column, value in row.items()
-            if existing.get(column) != value
-        }
-        node_table.update(key, changes)
-        return "update"
-
-    @staticmethod
-    def _drop_row(node_table: Table, key: KeyValue) -> None:
-        if node_table.get(key) is not None:
-            node_table.delete(key)
 
     # ------------------------------------------------------------------
     # invariants
@@ -863,8 +853,7 @@ class Cluster:
             ]
             holders: dict[KeyValue, set[int]] = {}
             for node in checked:
-                node_table = node.database.table(name)
-                for key, row in node_table.items():
+                for key, row in node.tables[name].items():
                     holders.setdefault(key, set()).add(node.node_id)
                     expected_row = source_rows.get(key)
                     if expected_row is None:

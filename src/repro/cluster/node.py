@@ -1,9 +1,9 @@
-"""One simulated cluster node: a partition-local database plus liveness."""
+"""One simulated cluster node: partition-local row copies plus liveness."""
 
 from __future__ import annotations
 
 from repro.schema.database import DatabaseSchema
-from repro.storage.database import Database
+from repro.storage.table import KeyValue, Row
 
 
 class Liveness:
@@ -20,10 +20,12 @@ class Liveness:
 class Node:
     """A member of the simulated cluster.
 
-    Each node owns a full :class:`Database` instance over the cluster's
-    schema; the :class:`~repro.cluster.cluster.Cluster` decides which rows
-    physically live here. ``up`` models liveness for fault injection: a
-    down node cannot participate in transactions, but its in-memory state
+    ``tables`` maps each table of the cluster's schema to the rows placed
+    here, by primary key; every row is the node's own copy, so writes to
+    the source never show through. The
+    :class:`~repro.cluster.cluster.Cluster` decides which rows live here and
+    is the only writer. ``up`` models liveness for fault injection: a down
+    node cannot participate in transactions, but its in-memory state
     survives the crash (crash-stop with durable storage). ``divergent``
     tracks tables whose replicated content missed writes while the node
     was down; recovery resyncs exactly those. ``up`` changes only through
@@ -38,7 +40,9 @@ class Node:
         liveness: Liveness | None = None,
     ) -> None:
         self.node_id = node_id
-        self.database = Database(schema)
+        self.tables: dict[str, dict[KeyValue, Row]] = {
+            name: {} for name in schema.table_names
+        }
         self.up = True
         self.divergent: set[str] = set()
         self._liveness = liveness if liveness is not None else Liveness()
@@ -52,7 +56,7 @@ class Node:
         self._liveness.epoch += 1
 
     def row_count(self) -> int:
-        return self.database.row_count()
+        return sum(len(rows) for rows in self.tables.values())
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"

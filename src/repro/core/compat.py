@@ -85,9 +85,6 @@ class AttributeLattice:
             node = frozenset(attrs)
         return self._uf.find(node)
 
-    def same_class(self, a: Attr, b: Attr) -> bool:
-        return self.class_of(a) == self.class_of(b)
-
     def _reachable(self, start: Node) -> frozenset[Node]:
         """All classes reachable from *start* through coarsening edges."""
         cached = self._reach_cache.get(start)

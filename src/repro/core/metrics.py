@@ -251,7 +251,6 @@ class RoutingMetrics(MetricRecord):
 
     lookups_built: int = 0
     lookups_rebuilt: int = 0
-    lookups_evicted: int = 0
     #: wall seconds spent building lookup views, kept out of ``latency``
     lookup_build_seconds: float = 0.0
     staleness_detections: int = 0

@@ -291,8 +291,7 @@ class ColumnarEngine:
         self._plans: dict[JoinPath, _PathPlan] = {}
         #: {id(mapping) -> [mapping, value code -> partition id array]}
         self._luts: dict[int, list[Any]] = {}
-        self._db_tables = list(database)
-        self._db_version = sum(t.version for t in self._db_tables)
+        self._db_writes = database.writes
 
     # ------------------------------------------------------------------
     # per-path plans and code columns
@@ -300,13 +299,13 @@ class ColumnarEngine:
     def _check_version(self) -> None:
         """Drop every value cache if any table mutated since the last call.
 
-        One summed mutation counter over all tables — far cheaper than a
+        One compare of the database's write counter — far cheaper than a
         per-path version tuple, and the database is static for the whole
         search anyway (the trace is collected up front).
         """
-        version = sum(t.version for t in self._db_tables)
-        if version != self._db_version:
-            self._db_version = version
+        writes = self.database.writes
+        if writes != self._db_writes:
+            self._db_writes = writes
             self._columns.clear()
             self._plans.clear()
             self._luts.clear()

@@ -62,10 +62,6 @@ class JoinPathError(PartitioningError):
     """A sequence of attribute sets does not form a valid Definition-2 path."""
 
 
-class RoutingError(ReproError):
-    """The runtime router could not route a request."""
-
-
 class WorkloadError(ReproError):
     """A benchmark workload was configured or driven incorrectly."""
 

@@ -16,7 +16,6 @@ them.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -84,8 +83,9 @@ class Router:
     call tries candidates in a deterministic order and returns the first
     one that resolves to a bounded partition set.
 
-    ``max_lookups`` bounds the lookup-table cache (LRU eviction); the
-    router's ``metrics`` collect the tier's counters and latency histograms.
+    The router keeps one lookup table per routing attribute it has used;
+    the catalog bounds how many. Its ``metrics`` collect the tier's
+    counters and latency histograms.
     ``store`` is the placement store the views read; without one the
     router attaches its own, and :meth:`close` detaches it again.
     """
@@ -95,15 +95,11 @@ class Router:
         database: Database,
         catalog: ProcedureCatalog,
         partitioning: DatabasePartitioning,
-        max_lookups: int = 64,
         store: PlacementStore | None = None,
     ) -> None:
-        if max_lookups < 1:
-            raise ValueError("max_lookups must be at least 1")
         self.database = database
         self.catalog = catalog
         self.partitioning = partitioning
-        self.max_lookups = max_lookups
         self.metrics = RoutingMetrics()
         self._owns_store = store is None
         self.store = store or PlacementStore(database, partitioning).attach()
@@ -118,7 +114,7 @@ class Router:
             self._bindings[procedure.name] = sorted(
                 flow.param_closure, key=lambda pair: (str(pair[0]), pair[1])
             )
-        self._lookups: OrderedDict[Attr, LookupTable] = OrderedDict()
+        self._lookups: dict[Attr, LookupTable] = {}
         self._built_once: set[Attr] = set()
 
     def close(self) -> None:
@@ -133,9 +129,6 @@ class Router:
     # ------------------------------------------------------------------
     # lookup-table cache
     # ------------------------------------------------------------------
-    def _drop(self, attribute: Attr) -> None:
-        self._lookups.pop(attribute).close()
-
     def _lookup(self, attribute: Attr) -> LookupTable:
         lookups = self._lookups
         table = lookups.get(attribute)
@@ -144,10 +137,8 @@ class Router:
             # per dependency table catches writes made while detached.
             if table.is_stale():
                 self.metrics.staleness_detections += 1
-                self._drop(attribute)
+                lookups.pop(attribute).close()
                 table = None
-            else:
-                lookups.move_to_end(attribute)
         if table is None:
             started = time.perf_counter()
             table = LookupTable.build(attribute, self.store, self.metrics)
@@ -158,9 +149,6 @@ class Router:
                 self._built_once.add(attribute)
                 self.metrics.lookups_built += 1
             lookups[attribute] = table
-            while len(lookups) > self.max_lookups:
-                self._drop(next(iter(lookups)))
-                self.metrics.lookups_evicted += 1
         return table
 
     def lookup_table(self, attribute: Attr) -> LookupTable:

@@ -170,12 +170,6 @@ class ProcedureDataflow:
         """Direct analyzer bindings plus the sound transitive closure."""
         return frozenset(self.merged.param_bindings) | self.transitive_bindings
 
-    def defined_variables(self) -> frozenset[str]:
-        return frozenset(d.variable for d in self.definitions)
-
-    def used_variables(self) -> frozenset[str]:
-        return frozenset(u.variable for u in self.uses)
-
     def witnesses_pair(self, pair: frozenset[Attr]) -> bool:
         """Is the unordered attribute *pair* a witnessed equality edge?"""
         return pair in self.implicit_edges

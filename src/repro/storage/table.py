@@ -50,6 +50,9 @@ class Table:
         self, schema: TableSchema, writes: WriteCounter | None = None
     ) -> None:
         self.schema = schema
+        # the primary-key tuple of a row: one getter, built once
+        self._key_columns = itemgetter(*schema.primary_key)
+        self._single_key = len(schema.primary_key) == 1
         self._rows: dict[KeyValue, Row] = {}
         self._version = 0
         #: bumped with ``_version``; shared with the table's database
@@ -84,57 +87,26 @@ class Table:
         """
         if validate:
             self.schema.validate_row(row)
-        return self._insert((row,))[1]
-
-    def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Insert each row in turn; returns how many were inserted.
-
-        :meth:`insert` is this for one row. Per row: a duplicate key raises
-        :class:`StorageError` (the rows before it stay inserted), the
-        version bumps, the key's tombstone is popped, secondary indexes are
-        maintained and listeners hear one insert. The per-call lookups are
-        hoisted out of the loop; the cluster fills empty node tables with it.
-        """
-        return self._insert(rows)[0]
-
-    def _insert(
-        self, rows: Iterable[Mapping[str, Any]]
-    ) -> tuple[int, KeyValue]:
-        """:meth:`insert_many`; also returns the last inserted row's key
-        (``()`` when none was)."""
-        writes = self._writes
-        live = self._rows
-        graveyard = self._graveyard
-        indexes = tuple(self._indexes.items())
-        primary_key = self.schema.primary_key
-        key_columns = itemgetter(*primary_key)
-        single = len(primary_key) == 1
-        count = 0
-        key: KeyValue = ()
-        for row in rows:
-            stored: Row = dict(row)
-            try:
-                key = (
-                    (key_columns(stored),) if single else key_columns(stored)
-                )
-            except KeyError:
-                key = self.primary_key_of(stored)  # raises StorageError
-            if key in live:
-                raise StorageError(
-                    f"duplicate primary key {key} in table {self.schema.name}"
-                )
-            self._version += 1
-            writes.count += 1
-            live[key] = stored
-            tombstone = graveyard.pop(key, None)
-            for columns, index in indexes:
-                index.setdefault(tuple(stored[c] for c in columns), []).append(
-                    key
-                )
-            if self._listeners:
-                self._notify("insert", key, tombstone, dict(stored))
-            count += 1
-        return count, key
+        stored: Row = dict(row)
+        try:
+            key = self._key_columns(stored)
+        except KeyError:
+            key = self.primary_key_of(stored)  # raises StorageError
+        if self._single_key:
+            key = (key,)
+        if key in self._rows:
+            raise StorageError(
+                f"duplicate primary key {key} in table {self.schema.name}"
+            )
+        self._version += 1
+        self._writes.count += 1
+        self._rows[key] = stored
+        tombstone = self._graveyard.pop(key, None)
+        for columns, index in self._indexes.items():
+            index.setdefault(tuple(stored[c] for c in columns), []).append(key)
+        if self._listeners:
+            self._notify("insert", key, tombstone, dict(stored))
+        return key
 
     def update(self, key: KeyValue, changes: Mapping[str, Any]) -> Row:
         """Apply *changes* to the row with primary key *key*.

@@ -98,20 +98,6 @@ class Benchmark(ABC):
         return WorkloadBundle(self, database, catalog, collector.trace)
 
 
-def zipf_choice(rng: random.Random, n: int, skew: float = 1.0) -> int:
-    """1-based Zipf-ish draw over ``1..n`` (used for hot-spot parameters).
-
-    Uses inverse-power rejection-free sampling on a precomputed-free
-    formula: cheap and deterministic, adequate for workload skew.
-    """
-    if n <= 1:
-        return 1
-    # Draw u in (0,1]; map through x = u^(-1/skew) tail distribution.
-    u = 1.0 - rng.random()
-    value = int(u ** (-1.0 / max(skew, 1e-6)))
-    return 1 + (value % n)
-
-
 def nurand(rng: random.Random, a: int, x: int, y: int, c: int = 123) -> int:
     """TPC-C's NURand non-uniform distribution over [x, y]."""
     return (((rng.randint(0, a) | rng.randint(x, y)) + c) % (y - x + 1)) + x

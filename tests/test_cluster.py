@@ -96,18 +96,18 @@ class TestPlacement:
 
     def test_rows_land_on_their_customer_node(self, cluster):
         # customer 2's accounts (7, 10) -> partition 1 -> node 1
-        node1 = cluster.nodes[1].database
-        node2 = cluster.nodes[2].database
-        assert {r["CA_ID"] for r in node1.table("CUSTOMER_ACCOUNT").scan()} == {7, 10}
-        assert {r["CA_ID"] for r in node2.table("CUSTOMER_ACCOUNT").scan()} == {1, 8}
+        node1 = cluster.nodes[1].tables
+        node2 = cluster.nodes[2].tables
+        assert {r["CA_ID"] for r in node1["CUSTOMER_ACCOUNT"].values()} == {7, 10}
+        assert {r["CA_ID"] for r in node2["CUSTOMER_ACCOUNT"].values()} == {1, 8}
         # trades follow their account through the join path
-        assert {r["T_ID"] for r in node1.table("TRADE").scan()} == {2, 3, 6, 8}
-        assert {r["T_ID"] for r in node2.table("TRADE").scan()} == {1, 4, 5, 7}
+        assert {r["T_ID"] for r in node1["TRADE"].values()} == {2, 3, 6, 8}
+        assert {r["T_ID"] for r in node2["TRADE"].values()} == {1, 4, 5, 7}
 
     def test_replicated_tables_on_every_node(self, cluster):
         for node in cluster.nodes.values():
-            assert len(node.database.table("CUSTOMER")) == 2
-            assert len(node.database.table("HOLDING_SUMMARY")) == 8
+            assert len(node.tables["CUSTOMER"]) == 2
+            assert len(node.tables["HOLDING_SUMMARY"]) == 8
 
     def test_placement_metrics(self, cluster):
         # 4 CUSTOMER_ACCOUNT + 8 TRADE rows singly homed
@@ -136,7 +136,7 @@ class TestPlacement:
     @staticmethod
     def _node_rows(cluster, table):
         return {
-            node_id: dict(node.database.table(table).items())
+            node_id: dict(node.tables[table])
             for node_id, node in cluster.nodes.items()
         }
 
@@ -157,7 +157,7 @@ class TestPlacement:
         # The next reads fill the columns again and resync the nodes.
         for table in ("CUSTOMER", "CUSTOMER_ACCOUNT", "TRADE"):
             cluster.store.pids(table)
-        assert cluster.nodes[1].database.get("TRADE", (1,)) is not None
+        assert cluster.nodes[1].tables["TRADE"].get((1,)) is not None
         assert cluster.check_conservation() == []
 
     def test_a_refilled_column_leaves_down_nodes_divergent(
@@ -187,7 +187,7 @@ class TestPlacement:
         )
         try:
             assert cluster.node_of(1) == cluster.node_of(2) == 1
-            assert len(cluster.nodes[1].database.table("TRADE")) == 8
+            assert len(cluster.nodes[1].tables["TRADE"]) == 8
             assert cluster.check_conservation() == []
         finally:
             cluster.close()
@@ -195,15 +195,15 @@ class TestPlacement:
     def test_out_of_band_insert_is_mirrored(self, figure1_db, cluster):
         figure1_db.insert("CUSTOMER_ACCOUNT", {"CA_ID": 20, "CA_C_ID": 1})
         # customer 1 -> partition 2 -> node 2
-        assert cluster.nodes[2].database.get("CUSTOMER_ACCOUNT", (20,))
-        assert cluster.nodes[1].database.get("CUSTOMER_ACCOUNT", (20,)) is None
+        assert cluster.nodes[2].tables["CUSTOMER_ACCOUNT"].get((20,))
+        assert cluster.nodes[1].tables["CUSTOMER_ACCOUNT"].get((20,)) is None
         assert cluster.check_conservation() == []
 
     def test_unroutable_row_is_spread_everywhere(self, figure1_db, cluster):
         # a trade pointing at a nonexistent account has no root value
         figure1_db.insert("TRADE", {"T_ID": 99, "T_CA_ID": 77, "T_QTY": 1})
         for node in cluster.nodes.values():
-            assert node.database.get("TRADE", (99,)) is not None
+            assert node.tables["TRADE"].get((99,)) is not None
         assert cluster.metrics.unroutable_tuples == 1
         assert cluster.check_conservation() == []
 
@@ -212,11 +212,83 @@ class TestPlacement:
     ):
         # retargeting account 1 to customer 2 moves it and its trades
         figure1_db.update("CUSTOMER_ACCOUNT", (1,), {"CA_C_ID": 2})
-        node1 = cluster.nodes[1].database
-        assert node1.get("CUSTOMER_ACCOUNT", (1,)) is not None
-        assert {r["T_ID"] for r in node1.table("TRADE").scan()} >= {1, 7}
+        node1 = cluster.nodes[1].tables
+        assert node1["CUSTOMER_ACCOUNT"].get((1,)) is not None
+        assert {r["T_ID"] for r in node1["TRADE"].values()} >= {1, 7}
         assert cluster.check_conservation() == []
         assert cluster.metrics.tuples_migrated >= 3
+
+
+def _corrupt_copy(cluster):
+    cluster.nodes[1].tables["TRADE"][(2,)]["T_QTY"] = -1
+
+
+def _drop_homed_row(cluster):
+    del cluster.nodes[1].tables["TRADE"][(2,)]
+
+
+def _add_row_the_source_lacks(cluster):
+    cluster.nodes[2].tables["TRADE"][(99,)] = {
+        "T_ID": 99, "T_CA_ID": 1, "T_QTY": 1
+    }
+
+
+def _copy_homed_row_to_a_second_node(cluster):
+    row = cluster.nodes[1].tables["TRADE"][(2,)]
+    cluster.nodes[2].tables["TRADE"][(2,)] = dict(row)
+
+
+def _drop_a_replica(cluster):
+    del cluster.nodes[2].tables["CUSTOMER"][(1,)]
+
+
+class TestConservationCheck:
+    """Each node check of ``check_conservation`` reports what broke it."""
+
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [
+            (_corrupt_copy, "TRADE(2,): content on node 1 differs from the source"),
+            (_drop_homed_row, "TRADE(2,): on [], expected [1]"),
+            (_add_row_the_source_lacks, "TRADE(99,): on node 2 but not in the source"),
+            (_copy_homed_row_to_a_second_node, "TRADE(2,): on [1, 2], expected [1]"),
+            (_drop_a_replica, "CUSTOMER(1,): replicated on [1], expected [1, 2]"),
+        ],
+        ids=["content", "dropped", "extra", "second-node", "replica"],
+    )
+    def test_a_broken_node_is_reported(self, cluster, corrupt, problem):
+        assert cluster.check_conservation() == []
+        corrupt(cluster)
+        assert cluster.check_conservation() == [problem]
+
+    def test_only_a_divergent_table_is_exempt(self, cluster):
+        _drop_homed_row(cluster)
+        cluster.nodes[1].crash()
+        cluster.nodes[1].divergent.add("TRADE")
+        assert cluster.check_conservation() == []
+        cluster.nodes[1].divergent.clear()
+        assert cluster.check_conservation() == [
+            "TRADE(2,): on [], expected [1]"
+        ]
+
+    def test_node_copies_do_not_alias_the_source(self, figure1_db, cluster):
+        # rows a write moves and a mirrored insert get copies of their own too
+        figure1_db.update("CUSTOMER_ACCOUNT", (1,), {"CA_C_ID": 2})
+        figure1_db.insert("TRADE", {"T_ID": 20, "T_CA_ID": 8, "T_QTY": 1})
+        before = {
+            node_id: {
+                table: {key: dict(row) for key, row in rows.items()}
+                for table, rows in node.tables.items()
+            }
+            for node_id, node in cluster.nodes.items()
+        }
+        cluster.close()
+        for trade in (1, 2, 7, 20):
+            figure1_db.update("TRADE", (trade,), {"T_QTY": 123})
+        figure1_db.update("CUSTOMER", (1,), {"C_TAX_ID": 1})
+        figure1_db.update("HOLDING_SUMMARY", (101, 1), {"HS_QTY": 0})
+        for node_id, node in cluster.nodes.items():
+            assert node.tables == before[node_id]
 
 
 class TestTraceReplay:
@@ -391,7 +463,7 @@ class TestLiveExecution:
         before = _trade_qty(figure1_db, 2)
         assert cluster.execute("CustInfo", {"cust_id": 2, "any_account": 7})
         assert _trade_qty(figure1_db, 2) == before + 1
-        node_row = cluster.nodes[1].database.get("TRADE", (2,))
+        node_row = cluster.nodes[1].tables["TRADE"].get((2,))
         assert node_row["T_QTY"] == before + 1
         assert cluster.check_conservation() == []
         assert cluster.metrics.committed == 1
@@ -441,7 +513,7 @@ class TestLiveExecution:
                 "CustInfo", {"cust_id": 2, "any_account": 7}
             )
             assert cluster.nodes[2].divergent == set()
-            assert cluster.nodes[2].database.get("CUSTOMER", (3,)) is not None
+            assert cluster.nodes[2].tables["CUSTOMER"].get((3,)) is not None
             assert cluster.metrics.rows_resynced >= 1
             assert cluster.metrics.crashes == 1
             assert cluster.metrics.recoveries == 1
@@ -471,8 +543,8 @@ class TestLiveExecution:
             assert cluster.execute("MoveAccount", {"ca_id": 7, "c_id": 1})
             assert cluster.metrics.committed_distributed == 1
             assert cluster.metrics.per_node_transactions == {1: 1, 2: 1}
-            assert cluster.nodes[2].database.get("CUSTOMER_ACCOUNT", (7,))
-            assert cluster.nodes[1].database.get("CUSTOMER_ACCOUNT", (7,)) is None
+            assert cluster.nodes[2].tables["CUSTOMER_ACCOUNT"].get((7,))
+            assert cluster.nodes[1].tables["CUSTOMER_ACCOUNT"].get((7,)) is None
             assert cluster.check_conservation() == []
         finally:
             cluster.close()
@@ -512,7 +584,7 @@ class TestLiveExecution:
             assert not cluster.execute("OpenAccount", {"ca_id": 40, "c_id": 2})
             assert cluster.store.pid_of("TRADE", (60,)) == UNROUTABLE
             assert cluster.nodes[1].divergent == {"TRADE"}
-            assert cluster.nodes[1].database.get("TRADE", (60,)) is None
+            assert cluster.nodes[1].tables["TRADE"].get((60,)) is None
             assert cluster.check_conservation() == []
             # tick 2: node 1 recovers and resyncs the one row it missed
             assert cluster.execute("OpenAccount", {"ca_id": 42, "c_id": 1})
@@ -544,7 +616,7 @@ class TestLiveExecution:
                 "CustInfo", {"cust_id": 1, "any_account": 1}
             )
             assert _trade_qty(figure1_db, 1) == before
-            assert cluster.nodes[2].database.get("TRADE", (1,))["T_QTY"] == before
+            assert cluster.nodes[2].tables["TRADE"].get((1,))["T_QTY"] == before
             assert cluster.check_conservation() == []
         finally:
             cluster.close()
@@ -594,7 +666,7 @@ class TestRepartitioning:
         assert cluster.metrics.tuples_migrated >= moved
         assert cluster.check_conservation() == []
         # account 7 now hashes by its own id: 1 + 7 % 2 -> partition 2
-        assert cluster.nodes[2].database.get("CUSTOMER_ACCOUNT", (7,))
+        assert cluster.nodes[2].tables["CUSTOMER_ACCOUNT"].get((7,))
 
     def test_scheduled_repartition_fires_mid_trace(
         self, figure1_db, by_account, custinfo_procedure,

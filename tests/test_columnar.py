@@ -25,6 +25,7 @@ from repro.baselines.published import build_spec_partitioning, intra_table_path
 from repro.baselines.schism import SchismConfig, SchismPartitioner
 from repro.cluster import Cluster
 from repro.core import JECBConfig, JECBPartitioner
+from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
 from repro.core.mapping import IdentityModMapping, stable_hash
 from repro.core.path_eval import ColumnarEngine
@@ -603,6 +604,24 @@ def test_split_views_keep_their_own_chunks(tpcc_bundle):
             )
             checked += 1
     assert checked > 0
+
+
+def test_a_write_to_any_table_drops_the_engine_value_caches(figure1_db):
+    """The engine's cached walks follow the database's write counter: a
+    write to a table the path reads makes the next call walk again."""
+    txn = TransactionTrace(0, "All")
+    txn.record("TRADE", (1,), False)
+    engine, view = referee.intern(figure1_db, Trace([txn]))
+    path = JoinPath.parse(
+        figure1_db.schema,
+        [
+            "TRADE.T_ID", "TRADE.T_CA_ID",
+            "CUSTOMER_ACCOUNT.CA_ID", "CUSTOMER_ACCOUNT.CA_C_ID",
+        ],
+    )
+    assert engine.class_value_luts(view, {"TRADE": path}) == {"TRADE": {(1,): 1}}
+    figure1_db.update("CUSTOMER_ACCOUNT", (1,), {"CA_C_ID": 2})
+    assert engine.class_value_luts(view, {"TRADE": path}) == {"TRADE": {(1,): 2}}
 
 
 class _CountingMapping:

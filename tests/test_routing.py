@@ -702,37 +702,6 @@ class TestMetamorphicWriteThrough:
             router.close()
 
 
-class TestRouterCache:
-    def test_lru_bound_and_eviction(
-        self, figure1_db, custinfo_procedure, customer_partitioning
-    ):
-        router = Router(
-            figure1_db,
-            ProcedureCatalog([custinfo_procedure]),
-            customer_partitioning,
-            max_lookups=1,
-        )
-        try:
-            router.route("CustInfo", {"cust_id": 1, "any_account": 1})
-            assert router.metrics.lookups_built == 2
-            assert router.metrics.lookups_evicted >= 1
-            router.route("CustInfo", {"cust_id": 1})
-            assert router.metrics.lookups_rebuilt >= 1
-        finally:
-            router.close()
-
-    def test_max_lookups_validated(
-        self, figure1_db, custinfo_procedure, customer_partitioning
-    ):
-        with pytest.raises(ValueError):
-            Router(
-                figure1_db,
-                ProcedureCatalog([custinfo_procedure]),
-                customer_partitioning,
-                max_lookups=0,
-            )
-
-
 class TestBatchRouting:
     @pytest.fixture
     def router(self, figure1_db, custinfo_procedure, customer_partitioning):

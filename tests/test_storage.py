@@ -157,41 +157,35 @@ def _state(table, calls):
     )
 
 
-class TestInsertMany:
-    """``insert_many`` is a loop of ``insert``, observably."""
+class TestInsert:
+    """What one insert does to a table holding indexes, listeners and
+    tombstones, and that a rejected insert does none of it."""
 
-    ROWS = [
-        {"A": 1, "B": 0, "C": 5},  # over a tombstone
-        {"A": 4, "B": 0, "C": 1},
-        {"A": 5, "B": 0, "C": 0},
-    ]
+    def test_replaces_the_tombstone_and_hands_out_copies(self, table):
+        table, calls = _prepared(table.schema)
+        version = table.version
+        row = {"A": 1, "B": 0, "C": 5}
+        assert table.insert(row) == (1, 0)
+        assert table.version == version + 1
+        assert table.get((1, 0)) == row and table.get((1, 0)) is not row
+        assert (1, 0) not in table._graveyard
+        assert table.get_snapshot((2, 0)) == {"A": 2, "B": 0, "C": 0}
+        assert table.lookup(["C"], [5]) == [row]
+        # the listener hears the tombstone it replaced, and its own copies
+        op, key, old, new = calls[-1]
+        assert (op, key, new) == ("insert", (1, 0), row)
+        assert old == {"A": 1, "B": 0, "C": 1}
+        assert new is not table.get((1, 0))
 
-    def test_equals_a_loop_of_insert(self, table):
-        batch, batch_calls = _prepared(table.schema)
-        loop, loop_calls = _prepared(table.schema)
-        assert batch.insert_many(iter(self.ROWS)) == len(self.ROWS)
-        for row in self.ROWS:
-            loop.insert(row)
-        assert _state(batch, batch_calls) == _state(loop, loop_calls)
-        # the listener's rows are copies, the stored rows too
-        assert batch_calls[-3][2] == {"A": 1, "B": 0, "C": 1}
-        assert batch.get((1, 0)) is not self.ROWS[0]
-
-    def test_duplicate_key_stops_where_the_loop_does(self, table):
-        batch, batch_calls = _prepared(table.schema)
-        loop, loop_calls = _prepared(table.schema)
-        rows = self.ROWS[:2] + [{"A": 3, "B": 0, "C": 7}] + self.ROWS[2:]
-        with pytest.raises(StorageError) as batch_error:
-            batch.insert_many(rows)
-        with pytest.raises(StorageError) as loop_error:
-            for row in rows:
-                loop.insert(row)
-        assert str(batch_error.value) == str(loop_error.value)
-        assert _state(batch, batch_calls) == _state(loop, loop_calls)
-
-    def test_missing_key_column_rejected(self, table):
+    @pytest.mark.parametrize(
+        "row", [{"A": 3, "B": 0, "C": 7}, {"A": 4, "C": 7}], ids=["dup", "no-key"]
+    )
+    def test_a_rejected_row_changes_nothing(self, table, row):
+        table, calls = _prepared(table.schema)
+        before = _state(table, list(calls))
         with pytest.raises(StorageError):
-            table.insert_many([{"A": 1, "C": 3}])
+            table.insert(row)
+        assert _state(table, calls) == before
 
 
 class TestDatabase:
@@ -226,8 +220,8 @@ class TestDatabase:
 
         assert database.writes == 0
         assert database.insert("A", {"A_ID": 1}) == (1,)
-        rows = [{"B_ID": 1, "B_A_ID": 1}, {"B_ID": 2, "B_A_ID": 1}]
-        assert b.insert_many(rows) == 2
+        database.insert("B", {"B_ID": 1, "B_A_ID": 1})
+        database.insert("B", {"B_ID": 2, "B_A_ID": 1})
         assert database.writes == 3 and in_step()
         with pytest.raises(StorageError):
             database.insert("A", {"A_ID": 1})
