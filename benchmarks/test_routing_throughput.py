@@ -3,9 +3,9 @@
 Partitions a TATP bundle with JECB, then replays the testing call log
 (repeated ``ROUNDS`` times, as a long-running front end would see it) two
 ways: one ``route()`` call per transaction, and one ``route_batch()`` over
-the same stream. Batch routing resolves each procedure's candidate plan
-once per batch and memoizes decisions per argument signature, so repeated
-calls cost one dict probe; it must clear the 2x throughput bar the routing
+the same stream. Both route from each procedure's cached plan; batch
+routing also memoizes decisions per argument signature, so repeated calls
+cost one dict probe; it must clear the 2x throughput bar the routing
 tier promises (ISSUE acceptance criterion). Both paths must produce
 identical decisions — speed never changes routing.
 """

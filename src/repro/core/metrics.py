@@ -16,6 +16,7 @@ the one reporting path from the fields: ``to_dict()`` for machines and
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -227,13 +228,8 @@ class LatencyHistogram(MetricRecord):
         return LATENCY_BUCKETS_US
 
     def observe(self, seconds: float) -> None:
-        micros = seconds * 1e6
-        slot = len(LATENCY_BUCKETS_US)
-        for i, bound in enumerate(LATENCY_BUCKETS_US):
-            if micros < bound:
-                slot = i
-                break
-        self.counts[slot] += 1
+        # the first bucket whose upper bound exceeds the latency
+        self.counts[bisect_right(LATENCY_BUCKETS_US, seconds * 1e6)] += 1
         self.total_seconds += seconds
         if seconds > self.max_seconds:
             self.max_seconds = seconds
@@ -275,11 +271,14 @@ class RoutingMetrics(MetricRecord):
 
     def observe(self, outcome: str, seconds: float) -> None:
         """Record one routed call's latency under its outcome label."""
+        self.histogram(outcome).observe(seconds)
+
+    def histogram(self, outcome: str) -> LatencyHistogram:
+        """The latency histogram of *outcome*, made on first use."""
         histogram = self.latency.get(outcome)
         if histogram is None:
-            histogram = LatencyHistogram()
-            self.latency[outcome] = histogram
-        histogram.observe(seconds)
+            histogram = self.latency[outcome] = LatencyHistogram()
+        return histogram
 
 
 @dataclass

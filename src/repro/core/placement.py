@@ -122,7 +122,9 @@ class PlacementStore:
     store made with the constructor is a snapshot kept honest by the
     version check alone; :meth:`attach` subscribes it to the tables'
     writes and :meth:`close` detaches it. ``pid_computations`` counts the
-    per-key placements computed.
+    per-key placements computed; ``refills`` counts column refills, store
+    wide, so a reader can tell with one compare that no view over the
+    store went stale.
     """
 
     def __init__(
@@ -131,6 +133,8 @@ class PlacementStore:
         self.database = database
         self.partitioning = partitioning
         self.pid_computations = 0
+        #: how often any column was filled again from scratch
+        self.refills = 0
         self._rows = SnapshotIndex(database)
         self._columns: dict[str, _Column] = {}
         #: table -> columns its writes reach (its own, and those hopping in)
@@ -352,6 +356,7 @@ class PlacementStore:
         if self._journal is not None:
             self._journal[column.name] = None  # the abort fills it again
         column.generation += 1
+        self.refills += 1
         column.versions = [table.version for table in column.tables]
         if column.plan is not None:
             column.plan.forget()

@@ -8,9 +8,10 @@ and falls back to broadcast when no routable attribute exists.
 The tier is built for live workloads: lookup tables are group-by views
 over a maintained placement store (:mod:`repro.core.placement`), which
 hands them every change to their rows (with a version-checked rebuild
-as the safety net); the lookup cache is LRU-bounded, calls can be routed
-in batches against one lookup generation, and a :class:`RoutingMetrics`
-block records what the tier did.
+as the safety net). A lookup is built when a call first consults it, and
+each procedure's routing plan is kept until a write or a column refill
+moves the router's stamp; calls can be routed in batches, and a
+:class:`RoutingMetrics` block records what the tier did.
 """
 
 from repro.core.metrics import LatencyHistogram, RoutingMetrics

@@ -6,11 +6,20 @@ one a cluster shares with its router — and the store hands every view the
 changes to its table's rows: writes to the routed attribute's own table,
 and rows a write elsewhere moved along their join paths. So a routing
 decision is never served from a stale snapshot, and no write makes a view
-rebuild. A version check on every lookup access backstops the store's
-listeners, and :meth:`Router.route_batch` amortizes plan resolution and
-decision computation across many calls of one batch. Time spent building
-views is recorded apart from the routing latency of the call that needed
-them.
+rebuild.
+
+The router keeps one plan per procedure: its candidate attributes, each
+with a lookup resolved the first time a call consults it — once its
+parameter is among the call's arguments with a non-NULL value — so a
+lookup no call consults is never built. The plans are stamped with ``(Database.writes,
+PlacementStore.refills)`` and kept while the stamp stands: a view goes
+stale only when its store column is filled again, and that takes a write
+or a refill. A moved stamp drops every plan; the next consult of each
+lookup runs the per-lookup staleness check again, which catches writes
+made while the store was detached. :meth:`Router.route_batch` routes from
+the same plans and memoizes decisions across the calls of one batch.
+Time spent resolving and building views is recorded apart from the
+routing latency of the call that needed them.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.mapping import stable_hash
-from repro.core.metrics import RoutingMetrics
+from repro.core.metrics import LatencyHistogram, RoutingMetrics
 from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning
 from repro.procedures.procedure import ProcedureCatalog
@@ -70,9 +79,20 @@ class RoutingDecision:
         return "multi_partition"
 
 
-#: One resolved candidate of a routing plan: attribute, parameter name,
-#: and the lookup table generation the plan was resolved against.
-Candidate = tuple[Attr, str, LookupTable]
+class _Plan:
+    """One procedure's candidates, with lookups resolved on first consult.
+
+    ``params`` lists the candidates' parameter names in plan order (the
+    batch memo keys on them); ``lookups[i]`` stays ``None`` until a call
+    consults candidate ``i``.
+    """
+
+    __slots__ = ("candidates", "params", "lookups")
+
+    def __init__(self, candidates: Sequence[tuple[Attr, str]]) -> None:
+        self.candidates = candidates
+        self.params = [param for _, param in candidates]
+        self.lookups: list[LookupTable | None] = [None] * len(candidates)
 
 
 class Router:
@@ -83,9 +103,11 @@ class Router:
     call tries candidates in a deterministic order and returns the first
     one that resolves to a bounded partition set.
 
-    The router keeps one lookup table per routing attribute it has used;
-    the catalog bounds how many. Its ``metrics`` collect the tier's
-    counters and latency histograms.
+    The router keeps one lookup table per routing attribute a call has
+    consulted; the catalog bounds how many. Per procedure it keeps one
+    :class:`_Plan`, reused while ``(Database.writes,
+    PlacementStore.refills)`` stands (see the module docstring). Its
+    ``metrics`` collect the tier's counters and latency histograms.
     ``store`` is the placement store the views read; without one the
     router attaches its own, and :meth:`close` detaches it again.
     """
@@ -116,6 +138,10 @@ class Router:
             )
         self._lookups: dict[Attr, LookupTable] = {}
         self._built_once: set[Attr] = set()
+        self._plans: dict[str, _Plan] = {}
+        self._stamp: tuple[int, int] | None = None
+        #: wall seconds spent resolving lookups, kept out of ``latency``
+        self._resolve_seconds = 0.0
 
     def close(self) -> None:
         """Detach the router's own placement store from the database.
@@ -167,25 +193,42 @@ class Router:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def _plan(self, procedure_name: str) -> list[Candidate]:
-        """Resolve the procedure's candidates against fresh lookups."""
-        return [
-            (attribute, param, self._lookup(attribute))
-            for attribute, param in self._bindings.get(procedure_name, [])
-        ]
+    def _plan(self, procedure_name: str) -> _Plan:
+        """The procedure's cached plan; every plan is dropped first when
+        a write or a column refill moved the stamp."""
+        stamp = (self.database.writes, self.store.refills)
+        if stamp != self._stamp:
+            self._plans.clear()
+            self._stamp = stamp
+        plan = self._plans.get(procedure_name)
+        if plan is None:
+            candidates = self._bindings.get(procedure_name)
+            if candidates is None:  # not in the catalog: nothing to keep
+                return _Plan(())
+            plan = self._plans[procedure_name] = _Plan(candidates)
+        return plan
+
+    def _resolve(self, plan: _Plan, index: int) -> LookupTable:
+        """Resolve candidate *index*'s lookup, timed apart from routing."""
+        started = time.perf_counter()
+        lookup = self._lookup(plan.candidates[index][0])
+        plan.lookups[index] = lookup
+        self._resolve_seconds += time.perf_counter() - started
+        return lookup
 
     def _route_plan(
-        self, plan: Sequence[Candidate], arguments: Mapping[str, Any]
+        self, plan: _Plan, arguments: Mapping[str, Any]
     ) -> tuple[RoutingDecision, str | None]:
-        """Route one call against resolved candidates.
+        """Route one call against *plan*, resolving what it consults.
 
         Returns the decision plus the broadcast cause (None unless the
         decision is a broadcast).
         """
         best: RoutingDecision | None = None
         replicated: RoutingDecision | None = None
-        cause = NO_BINDINGS if not plan else MISSING_ARGUMENT
-        for attribute, param, lookup in plan:
+        cause = NO_BINDINGS if not plan.candidates else MISSING_ARGUMENT
+        lookups = plan.lookups
+        for index, (attribute, param) in enumerate(plan.candidates):
             if param not in arguments:
                 continue
             value = arguments[param]
@@ -194,8 +237,14 @@ class Router:
                 if isinstance(value, (list, tuple, set))
                 else (value,)
             )
+            if not values or values[0] is None:
+                cause = UNKNOWN_VALUE
+                continue
+            lookup = lookups[index]
+            if lookup is None:
+                lookup = self._resolve(plan, index)
             targets: set[int] = set()
-            known = bool(values)
+            known = True
             for v in values:
                 found = None if v is None else lookup.partitions_for(v)
                 if found is None:
@@ -246,65 +295,72 @@ class Router:
     ) -> RoutingDecision:
         """Route one call; broadcast when nothing constrains it.
 
-        The latency recorded is the decision's, taken once the call's
-        lookups are resolved: building one is timed apart
+        The latency recorded is the decision's: resolving a lookup the
+        call consults, and building it, is timed apart
         (:attr:`RoutingMetrics.lookup_build_seconds`).
         """
         plan = self._plan(procedure_name)
+        resolved = self._resolve_seconds
         started = time.perf_counter()
         decision, cause = self._route_plan(plan, arguments)
-        self._observe(decision, cause, time.perf_counter() - started)
+        seconds = time.perf_counter() - started
+        resolving = self._resolve_seconds - resolved
+        self._observe(decision.outcome, cause, seconds - resolving)
         return decision
 
     def route_batch(
         self, calls: Iterable[tuple[str, Mapping[str, Any]]]
     ) -> list[RoutingDecision]:
-        """Route many calls against one lookup generation.
+        """Route many calls from the cached plans.
 
-        Per-procedure candidate plans are resolved (and staleness-checked)
-        once per batch instead of once per call, and decisions are memoized
-        per distinct argument signature, so repeated parameter values cost
-        one dict probe. Mutations landing mid-batch take effect from the
-        next batch (or the next :meth:`route` call) — a batch is routed
-        against a consistent snapshot of the lookup tier.
+        Each procedure's plan is fetched (and the stamp checked) once per
+        batch, and decisions are memoized per distinct argument
+        signature, so repeated parameter values cost one dict probe.
+        Mutations landing mid-batch take effect from the next batch (or
+        the next :meth:`route` call): a memoized decision stands for the
+        rest of its batch.
         """
         metrics = self.metrics
-        plans: dict[str, list[Candidate]] = {}
-        memo: dict[tuple, tuple[RoutingDecision, str | None]] = {}
+        plans: dict[str, _Plan] = {}
+        memo: dict[tuple, tuple[RoutingDecision, str | None, LatencyHistogram]]
+        memo = {}
         decisions: list[RoutingDecision] = []
         for procedure_name, arguments in calls:
             plan = plans.get(procedure_name)
             if plan is None:
-                plan = self._plan(procedure_name)
-                plans[procedure_name] = plan
+                plan = plans[procedure_name] = self._plan(procedure_name)
+            resolved = self._resolve_seconds
             started = time.perf_counter()
-            key: tuple | None
+            key: tuple | None = (procedure_name, *[
+                arguments.get(param, _MISSING) for param in plan.params
+            ])
             try:
-                key = (procedure_name,) + tuple(
-                    _freeze(arguments[param]) if param in arguments else _MISSING
-                    for _, param, _ in plan
-                )
                 cached = memo.get(key)
-            except TypeError:  # unhashable argument value
-                key = None
-                cached = None
+            except TypeError:  # a list or set value: freeze it
+                key = tuple(map(_freeze, key))
+                try:
+                    cached = memo.get(key)
+                except TypeError:  # unhashable after all
+                    key = cached = None
             if cached is None:
-                cached = self._route_plan(plan, arguments)
+                decision, cause = self._route_plan(plan, arguments)
+                cached = (decision, cause, metrics.histogram(decision.outcome))
                 if key is not None:
                     memo[key] = cached
             else:
                 metrics.batch_memo_hits += 1
-            decision, cause = cached
+            decision, cause, histogram = cached
             decisions.append(decision)
             metrics.batch_calls += 1
-            self._observe(decision, cause, time.perf_counter() - started)
+            seconds = time.perf_counter() - started
+            histogram.observe(seconds - (self._resolve_seconds - resolved))
+            if cause is not None:
+                metrics.record_broadcast_cause(cause)
         return decisions
 
-    def _observe(
-        self, decision: RoutingDecision, cause: str | None, seconds: float
-    ) -> None:
-        self.metrics.observe(decision.outcome, seconds)
-        if decision.broadcast and cause is not None:
+    def _observe(self, outcome: str, cause: str | None, seconds: float) -> None:
+        self.metrics.observe(outcome, seconds)
+        if cause is not None:
             self.metrics.record_broadcast_cause(cause)
 
     def route_summary(

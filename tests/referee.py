@@ -16,7 +16,9 @@ The serving tier reads one maintained
 places every live row again with an uncached walk per key
 (:func:`naive_root_value`), and :func:`naive_lookup` groups it by one
 attribute; the router and cluster tests hold the store and its lookup
-views to them after every write.
+views to them after every write. :func:`eager_route` routes calls the
+way the router did before it resolved lookups lazily: every candidate's
+lookup (a :func:`naive_lookup`) is resolved before any argument is read.
 
 :func:`intern` is how tests hand plain traces to the kernels.
 
@@ -36,14 +38,22 @@ import numpy as np
 
 from repro.core.join_path import JoinPath
 from repro.core.join_tree import JoinTree
-from repro.core.mapping import REPLICATED
+from repro.core.mapping import REPLICATED, stable_hash
 from repro.core.path_eval import ColumnarEngine
 from repro.core.solution import DatabasePartitioning
 from repro.errors import BindingError, ExecutionError
 from repro.evaluation.evaluator import CostReport
+from repro.procedures.procedure import ProcedureCatalog
+from repro.routing.router import (
+    MISSING_ARGUMENT,
+    NO_BINDINGS,
+    UNKNOWN_VALUE,
+    RoutingDecision,
+)
 from repro.schema.attribute import Attr
 from repro.sql import ast
 from repro.sql.bind import BoundStatement
+from repro.sql.dataflow import analyze_dataflow
 from repro.storage.database import Database
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.events import Trace, TransactionTrace
@@ -284,6 +294,92 @@ def naive_lookup(
         if pid > 0:
             found.add(pid)
     return {value: frozenset(found) for value, found in out.items()}
+
+
+def eager_route(
+    database: Database,
+    catalog: ProcedureCatalog,
+    partitioning: DatabasePartitioning,
+    calls,
+) -> tuple[list[tuple[RoutingDecision, str | None]], set[Attr]]:
+    """Route *calls* with every candidate lookup resolved up front.
+
+    A procedure's candidates are its dataflow ``(attribute, parameter)``
+    pairs in the router's order; each is routed against
+    :func:`naive_lookup` over one :func:`naive_placement`. Returns each
+    call's decision and broadcast cause (``None`` unless it broadcasts),
+    and the attributes whose lookup some call consulted.
+    """
+    placement = naive_placement(database, partitioning)
+    lookups: dict[Attr, dict] = {}
+    plans: dict[str, list[tuple[Attr, str, dict]]] = {}
+    for procedure in catalog:
+        flow = analyze_dataflow(procedure, database.schema)
+        pairs = sorted(
+            flow.param_closure, key=lambda pair: (str(pair[0]), pair[1])
+        )
+        for attribute, _ in pairs:
+            if attribute not in lookups:
+                lookups[attribute] = naive_lookup(
+                    database, partitioning, attribute, placement
+                )
+        plans[procedure.name] = [
+            (attribute, param, lookups[attribute]) for attribute, param in pairs
+        ]
+    k = partitioning.num_partitions
+    consulted: set[Attr] = set()
+    out: list[tuple[RoutingDecision, str | None]] = []
+    for name, arguments in calls:
+        plan = plans.get(name, [])
+        cause = NO_BINDINGS if not plan else MISSING_ARGUMENT
+        single = best = replicated = None
+        for attribute, param, lookup in plan:
+            if param not in arguments:
+                continue
+            value = arguments[param]
+            values = (
+                tuple(value)
+                if isinstance(value, (list, tuple, set))
+                else (value,)
+            )
+            targets: set[int] = set()
+            known = bool(values)
+            for v in values:
+                if v is None:
+                    known = False
+                    break
+                consulted.add(attribute)
+                if v not in lookup:
+                    known = False
+                    break
+                targets |= lookup[v]
+            if not known:
+                cause = UNKNOWN_VALUE
+                continue
+            if not targets:
+                if replicated is None:
+                    replicated = RoutingDecision(
+                        frozenset((1 + stable_hash(values) % k,)),
+                        broadcast=False,
+                        routing_attribute=attribute,
+                        replicated_only=True,
+                    )
+                continue
+            decision = RoutingDecision(
+                frozenset(targets), broadcast=False, routing_attribute=attribute
+            )
+            if len(targets) == 1:
+                single = decision
+                break
+            if best is None or len(targets) < len(best.partitions):
+                best = decision
+        chosen = single or replicated or best
+        if chosen is None:
+            everywhere = frozenset(range(1, k + 1))
+            out.append((RoutingDecision(everywhere, broadcast=True), cause))
+        else:
+            out.append((chosen, None))
+    return out, consulted
 
 
 # ----------------------------------------------------------------------

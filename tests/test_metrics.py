@@ -6,6 +6,8 @@ per-key memo and shared :class:`SnapshotIndex`, config ``to_dict``/
 algorithm table it shares with the experiment harness.
 """
 
+import math
+
 import pytest
 
 import repro
@@ -113,6 +115,32 @@ class TestLatencyHistogram:
         assert histogram.mean_seconds == pytest.approx(
             histogram.total_seconds / 6
         )
+
+    def test_a_latency_on_a_bucket_bound_opens_the_next_bucket(self):
+        """Bounds are exclusive upper bounds: the slot is the first bound
+        above the latency, as a scan of the bounds finds it."""
+
+        def scanned_slot(micros):
+            for slot, bound in enumerate(LATENCY_BUCKETS_US):
+                if micros < bound:
+                    return slot
+            return len(LATENCY_BUCKETS_US)
+
+        latencies = [0.0, 1e9]
+        for bound in LATENCY_BUCKETS_US:
+            latencies += [
+                math.nextafter(bound, 0.0), bound, math.nextafter(bound, 1e9)
+            ]
+        for micros in latencies:
+            histogram = LatencyHistogram()
+            histogram.observe(micros / 1e6)
+            slot = scanned_slot(micros / 1e6 * 1e6)
+            assert histogram.counts[slot] == 1 == histogram.count, micros
+        # every bound here survives the trip through seconds
+        for slot, bound in enumerate(LATENCY_BUCKETS_US):
+            histogram = LatencyHistogram()
+            histogram.observe(bound / 1e6)
+            assert histogram.counts[slot + 1] == 1, bound
 
     def test_to_dict_and_summary(self):
         histogram = LatencyHistogram()

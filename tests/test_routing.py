@@ -1,9 +1,15 @@
 """Unit tests for the runtime router and lookup tables."""
 
+import time
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.cluster import Cluster
 from repro.core import JECBConfig, JECBPartitioner
 from repro.core.join_path import JoinPath
 from repro.core.mapping import IdentityModMapping
@@ -11,17 +17,19 @@ from repro.core.metrics import RoutingMetrics
 from repro.core.placement import PlacementStore
 from repro.core.solution import DatabasePartitioning, TableSolution
 from repro.procedures import ProcedureCatalog, StoredProcedure
-from repro.routing import LookupTable, Router
+from repro.routing import LookupTable, Router, RouteSummary
 from repro.schema import Attr
 from repro.storage import Database
+from repro.workloads.tatp import TatpBenchmark, TatpConfig
 from repro.workloads.tpcc import TpccBenchmark, TpccConfig
+from repro.workloads.tpce import TpceBenchmark, TpceConfig
 
 from tests.conftest import (
     build_custinfo_procedure,
     build_custinfo_schema,
     load_figure1_data,
 )
-from tests.referee import naive_lookup, naive_placement
+from tests.referee import eager_route, naive_lookup, naive_placement
 
 
 @pytest.fixture
@@ -572,45 +580,45 @@ def _build_custinfo_partitioning(schema):
     return partitioning
 
 
-_STORM = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert_ca"), st.integers(1, 5), st.just(0)),
-        st.tuples(st.just("insert_trade"), st.integers(1, 25), st.just(0)),
-        st.tuples(st.just("delete_ca"), st.integers(1, 29), st.just(0)),
-        st.tuples(st.just("delete_trade"), st.integers(1, 120), st.just(0)),
-        st.tuples(
-            st.just("retarget_ca"), st.integers(1, 29), st.integers(1, 5)
-        ),
-        st.tuples(
-            st.just("retarget_trade"),
-            st.integers(1, 120),
-            st.integers(1, 25),
-        ),
-        st.tuples(
-            st.just("touch_qty"), st.integers(1, 120), st.integers(1, 99)
-        ),
-        # Re-insert a deleted account (the a-th tombstone): with its old
-        # owner the swap is invisible to every walk, with a new owner it
-        # moves the account's trades.
-        st.tuples(
-            st.just("reinsert_ca"), st.integers(0, 9), st.integers(1, 5)
-        ),
+_WRITE = st.one_of(
+    st.tuples(st.just("insert_ca"), st.integers(1, 5), st.just(0)),
+    st.tuples(st.just("insert_trade"), st.integers(1, 25), st.just(0)),
+    st.tuples(st.just("delete_ca"), st.integers(1, 29), st.just(0)),
+    st.tuples(st.just("delete_trade"), st.integers(1, 120), st.just(0)),
+    st.tuples(
+        st.just("retarget_ca"), st.integers(1, 29), st.integers(1, 5)
     ),
-    min_size=1,
-    max_size=15,
+    st.tuples(
+        st.just("retarget_trade"),
+        st.integers(1, 120),
+        st.integers(1, 25),
+    ),
+    st.tuples(
+        st.just("touch_qty"), st.integers(1, 120), st.integers(1, 99)
+    ),
+    # Re-insert a deleted account (the a-th tombstone): with its old
+    # owner the swap is invisible to every walk, with a new owner it
+    # moves the account's trades.
+    st.tuples(
+        st.just("reinsert_ca"), st.integers(0, 9), st.integers(1, 5)
+    ),
 )
+_STORM = st.lists(_WRITE, min_size=1, max_size=15)
 
 
-def _apply_storm(database, storm, between=lambda: None):
+def _apply_storm(database, storm, between=lambda: None, other=None):
     """Apply one ``_STORM`` draw to *database* (a Figure-1 load).
 
     *between* runs after every mutation, e.g. to keep a router's lookup
-    cache warm so each write meets a maintained lookup.
+    cache warm so each write meets a maintained lookup. *other* maps the
+    kinds of step ``_STORM`` does not draw to a function of ``(a, b)``.
     """
     next_ca, next_trade = 20, 100
     tombstoned: set[int] = set()  # deleted accounts not inserted again
     for kind, a, b in storm:
-        if kind == "insert_ca":
+        if other is not None and kind in other:
+            other[kind](a, b)
+        elif kind == "insert_ca":
             database.insert(
                 "CUSTOMER_ACCOUNT", {"CA_ID": next_ca, "CA_C_ID": a}
             )
@@ -686,20 +694,371 @@ class TestMetamorphicWriteThrough:
         partitioning = _build_custinfo_partitioning(schema)
         router = Router(database, catalog, partitioning)
         try:
-            # route after every write, so each one meets warm lookups,
-            # and hold the store and the views to the referee each time
+            # route after every write, so each one meets warm lookups:
+            # the decisions equal a fresh router's, and the store and the
+            # views the referee's, each time
             def step():
-                _decisions(router)
+                live = _decisions(router)
+                assert live == _fresh_decisions(database, catalog, partitioning)
                 assert_lookups_match_referee(router, database, partitioning)
 
             step()
             _apply_storm(database, storm, between=step)
-
-            live = _decisions(router)
-            fresh = _fresh_decisions(database, catalog, partitioning)
-            assert live == fresh
         finally:
             router.close()
+
+
+# ----------------------------------------------------------------------
+# cached plans against a fresh router, call by call
+# ----------------------------------------------------------------------
+_REOPEN = StoredProcedure(
+    "Reopen",
+    params=["ca_id", "c_id"],
+    statements={
+        "insert": """
+            INSERT INTO CUSTOMER_ACCOUNT (CA_ID, CA_C_ID)
+            VALUES (@ca_id, @c_id)
+        """
+    },
+)
+_INTERLEAVED_CALLS = CALL_BATTERY + [
+    ("Reopen", {"ca_id": 1, "c_id": 2}),
+    ("Reopen", {"ca_id": 40, "c_id": 1}),
+]
+#: ``_STORM``'s writes plus the changes that reach a router's views other
+#: than through its store's listeners: see ``_run_interleaved``
+_INTERLEAVED = st.lists(
+    st.one_of(
+        _WRITE,
+        st.tuples(st.just("detach"), st.just(0), st.just(0)),
+        st.tuples(
+            st.just("retomb_ca"), st.sampled_from([1, 7, 40]), st.integers(1, 5)
+        ),
+        st.tuples(
+            st.just("aborted_reopen"),
+            st.sampled_from([1, 7, 40]),
+            st.integers(1, 5),
+        ),
+        st.tuples(st.just("aborted_read"), st.integers(1, 2), st.integers(1, 2)),
+        st.tuples(
+            st.just("route_in_aborted_txn"),
+            st.sampled_from([1, 7, 40]),
+            st.integers(1, 5),
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _consulted_view_is_current(partitions_for):
+    """Wrap ``LookupTable.partitions_for``: a consulted view's column must
+    be in step, and the view built from the column's current fill."""
+
+    def checked(view, value):
+        table = view.attribute.table
+        assert view.store.in_step(table), (view, "column out of step")
+        assert view.generation == view.store.generation(table), (
+            view, "column filled again since the view was built"
+        )
+        return partitions_for(view, value)
+
+    return checked
+
+
+def _run_interleaved(steps):
+    """Apply *steps* to a Figure-1 database and route after each one.
+
+    Two routers are under test: one over its own placement store, and a
+    cluster's, over the cluster's. After every step each routes
+    ``_INTERLEAVED_CALLS`` call by call and as a batch, and must decide
+    as a router built afresh does; every lookup either consults must be
+    current. Besides ``_STORM``'s writes a step can be:
+
+    * ``detach``: close the first router; later writes reach its store
+      only through the version check;
+    * ``retomb_ca``: a tombstone for the non-live account *a*, naming
+      customer *b*, which no listener hears;
+    * ``aborted_reopen``: a cluster transaction re-inserting account *a*
+      for customer *b* with every node down; the rollback restores the
+      tombstone the insert replaced;
+    * ``aborted_read``: ``retomb_ca`` on account 40, then a cluster call
+      for customer *b* with node *a* down; a column it finds out of step
+      is filled inside the transaction and, if it aborts, filled again by
+      the abort;
+    * ``route_in_aborted_txn``: ``retomb_ca``, then route inside a
+      transaction of the first router's store, then abort it, which
+      fills again every column the routing filled.
+
+    Returns how often an abort filled a column again, per store.
+    """
+    schema = build_custinfo_schema()
+    database = Database(schema)
+    load_figure1_data(database)
+    catalog = ProcedureCatalog([build_custinfo_procedure(), _REOPEN])
+    partitioning = _build_custinfo_partitioning(schema)
+    router = Router(database, catalog, partitioning)
+    cluster = Cluster(database, catalog, partitioning)
+    calls = _INTERLEAVED_CALLS
+    abort_refills = Counter()
+    abort = PlacementStore.abort
+
+    def counted_abort(store):
+        before = store.refills
+        abort(store)
+        if store.refills != before:
+            label = "router" if store is router.store else "cluster"
+            abort_refills[label] += 1
+
+    def check():
+        fresh = _fresh_decisions(database, catalog, partitioning, calls)
+        for live in (router, cluster.router):
+            assert _decisions(live, calls) == fresh
+            assert live.route_batch(calls) == fresh
+
+    def retomb(a, b):
+        if database.get("CUSTOMER_ACCOUNT", (a,)) is None:
+            database.table("CUSTOMER_ACCOUNT").restore_tombstone(
+                (a,), {"CA_ID": a, "CA_C_ID": b}
+            )
+
+    def aborted_reopen(a, b):
+        if database.get("CUSTOMER_ACCOUNT", (a,)) is not None:
+            return
+        for node in cluster.nodes.values():
+            node.crash()
+        assert not cluster.execute("Reopen", {"ca_id": a, "c_id": b})
+        for node in cluster.nodes.values():
+            node.recover()
+
+    def aborted_read(a, b):
+        retomb(40, b)
+        cluster.nodes[a].crash()
+        cluster.execute("CustInfo", {"cust_id": b, "any_account": 1})
+        cluster.nodes[a].recover()
+
+    def route_in_aborted_txn(a, b):
+        retomb(a, b)
+        router.store.begin()
+        check()
+        router.store.abort()
+
+    other = {
+        "detach": lambda a, b: router.close(),
+        "retomb_ca": retomb,
+        "aborted_reopen": aborted_reopen,
+        "aborted_read": aborted_read,
+        "route_in_aborted_txn": route_in_aborted_txn,
+    }
+    checked = _consulted_view_is_current(LookupTable.partitions_for)
+    try:
+        with mock.patch.object(
+            LookupTable, "partitions_for", checked
+        ), mock.patch.object(PlacementStore, "abort", counted_abort):
+            check()
+            _apply_storm(database, steps, between=check, other=other)
+        assert cluster.check_conservation() == []
+    finally:
+        cluster.close()
+        router.close()
+    return abort_refills, router.metrics
+
+
+@given(steps=_INTERLEAVED)
+@settings(max_examples=40, deadline=None)
+def test_interleaved_storm_routes_like_a_fresh_router(steps):
+    _run_interleaved(steps)
+
+
+@pytest.mark.smoke
+def test_interleaved_storm_routes_like_a_fresh_router_smoke():
+    abort_refills, metrics = _run_interleaved(
+        [
+            # account 1 (customer 1) is deleted; an aborted re-insert for
+            # customer 2 puts its tombstone back behind the listeners
+            ("delete_ca", 1, 0),
+            ("aborted_reopen", 1, 2),
+            # account 40's tombstone puts the account and trade columns
+            # out of step, heard by no listener; each read, with the node
+            # of its customer down, fills the trade column again inside
+            # the transaction, and its abort once more
+            ("retomb_ca", 40, 2),
+            ("aborted_read", 2, 1),
+            ("aborted_read", 1, 2),
+            ("route_in_aborted_txn", 40, 1),
+            # from here on the first router's store hears no write
+            ("detach", 0, 0),
+            ("retarget_ca", 7, 1),
+            ("insert_trade", 8, 0),
+            ("reinsert_ca", 0, 2),
+            ("route_in_aborted_txn", 40, 3),
+        ]
+    )
+    assert abort_refills == {"cluster": 2, "router": 2}
+    assert metrics.staleness_detections > 0
+
+
+class TestCachedPlans:
+    """One plan per procedure, kept while no write or refill moves the
+    stamp; a lookup is built only when a call consults it."""
+
+    @pytest.fixture
+    def router(self, figure1_db, custinfo_procedure, customer_partitioning):
+        router = Router(
+            figure1_db,
+            ProcedureCatalog([custinfo_procedure]),
+            customer_partitioning,
+        )
+        yield router
+        router.close()
+
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        """Attributes the router resolves a lookup for, in order."""
+        attributes = []
+        lookup = Router._lookup
+
+        def counted(self, attribute):
+            attributes.append(attribute)
+            return lookup(self, attribute)
+
+        monkeypatch.setattr(Router, "_lookup", counted)
+        return attributes
+
+    def test_a_lookup_is_resolved_once_until_the_stamp_moves(
+        self, figure1_db, router, resolved
+    ):
+        by_customer = Attr("CUSTOMER_ACCOUNT", "CA_C_ID")
+        assert router.route("CustInfo", {"cust_id": 1}).partitions == {2}
+        assert resolved == [by_customer]
+        assert set(router.cached_lookups()) == {by_customer}
+        resolved.clear()
+        router.route("CustInfo", {"cust_id": 2})
+        router.route_batch([("CustInfo", {"cust_id": 1})] * 3)
+        assert resolved == []
+        # an unseen customer falls through to the next candidate
+        router.route("CustInfo", {"cust_id": 999, "any_account": 1})
+        assert by_customer not in resolved and resolved
+        resolved.clear()
+        # a write moves the stamp: the next call resolves again
+        figure1_db.update("TRADE", (1,), {"T_QTY": 5})
+        router.route("CustInfo", {"cust_id": 1})
+        assert resolved == [by_customer]
+        assert router.metrics.staleness_detections == 0
+
+    def test_an_abort_that_refills_a_column_moves_the_stamp(
+        self, figure1_db, router
+    ):
+        """Routing inside a store transaction fills a column the abort
+        fills again: the view built in between must not be served."""
+        assert router.route("CustInfo", {"cust_id": 1}).partitions == {2}
+        figure1_db.table("CUSTOMER_ACCOUNT").restore_tombstone(
+            (40,), {"CA_ID": 40, "CA_C_ID": 2}
+        )
+        router.store.begin()
+        assert router.route("CustInfo", {"cust_id": 1}).partitions == {2}
+        assert router.metrics.lookups_rebuilt == 1
+        router.store.abort()
+        lookup = router.lookup_table(Attr("CUSTOMER_ACCOUNT", "CA_C_ID"))
+        writes = figure1_db.writes
+        with mock.patch.object(
+            LookupTable,
+            "partitions_for",
+            _consulted_view_is_current(LookupTable.partitions_for),
+        ):
+            assert router.route("CustInfo", {"cust_id": 1}).partitions == {2}
+        assert figure1_db.writes == writes
+        assert router.metrics.lookups_rebuilt == 2
+        assert router.metrics.staleness_detections == 2
+        assert router.cached_lookups()[lookup.attribute] is lookup
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_a_first_call_keeps_the_build_out_of_its_latency(
+        self, router, monkeypatch, batch
+    ):
+        pause = 0.05
+        build = LookupTable.build
+
+        def slow_build(cls, *arguments):
+            time.sleep(pause)
+            return build(*arguments)
+
+        monkeypatch.setattr(LookupTable, "build", classmethod(slow_build))
+        call = ("CustInfo", {"cust_id": 1})
+        if batch:
+            router.route_batch([call])
+        else:
+            router.route(*call)
+        metrics = router.metrics
+        assert metrics.lookups_built == 1
+        assert metrics.lookup_build_seconds >= pause
+        (histogram,) = metrics.latency.values()
+        assert histogram.count == 1
+        assert histogram.max_seconds < pause
+
+
+# ----------------------------------------------------------------------
+# lazy plans against the eager referee, on bundled workloads
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def routed_bundles():
+    """(bundle, JECB layout) per workload, generated once."""
+    bundles = {
+        "tpcc": TpccBenchmark(
+            TpccConfig(warehouses=2, customers_per_district=8)
+        ).generate(300, seed=11),
+        "tatp": TatpBenchmark(TatpConfig(subscribers=120)).generate(
+            400, seed=77
+        ),
+        "tpce": TpceBenchmark(
+            TpceConfig(customers=30, brokers=8, companies=10)
+        ).generate(500, seed=27),
+    }
+    return {
+        name: (bundle, repro.partition(bundle, num_partitions=4).partitioning)
+        for name, bundle in bundles.items()
+    }
+
+
+def _calls_with_misses(bundle):
+    """The trace's calls, plus per procedure one call without arguments
+    and one whose every argument is a value no row holds."""
+    calls = bundle.trace.calls()
+    firsts = {name: arguments for name, arguments in reversed(calls)}
+    for name, arguments in sorted(firsts.items()):
+        calls.append((name, {}))
+        calls.append((name, {param: "no such value" for param in arguments}))
+    return calls
+
+
+@pytest.mark.parametrize("workload", ["tpcc", "tatp", "tpce"])
+def test_lazy_routing_matches_the_eager_referee(routed_bundles, workload):
+    bundle, partitioning = routed_bundles[workload]
+    calls = _calls_with_misses(bundle)
+    expected, consulted = eager_route(
+        bundle.database, bundle.catalog, partitioning, calls
+    )
+    causes = Counter(cause for _, cause in expected if cause is not None)
+    assert len(causes) > 1
+    reference = RouteSummary()
+    for decision, _ in expected:
+        reference.record(decision)
+
+    serial = Router(bundle.database, bundle.catalog, partitioning)
+    batch = Router(bundle.database, bundle.catalog, partitioning)
+    try:
+        assert [serial.route(n, a) for n, a in calls] == [
+            decision for decision, _ in expected
+        ]
+        summary = batch.route_summary(calls)
+        for router in (serial, batch):
+            assert router.metrics.broadcast_causes == causes
+            assert router.metrics.lookups_built == len(consulted)
+            assert set(router.cached_lookups()) == consulted
+        assert str(summary) == str(reference)
+    finally:
+        serial.close()
+        batch.close()
 
 
 class TestBatchRouting:
