@@ -270,9 +270,10 @@ class ColumnarEngine:
       the demanded keys of a table solution (``-1`` unroutable, ``0``
       replicated), feeding the Definition-5/6 kernel in the evaluation
       framework.
-    * ``class_value_luts(view, paths)`` — per-table key -> root-value
-      dicts for the scalar loops (blame, statistics fallback) that must
-      keep their own iteration order.
+    * ``tuple_codes(view, paths)`` — the code of each distinct tuple a
+      view touches, aligned with its deduplicated stream, for the Phase-2
+      loops that read root values per transaction (greedy blame, the
+      statistics fallback's co-access groups).
 
     Every entry point takes views of :attr:`ctrace` only. One engine is
     shared by every class of a search and by Phase 3; callers pass a
@@ -395,16 +396,9 @@ class ColumnarEngine:
         ntxn = len(view)
         if ntxn == 0 or view.utuple_ids.size == 0:
             return True, 0
-        ctrace = self.ctrace
         uoffsets = view.uoffsets
-        utuple_ids = view.utuple_ids
         uncovered_hi = np.iinfo(np.int64).max
-        paths = [
-            (ctrace.table_ids[table], path)
-            for table, path in tree.paths.items()
-            if table in ctrace.table_ids
-        ]
-        scratch = np.full(ctrace.n_tuples, -1, dtype=np.int64)
+        scratch = np.full(self.ctrace.n_tuples, -1, dtype=np.int64)
         probes = 0
         pos = 0
         size = 64
@@ -412,26 +406,16 @@ class ColumnarEngine:
             stop = min(pos + size, ntxn)
             size *= 2
             ustart = int(uoffsets[pos])
-            uend = int(uoffsets[stop])
-            if uend == ustart:
+            if int(uoffsets[stop]) == ustart:
                 pos = stop
                 continue
-            uids = utuple_ids[ustart:uend]
-            per_table = view.chunk_tables(pos, stop)
-            for tid, path in paths:
-                entry = per_table.get(tid)
-                if entry is None:
-                    continue  # chunk never touches this table
-                gids, local_ids = entry
-                column = self.ensure_codes(path, local_ids, stats)
-                scratch[gids] = column[local_ids]
-            codes = scratch[uids]
+            codes = self._gather(view, tree.paths, pos, stop, scratch, stats)
             offsets = uoffsets[pos : stop + 1] - ustart
             starts = offsets[:-1]
             lengths = offsets[1:] - starts
             # reduceat needs in-range start indices; trailing empty
             # segments are masked out through `lengths` below.
-            safe_starts = np.minimum(starts, uids.size - 1)
+            safe_starts = np.minimum(starts, codes.size - 1)
             lifted = np.where(codes >= 0, codes, uncovered_hi)
             mins = np.minimum.reduceat(lifted, safe_starts)
             maxs = np.maximum.reduceat(codes, safe_starts)
@@ -442,6 +426,35 @@ class ColumnarEngine:
                 return False, probes
             pos = stop
         return True, probes
+
+    def tuple_codes(self, view: ColumnarClassTrace, paths, stats=None) -> Any:
+        """The value code of each entry of ``view.utuple_ids`` (each
+        transaction's distinct tuples, in first-access order): ``0`` for
+        no value, ``-1`` for a tuple of a table *paths*
+        (``{table: JoinPath}``) does not cover."""
+        self._own(view)
+        self._check_version()
+        scratch = np.full(self.ctrace.n_tuples, -1, dtype=np.int64)
+        return self._gather(view, paths, 0, len(view), scratch, stats)
+
+    def _gather(self, view, paths, start: int, stop: int, scratch, stats):
+        """Codes of transactions ``start:stop``'s distinct tuples.
+
+        The one place that maps tuples to codes: each covered table's
+        touched keys are filled (:meth:`ensure_codes`) and written into
+        *scratch*, a ``-1``-filled array over every interned tuple; a
+        caller may reuse it across chunks of one view and one *paths*.
+        """
+        table_ids = self.ctrace.table_ids
+        per_table = view.chunk_tables(start, stop)
+        for table, path in paths.items():
+            entry = per_table.get(table_ids.get(table))
+            if entry is None:
+                continue  # the chunk never touches this table
+            gids, local_ids = entry
+            scratch[gids] = self.ensure_codes(path, local_ids, stats)[local_ids]
+        uoffsets = view.uoffsets
+        return scratch[view.utuple_ids[uoffsets[start] : uoffsets[stop]]]
 
     # ------------------------------------------------------------------
     # Definition 5/6 support: per-key partition ids
@@ -487,34 +500,3 @@ class ColumnarEngine:
                 code_pid[code] = int(mapping(values[code]))
             pids = code_pid[codes]
         return pids
-
-    def class_value_luts(
-        self, view: ColumnarClassTrace, paths, stats=None
-    ) -> dict[str, dict]:
-        """Per-table ``{key: root value}`` over every tuple *view* touches.
-
-        Feeds the scalar loops (greedy blame, the statistics fallback)
-        that must keep their own iteration order over ``txn.tuples``:
-        downstream set construction is order-sensitive, so only the value
-        lookup is batched. Values come from the same lazy code columns
-        the Definition-7 kernel reads.
-        """
-        self._own(view)
-        self._check_version()
-        per_table = view.chunk_tables(0, len(view))
-        values = self.values
-        luts: dict[str, dict] = {}
-        for table, path in paths.items():
-            tid = self.ctrace.table_ids.get(table)
-            entry = per_table.get(tid) if tid is not None else None
-            if entry is None:
-                luts[table] = {}
-                continue
-            _, local_ids = entry
-            codes = self.ensure_codes(path, local_ids, stats)[local_ids]
-            keys = self.ctrace.keys_of[tid]
-            luts[table] = {
-                keys[lid]: values[code]
-                for lid, code in zip(local_ids.tolist(), codes.tolist())
-            }
-        return luts

@@ -24,7 +24,7 @@ from repro.procedures.procedure import StoredProcedure
 from repro.trace.columnar import ColumnarClassTrace
 from repro.core.join_graph import JoinGraph
 from repro.core.join_tree import JoinTree, prune_compatible_trees
-from repro.core.metrics import ClassMetrics
+from repro.core.metrics import CacheStats, ClassMetrics
 from repro.core.path_eval import ColumnarEngine
 from repro.core.solution import PARTIAL, TOTAL, ClassSolution
 from repro.core.statistics import evaluate_fallback
@@ -36,15 +36,12 @@ class Phase2Config:
 
     max_paths_per_table: int = 32
     max_trees_per_root: int = 64
-    include_implicit_joins: bool = True
     #: Use def-use dataflow (:mod:`repro.sql.dataflow`) to witness implicit
     #: joins instead of the coarse SELECT×WHERE accessed-attribute pool.
     #: Witnessed edges are always a subset of the pool, so this only ever
     #: removes false-positive candidate joins.
     dataflow_joins: bool = True
     mine_partial_solutions: bool = True
-    statistics_fallback: bool = True
-    fallback_seed: int = 7
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -138,16 +135,10 @@ def class_join_graph(
             schema,
             flow.merged,
             replicated,
-            include_implicit=config.include_implicit_joins,
             implicit_edges=flow.implicit_edges,
         )
     analysis = analyze_procedure(procedure.statements, schema)
-    return analysis, JoinGraph.from_analysis(
-        schema,
-        analysis,
-        replicated,
-        include_implicit=config.include_implicit_joins,
-    )
+    return analysis, JoinGraph.from_analysis(schema, analysis, replicated)
 
 
 def enumerate_trees(
@@ -193,48 +184,62 @@ def eliminate_until_mi(
             return candidate if len(candidate.paths) < len(tree.paths) else None
         if len(tables) == 1:
             return None
-        # Blame: in each violating transaction, the offenders are the
-        # tables holding values different from the transaction's modal
-        # root value (remote accesses deviate; the home tables agree).
-        # The loop keeps its iteration order over txn.tuples (a set, and
-        # downstream set iteration is order-sensitive); only the
-        # per-access value lookup is batched.
-        luts = engine.class_value_luts(
-            trace, candidate.paths, None if metrics is None else metrics.cache
+        offenders = blame(
+            candidate, trace, engine, None if metrics is None else metrics.cache
         )
-        offenders: dict[str, int] = {t: 0 for t in tables}
-        for txn in trace:
-            per_table: dict[str, set] = {}
-            broken: set[str] = set()
-            for table, key in txn.tuples:
-                lut = luts.get(table)
-                if lut is None:
-                    continue
-                value = lut[key]
-                if value is None:
-                    broken.add(table)
-                else:
-                    per_table.setdefault(table, set()).add(value)
-            all_values = set().union(*per_table.values()) if per_table else set()
-            if not broken and len(all_values) <= 1:
-                continue
-            for table in broken:
-                offenders[table] += 1
-            if len(all_values) > 1:
-                counts: dict = {}
-                for values in per_table.values():
-                    for value in values:
-                        counts[value] = counts.get(value, 0) + 1
-                modal = max(sorted(counts, key=repr), key=lambda v: counts[v])
-                for table, values in per_table.items():
-                    if values != {modal}:
-                        offenders[table] += 1
-        worst = max(sorted(offenders), key=lambda t: offenders[t])
+        worst = max(sorted(offenders), key=offenders.__getitem__)
         if offenders[worst] == 0:
             # Violations without a culprit table (should not happen).
             return None
         tables.discard(worst)
     return None
+
+
+def blame(
+    tree: JoinTree,
+    trace: ColumnarClassTrace,
+    engine: ColumnarEngine,
+    stats: CacheStats | None = None,
+) -> dict[str, int]:
+    """How many violating transactions each table of *tree* offends in.
+
+    In a violating transaction the offenders are the tables holding a
+    tuple with no root value, and, when the transaction maps to several
+    values, the tables holding any value but the modal one (remote
+    accesses deviate; the home tables agree). The modal value is the one
+    the most tables hold, ties going to the smallest ``repr``. Counts
+    are per table, so the order tuples are read in does not matter.
+    """
+    codes = engine.tuple_codes(trace, tree.paths, stats).tolist()
+    tids = engine.ctrace.tuple_table[trace.utuple_ids].tolist()
+    names = engine.ctrace.tables
+    values = engine.values
+    offenders = {table: 0 for table in tree.paths}
+    bounds = trace.uoffsets.tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        per_table: dict[int, set[int]] = {}
+        broken: set[int] = set()
+        for tid, code in zip(tids[start:stop], codes[start:stop]):
+            if code > 0:
+                per_table.setdefault(tid, set()).add(code)
+            elif code == 0:
+                broken.add(tid)
+        distinct = set().union(*per_table.values())
+        for tid in broken:
+            offenders[names[tid]] += 1
+        if len(distinct) > 1:
+            counts: dict[int, int] = {}
+            for held in per_table.values():
+                for code in held:
+                    counts[code] = counts.get(code, 0) + 1
+            modal = max(
+                sorted(counts, key=lambda code: repr(values[code])),
+                key=counts.__getitem__,
+            )
+            for tid, held in per_table.items():
+                if held != {modal}:
+                    offenders[names[tid]] += 1
+    return offenders
 
 
 def _solve_remainder(
@@ -382,16 +387,14 @@ def _search_class(
                 for tree in partial_trees
             ]
         if not result.total_solutions:
-            if config.statistics_fallback:
-                result.total_solutions = _statistics_solutions(
-                    procedure.name,
-                    first_per_root,
-                    class_trace,
-                    engine,
-                    metrics,
-                    num_partitions,
-                    config,
-                )
+            result.total_solutions = _statistics_solutions(
+                procedure.name,
+                first_per_root,
+                class_trace,
+                engine,
+                metrics,
+                num_partitions,
+            )
             if config.mine_partial_solutions:
                 # Partial solutions by table elimination: drop the tables
                 # whose (e.g. remote) accesses break mapping independence,
@@ -448,7 +451,6 @@ def _statistics_solutions(
     engine: ColumnarEngine,
     metrics: ClassMetrics,
     num_partitions: int,
-    config: Phase2Config,
 ) -> list[ClassSolution]:
     """Section 5.3 fallback: accept a lookup mapping only if meaningful."""
     if len(class_trace) < 4:
@@ -463,7 +465,6 @@ def _statistics_solutions(
             validation,
             num_partitions,
             engine,
-            seed=config.fallback_seed,
             stats=metrics.cache,
         )
         if outcome.meaningful and outcome.lookup_cost < best_cost:

@@ -1,12 +1,15 @@
 """Statistics-based fallback mapping (Section 5.3).
 
 When no join tree is mapping independent, JECB builds a Schism-style
-mapping *at the granularity of root-attribute values*: transactions'
-root-value sets form a co-access graph, min-cut partitioning assigns each
-value to a partition, and the resulting lookup mapping is accepted only if
-it beats both hash and range mappings on a held-out trace. This is where
-JECB's scalability advantage over Schism shows: the graph has one node per
-distinct root value, not per tuple.
+mapping *at the granularity of root-attribute values*: each transaction's
+distinct root values (read from the engine's value codes, in first-access
+order) form one group of a co-access graph, min-cut partitioning assigns
+each value to a partition, and the resulting lookup mapping is accepted
+only if it beats both hash and range mappings on a held-out trace. This is
+where JECB's scalability advantage over Schism shows: the graph has one
+node per distinct root value, not per tuple. Groups are built in the
+interned stream's order, never a set's, so the graph and the min-cut's
+seeded result are the same in every process.
 """
 
 from __future__ import annotations
@@ -57,40 +60,31 @@ def transaction_root_values(
     trace: ColumnarClassTrace,
     engine: ColumnarEngine,
     stats: CacheStats | None = None,
-) -> list[set[Any]]:
-    """Per-transaction sets of root values (unroutable tuples skipped).
+) -> list[list[Any]]:
+    """Each transaction's distinct root values, in first-access order.
 
-    The iteration order over ``txn.tuples`` is preserved exactly — the
-    value sets feed the co-access graph whose node order the min-cut's
-    seeded shuffles consume — so only the value lookup is batched
-    (:meth:`ColumnarEngine.class_value_luts`).
+    Tuples with no root value are skipped, and so are transactions left
+    with none. The order feeds the co-access graph whose node order the
+    min-cut's seeded shuffles consume; it follows the interned stream, so
+    every process builds the same groups.
     """
-    luts = engine.class_value_luts(trace, tree.paths, stats)
-    groups: list[set[Any]] = []
-    for txn in trace:
-        values: set[Any] = set()
-        for table, key in txn.tuples:
-            lut = luts.get(table)
-            if lut is None:
-                continue
-            value = lut[key]
-            if value is not None:
-                values.add(value)
-        if values:
-            groups.append(values)
+    codes = engine.tuple_codes(trace, tree.paths, stats).tolist()
+    values = engine.values
+    bounds = trace.uoffsets.tolist()
+    groups: list[list[Any]] = []
+    for start, stop in zip(bounds, bounds[1:]):
+        distinct = dict.fromkeys(codes[start:stop])
+        group = [values[code] for code in distinct if code > 0]
+        if group:
+            groups.append(group)
     return groups
 
 
 def build_statistics_mapping(
-    tree: JoinTree,
-    train_trace: ColumnarClassTrace,
-    num_partitions: int,
-    engine: ColumnarEngine,
-    seed: int = 7,
-    stats: CacheStats | None = None,
+    groups: list[list[Any]], num_partitions: int, seed: int = 7
 ) -> LookupMapping:
-    """Min-cut the root-value co-access graph into a lookup mapping."""
-    groups = transaction_root_values(tree, train_trace, engine, stats)
+    """Min-cut the co-access graph of root-value *groups* into a lookup
+    mapping."""
     graph = build_coaccess_graph(groups)
     assignment = partition_graph(graph, num_partitions, seed=seed)
     table = {value: part + 1 for value, part in assignment.items()}
@@ -111,16 +105,12 @@ def evaluate_fallback(
     """Build the statistics mapping and score it against hash and range.
 
     Both halves are views of *engine*'s interned trace; *stats* counts the
-    engine's column hits and misses.
+    engine's column hits and misses. The training half's root-value
+    groups feed both the lookup mapping and the range mapping's sample.
     """
-    lookup = build_statistics_mapping(
-        tree, train_trace, num_partitions, engine, seed, stats
-    )
-    observed = [
-        v
-        for group in transaction_root_values(tree, train_trace, engine, stats)
-        for v in group
-    ]
+    groups = transaction_root_values(tree, train_trace, engine, stats)
+    lookup = build_statistics_mapping(groups, num_partitions, seed)
+    observed = [value for group in groups for value in group]
     candidates: list[tuple[str, MappingFunction]] = [
         ("lookup", lookup),
         ("hash", HashMapping(num_partitions)),

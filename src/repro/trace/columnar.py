@@ -13,36 +13,33 @@ each transaction class's stream as flat numpy int columns:
     One entry per access: the interned tuple id and the read/write flag.
 ``uoffsets`` / ``utuple_ids``
     The same stream deduplicated *within* each transaction, in first-access
-    order — exactly the ``txn.tuples`` set the mapping-independence
-    definition quantifies over.
+    order — the ``txn.tuples`` set the mapping-independence definition
+    quantifies over, in an order that does not depend on string hashing.
 
 A :class:`ColumnarTrace` is built once from a :class:`Trace` at the start
-of Phase 2; every class search and Phase 3's cost evaluation read it. The
-partitioning evaluator interns any other trace it scores the same way.
-
-:class:`ColumnarClassTrace` views still iterate the *original*
-transaction objects, for the Phase-2 loops whose output depends on the
-iteration order of ``txn.tuples`` (greedy table elimination and the
-statistics fallback).
+of Phase 2; every class search and Phase 3's cost evaluation read it, and
+nothing downstream reads the transaction objects again (``txn_ids`` names
+them). The partitioning evaluator interns any other trace it scores the
+same way.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.trace.events import KeyValue, Trace, TransactionTrace
+from repro.trace.events import KeyValue, Trace
 from repro.trace.splitter import round_robin
 
 
 class ColumnarClassTrace:
     """One transaction class's stream as flat integer columns.
 
-    Iterable like a :class:`Trace`, yielding the original
-    :class:`TransactionTrace` objects.
+    ``txn_ids[i]`` is the id of the transaction whose accesses
+    ``offsets[i]:offsets[i+1]`` hold.
     """
 
     def __init__(
@@ -55,7 +52,6 @@ class ColumnarClassTrace:
         write_bits,
         uoffsets,
         utuple_ids,
-        txns: list[TransactionTrace],
     ) -> None:
         self.parent = parent
         self.class_name = class_name
@@ -65,15 +61,11 @@ class ColumnarClassTrace:
         self.write_bits = write_bits
         self.uoffsets = uoffsets
         self.utuple_ids = utuple_ids
-        self._txns = txns
         #: {(txn start, txn stop) -> {table id -> (gids, local ids)}}
         self._chunks: dict[tuple[int, int], dict[int, tuple[Any, Any]]] = {}
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
-
-    def __iter__(self) -> Iterator[TransactionTrace]:
-        return iter(self._txns)
 
     def chunk_tables(self, start: int, stop: int) -> dict[int, tuple[Any, Any]]:
         """Per-table (global ids, local ids) of the distinct tuples that
@@ -132,7 +124,6 @@ class ColumnarClassTrace:
             offsets, self.tuple_ids, self.write_bits
         )
         new_uoffsets, new_uids, _ = gather(uoffsets, self.utuple_ids)
-        txns = [self._txns[i] for i in indices]
         txn_ids = self.txn_ids[np.asarray(indices, dtype=np.int64)] if indices else (
             self.txn_ids[:0]
         )
@@ -145,7 +136,6 @@ class ColumnarClassTrace:
             new_bits,
             new_uoffsets,
             new_uids,
-            txns=txns,
         )
 
     def __repr__(self) -> str:
@@ -158,11 +148,10 @@ class ColumnarClassTrace:
 class _ClassBuilder:
     """Per-class accumulation state during interning."""
 
-    __slots__ = ("txn_ids", "txns", "offsets", "ids", "writes", "uoffsets", "uids")
+    __slots__ = ("txn_ids", "offsets", "ids", "writes", "uoffsets", "uids")
 
     def __init__(self) -> None:
         self.txn_ids: list[int] = []
-        self.txns: list[TransactionTrace] = []
         self.offsets: list[int] = [0]
         self.ids: list[int] = []
         self.writes: list[int] = []
@@ -218,7 +207,6 @@ class ColumnarTrace:
             if builder is None:
                 builder = builders[txn.class_name] = _ClassBuilder()
             builder.txn_ids.append(txn.txn_id)
-            builder.txns.append(txn)
             seen: set[int] = set()
             for table, key, write in txn.accesses:
                 tid = table_ids.get(table)
@@ -263,7 +251,6 @@ class ColumnarTrace:
                 np.asarray(builder.writes, dtype=np.uint8),
                 np.asarray(builder.uoffsets, dtype=np.int64),
                 np.asarray(builder.uids, dtype=np.int64),
-                txns=builder.txns,
             )
             self.views[name] = view
             self.n_transactions += len(view)

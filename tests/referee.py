@@ -5,7 +5,9 @@ interned trace (:class:`~repro.core.path_eval.ColumnarEngine` and
 :class:`~repro.evaluation.evaluator.PartitioningEvaluator`). The scans
 here compute the same definitions one transaction and one access at a
 time with an uncached walk per key (:func:`naive_root_value`), and the
-differential tests hold the kernels to them; :func:`footprint` does the
+differential tests hold the kernels to them. :func:`blame` counts greedy
+elimination's offending tables from per-transaction value sets the same
+way, where Phase 2 reads value codes; :func:`footprint` does the
 same for the sites and partitions each transaction touches, which the
 evaluator reports as ``Footprints``. :func:`chunk_tables` groups
 the tuples a chunk of a class view touches by table with ``np.unique``;
@@ -20,7 +22,10 @@ views to them after every write. :func:`eager_route` routes calls the
 way the router did before it resolved lookups lazily: every candidate's
 lookup (a :func:`naive_lookup`) is resolved before any argument is read.
 
-:func:`intern` is how tests hand plain traces to the kernels.
+:func:`intern` is how tests hand plain traces to the kernels;
+:func:`named_transactions` hands a class view's transactions back to the
+scans, and :func:`gathered_values` decodes the engine's per-tuple value
+codes for comparison with them.
 
 The executor runs compiled plans (:mod:`repro.engine.plan`): index
 probes in a greedy join order, fused filters, closures.
@@ -89,6 +94,13 @@ def intern(database: Database, *traces: Trace):
     return (engine, *views)
 
 
+def named_transactions(view, trace: Trace) -> Trace:
+    """The transactions of the object *trace* a class view names by id,
+    in the view's order: the referee scans read objects, views hold ids."""
+    by_id = {txn.txn_id: txn for txn in trace}
+    return Trace([by_id[txn_id] for txn_id in view.txn_ids.tolist()])
+
+
 def mapping_independent(tree: JoinTree, trace, database: Database) -> bool:
     """Definition 7: every transaction maps to exactly one root value.
 
@@ -111,6 +123,46 @@ def mapping_independent(tree: JoinTree, trace, database: Database) -> bool:
                 return False
             first = value
     return True
+
+
+def blame(tree: JoinTree, trace, database: Database) -> dict[str, int]:
+    """Greedy elimination's per-table offender counts, from sets of
+    values.
+
+    In each transaction that breaks Definition 7, a table offends once
+    if one of its tuples has no root value, and once more, when the
+    transaction maps to several values, if it holds any value but the
+    modal one (held by the most tables, ties to the smallest ``repr``).
+    Values come from one :func:`naive_root_value` walk per tuple.
+    """
+    offenders = {table: 0 for table in tree.paths}
+    for txn in trace:
+        per_table: dict[str, set] = {}
+        broken: set[str] = set()
+        for table, key in txn.tuples:
+            path = tree.paths.get(table)
+            if path is None:
+                continue
+            value = naive_root_value(database, path, key)
+            if value is None:
+                broken.add(table)
+            else:
+                per_table.setdefault(table, set()).add(value)
+        all_values = set().union(*per_table.values())
+        if not broken and len(all_values) <= 1:
+            continue
+        for table in broken:
+            offenders[table] += 1
+        if len(all_values) > 1:
+            counts: dict = {}
+            for values in per_table.values():
+                for value in values:
+                    counts[value] = counts.get(value, 0) + 1
+            modal = max(sorted(counts, key=repr), key=lambda v: counts[v])
+            for table, values in per_table.items():
+                if values != {modal}:
+                    offenders[table] += 1
+    return offenders
 
 
 def naive_pid(database: Database, solution, key: tuple) -> int | None:
@@ -203,6 +255,23 @@ def chunk_tables(view, start: int, stop: int) -> dict[int, tuple[Any, Any]]:
         gids = unique_gids[tids == tid]
         groups[tid] = (gids, ctrace.tuple_local[gids])
     return groups
+
+
+def gathered_values(engine: ColumnarEngine, view, paths) -> list[tuple]:
+    """``(table, key, value)`` of each distinct tuple *view* touches in a
+    table *paths* covers, decoded from :meth:`ColumnarEngine.tuple_codes`
+    (code 0 decodes to ``None``), for comparison with
+    :func:`naive_root_value`. Every uncovered tuple must read ``-1``."""
+    ctrace = engine.ctrace
+    found = []
+    codes = engine.tuple_codes(view, paths).tolist()
+    for gid, code in zip(view.utuple_ids.tolist(), codes):
+        table = ctrace.table_of(gid)
+        if table not in paths:
+            assert code == -1, (table, code)
+            continue
+        found.append((table, ctrace.key_of(gid), engine.values[code]))
+    return found
 
 
 # ----------------------------------------------------------------------

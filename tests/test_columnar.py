@@ -150,9 +150,10 @@ def _assert_mi_kernel_matches_referee(bundle) -> int:
         if class_result.read_only:
             continue
         view = engine.ctrace.class_view(class_result.class_name)
+        txns = referee.named_transactions(view, bundle.trace)
         for tree in _search_trees(class_result):
             assert tree.is_mapping_independent(view, engine) == (
-                referee.mapping_independent(tree, view, database)
+                referee.mapping_independent(tree, txns, database)
             ), (class_result.class_name, str(tree))
             checked += 1
     return checked
@@ -208,15 +209,19 @@ def _decoded_tuples(view):
 
 
 def _assert_view_matches(view, by_id) -> int:
-    """The view yields the original transactions and its columns decode
-    back to their accesses (and, deduplicated in first-access order, to
-    their tuple sets); returns the number of transactions checked."""
+    """The view's transaction ids name the original transactions of its
+    class and its columns decode back to their accesses (and,
+    deduplicated in first-access order, to their tuple sets); returns the
+    number of transactions checked."""
     seen = 0
-    for txn, decoded, tuples in zip(
-        view, _decoded_signatures(view), _decoded_tuples(view), strict=True
+    for txn_id, decoded, tuples in zip(
+        view.txn_ids.tolist(),
+        _decoded_signatures(view),
+        _decoded_tuples(view),
+        strict=True,
     ):
-        original = by_id[txn.txn_id]
-        assert txn is original
+        original = by_id[txn_id]
+        assert original.class_name == view.class_name
         assert decoded == _txn_signature(original)
         assert len(tuples) == len(set(tuples))
         assert set(tuples) == original.tuples
@@ -343,11 +348,11 @@ def test_split_matches_object_splitter(tpcc_bundle):
     """View.split must pick the exact transactions train_test_split picks."""
     ctrace = ColumnarTrace.from_trace(tpcc_bundle.trace)
     for view in ctrace.views.values():
-        object_trace = Trace(list(view))
+        object_trace = referee.named_transactions(view, tpcc_bundle.trace)
         otrain, otest = train_test_split(object_trace, 0.5)
         ctrain, ctest = view.split(0.5)
-        assert [t.txn_id for t in ctrain] == [t.txn_id for t in otrain]
-        assert [t.txn_id for t in ctest] == [t.txn_id for t in otest]
+        assert ctrain.txn_ids.tolist() == [t.txn_id for t in otrain]
+        assert ctest.txn_ids.tolist() == [t.txn_id for t in otest]
 
 
 # ----------------------------------------------------------------------
@@ -394,8 +399,9 @@ def _assert_partial_views_match_referee(bundle) -> int:
     for combination in result.phase3.evaluated:
         partitioning = combination.partitioning
         for view in views:
+            txns = referee.named_transactions(view, bundle.trace)
             assert evaluator.evaluate(partitioning, view) == (
-                referee.cost_report(partitioning, view, database)
+                referee.cost_report(partitioning, txns, database)
             ), (partitioning.name, view)
             checked += 1
     return checked
@@ -545,17 +551,19 @@ def test_scalar_evaluation_matches_object_walk(synthetic_bundle):
     }
     checked = 0
     for view in ctrace.views.values():
-        for table, lut in engine.class_value_luts(view, paths).items():
-            for key, value in lut.items():
-                assert value == naive_root_value(database, paths[table], key)
-                checked += 1
+        for table, key, value in referee.gathered_values(engine, view, paths):
+            assert value == naive_root_value(database, paths[table], key)
+            checked += 1
     assert checked > 0
 
 
-def test_class_value_luts_match_scalar_evaluation(tatp_bundle):
+def test_tuple_codes_match_scalar_evaluation(tatp_bundle):
+    """Every distinct tuple of every transaction gets its own root
+    value's code, in the view's deduplicated stream order."""
     result = _run(tatp_bundle)
+    database = tatp_bundle.database
     ctrace = ColumnarTrace.from_trace(tatp_bundle.trace)
-    engine = ColumnarEngine(tatp_bundle.database, ctrace)
+    engine = ColumnarEngine(database, ctrace)
     paths = {
         table: result.partitioning.solution_for(table).path
         for table in result.partitioning.tables
@@ -563,16 +571,17 @@ def test_class_value_luts_match_scalar_evaluation(tatp_bundle):
     }
     checked = 0
     for view in ctrace.views.values():
-        luts = engine.class_value_luts(view, paths)
-        for txn in view:
-            for table, key in txn.tuples:
-                path = paths.get(table)
-                if path is None:
-                    continue
-                assert luts[table][key] == naive_root_value(
-                    tatp_bundle.database, path, key
-                )
-                checked += 1
+        found = referee.gathered_values(engine, view, paths)
+        expected = [
+            (table, key, naive_root_value(database, paths[table], key))
+            for txn in referee.named_transactions(view, tatp_bundle.trace)
+            for table, key in dict.fromkeys(
+                (table, key) for table, key, _ in txn.accesses
+            )
+            if table in paths
+        ]
+        assert found == expected
+        checked += len(found)
     assert checked > 0
 
 
@@ -592,18 +601,19 @@ def test_split_views_keep_their_own_chunks(tpcc_bundle):
     engine.tree_is_mapping_independent(tree, view)
     train, _test = view.split(0.5)
     assert len(train) == 64
-    luts = engine.class_value_luts(train, tree.paths)
-    checked = 0
-    for txn in train:
-        for table, key in txn.tuples:
-            path = tree.paths.get(table)
-            if path is None:
-                continue
-            assert luts[table][key] == naive_root_value(
-                tpcc_bundle.database, path, key
-            )
-            checked += 1
-    assert checked > 0
+    expected = {
+        (table, key)
+        for txn in referee.named_transactions(train, tpcc_bundle.trace)
+        for table, key in txn.tuples
+        if table in tree.paths
+    }
+    found = referee.gathered_values(engine, train, tree.paths)
+    assert {(table, key) for table, key, _ in found} == expected
+    for table, key, value in found:
+        assert value == naive_root_value(
+            tpcc_bundle.database, tree.paths[table], key
+        )
+    assert found
 
 
 def test_a_write_to_any_table_drops_the_engine_value_caches(figure1_db):
@@ -619,9 +629,10 @@ def test_a_write_to_any_table_drops_the_engine_value_caches(figure1_db):
             "CUSTOMER_ACCOUNT.CA_ID", "CUSTOMER_ACCOUNT.CA_C_ID",
         ],
     )
-    assert engine.class_value_luts(view, {"TRADE": path}) == {"TRADE": {(1,): 1}}
+    paths = {"TRADE": path}
+    assert referee.gathered_values(engine, view, paths) == [("TRADE", (1,), 1)]
     figure1_db.update("CUSTOMER_ACCOUNT", (1,), {"CA_C_ID": 2})
-    assert engine.class_value_luts(view, {"TRADE": path}) == {"TRADE": {(1,): 2}}
+    assert referee.gathered_values(engine, view, paths) == [("TRADE", (1,), 2)]
 
 
 class _CountingMapping:

@@ -8,6 +8,10 @@ counters that trace every Definition-7 verdict, and a hash of the chosen
 partitioning and its per-class solutions table. A refactor of the search,
 the path walks or the cost evaluator that drifts any of them fails here,
 even when the drift keeps every other differential test green.
+
+The same runs, and a 16-warehouse TPC-C one, hold every greedy
+elimination step's blame (the per-table offender counts that pick the
+table to drop) to the referee's set-based count.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import hashlib
 
 import pytest
 
+import repro.core.phase2 as phase2
 from repro.core import JECBConfig, JECBPartitioner
 from repro.evaluation.evaluator import PartitioningEvaluator
 from repro.trace.splitter import train_test_split
@@ -35,6 +40,9 @@ _BUNDLES = {
     "seats": (lambda: SeatsBenchmark(SeatsConfig()), 2000),
     "auctionmark": (lambda: AuctionMarkBenchmark(AuctionMarkConfig()), 2000),
 }
+
+#: the 16-warehouse TPC-C bundle the resource benchmarks run
+_TPCC_SMALL = (lambda: TpccBenchmark(TpccConfig(warehouses=16)), 4000, 11)
 
 #: name -> (test-half cost, (trees examined, MI tests, MI refuted, path
 #: evaluations, combinations evaluated), fingerprint)
@@ -77,3 +85,34 @@ def test_figure7_outputs_are_pinned(name):
     text = result.partitioning.describe() + result.solutions_table()
     fingerprint = hashlib.sha256(text.encode()).hexdigest()[:12]
     assert (cost, counters, fingerprint) == _GOLDEN[name]
+
+
+@pytest.mark.slow
+def test_every_elimination_step_blames_like_the_referee(monkeypatch):
+    """Equal offender counts on every step drop the same table."""
+    steps = []
+    blame = phase2.blame
+
+    def recording(tree, view, engine, stats=None):
+        offenders = blame(tree, view, engine, stats)
+        steps.append((tree, view, offenders))
+        return offenders
+
+    monkeypatch.setattr(phase2, "blame", recording)
+    bundles = [(*_BUNDLES[name], 17) for name in _BUNDLES] + [_TPCC_SMALL]
+    checked = 0
+    for factory, count, seed in bundles:
+        bundle = factory().generate(count, seed=seed)
+        train, _test = train_test_split(bundle.trace, 0.5)
+        steps.clear()
+        JECBPartitioner(
+            bundle.database, bundle.catalog, JECBConfig(num_partitions=8)
+        ).run(train)
+        for tree, view, offenders in steps:
+            txns = referee.named_transactions(view, train)
+            assert offenders == referee.blame(tree, txns, bundle.database), (
+                view.class_name,
+                str(tree),
+            )
+            checked += 1
+    assert checked > 0

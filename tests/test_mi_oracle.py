@@ -225,9 +225,8 @@ def test_optimized_checker_matches_brute_force(
     # placement store's per-key walk) also on keys outside the trace —
     # with dangling foreign keys, tombstoned accounts and keys that name
     # no row at all.
-    for table, lut in engine.class_value_luts(view, tree.paths).items():
-        for key, value in lut.items():
-            assert value == naive_root_value(database, tree.paths[table], key)
+    for table, key, value in referee.gathered_values(engine, view, tree.paths):
+        assert value == naive_root_value(database, tree.paths[table], key)
     snapshots = SnapshotIndex(database)
     for table, top in (("TRADE", 12), ("CUSTOMER_ACCOUNT", 8)):
         path = tree.paths[table]

@@ -182,7 +182,9 @@ class TestSplitterProperties:
         if count:
             (view,) = ColumnarTrace.from_trace(trace).views.values()
             ctrain, ctest = view.split(fraction)
-            assert (ids(ctrain), ids(ctest)) == (picked, dropped)
+            assert (
+                ctrain.txn_ids.tolist(), ctest.txn_ids.tolist()
+            ) == (picked, dropped)
             assert ctrain.txn_ids.tolist() == picked
 
 
